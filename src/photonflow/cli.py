@@ -219,12 +219,14 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         "hom_paired": (PolarizationConfig.CO, PolarizationConfig.CROSS),
     }[cfg.experiment]
 
+    # one engine pass serves every setting: they differ only in polarization
+    paired = run_hom(
+        pipe, [cfg.interferometer(pol) for pol in polarizations], cfg.det1, cfg.det2, workers=cfg.workers
+    )
     histograms: dict[str, object] = {}
-    result = None
     report: dict = {}
-    for pol in polarizations:
+    for pol, result in zip(polarizations, paired.by_setting()):
         tag = pol.value
-        result = run_hom(pipe, cfg.interferometer(pol), cfg.det1, cfg.det2, workers=cfg.workers)
         _write_streams(art, result, prefix=f"tags_{tag}")
         hist = cross_correlate(
             result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
@@ -409,19 +411,22 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     outdir = _resolve_output_dir(cfg, args.output)
-    art = _Artifacts(outdir, args.format)
     try:
+        art = _Artifacts(outdir, args.format)
         report, flagged = _RUNNERS[cfg.experiment](cfg, art)
+        io.write_report(outdir / "report.txt", report)
+        art.files.append("report.txt")
+        art.write_manifest(cfg)
     except (ConfigError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AnalysisError, FitError, MeasurementError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"error: cannot write the run output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
-    io.write_report(outdir / "report.txt", report)
-    art.files.append("report.txt")
-    art.write_manifest(cfg)
     for key, value in report.items():
         print(f"{key} = {value}")
     if flagged:
@@ -465,15 +470,30 @@ def cmd_compare(args) -> int:
     return EXIT_OK if all_consistent else EXIT_RUNTIME
 
 
+def _read_manifest_artifacts(run_dir: Path) -> dict[str, str]:
+    """The manifest's artifact name -> sha256 table; ConfigError if it is malformed."""
+    path = run_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(name, str) and isinstance(digest, str) for name, digest in artifacts.items()
+    ):
+        raise ConfigError(f"{path}: no 'artifacts' table of file name to sha256")
+    return artifacts
+
+
 def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-    except OSError as exc:
+        artifacts = _read_manifest_artifacts(run_dir)
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     bad = 0
-    for name, digest in manifest["artifacts"].items():
+    for name, digest in artifacts.items():
         target = run_dir / name
         if not target.is_file():
             print(f"missing: {name}")
@@ -481,7 +501,7 @@ def cmd_verify(args) -> int:
         elif _sha256(target) != digest:
             print(f"hash mismatch: {name}")
             bad += 1
-    print(f"{len(manifest['artifacts']) - bad}/{len(manifest['artifacts'])} artifacts verified")
+    print(f"{len(artifacts) - bad}/{len(artifacts)} artifacts verified")
     return EXIT_OK if bad == 0 else EXIT_RUNTIME
 
 

@@ -17,6 +17,9 @@ _HEADER = struct.Struct("<4sHHQ")
 
 
 def write_tagstream(path: str | Path, stream: TagStream) -> None:
+    """Write ``stream`` as unsigned 64-bit tags; a negative tag raises ConfigError."""
+    if len(stream) and stream.tags[0] < 0:  # tags are sorted, so the first is the least
+        raise ConfigError(f"{path}: negative tag {stream.tags[0]} cannot be stored unsigned")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TAGSTREAM_MAGIC, TAGSTREAM_VERSION, stream.channel_id, len(stream)))
         fh.write(stream.tags.astype("<u8").tobytes())

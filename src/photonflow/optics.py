@@ -128,8 +128,12 @@ def _route_from_short(r2: float, t2: float, u: float) -> int:
     return -1
 
 
-def joint_split_probabilities(r2: float, t2: float, m_eff: float) -> tuple[float, float, float, float]:
-    """(both det1, both det2, split, P(early to det1 | split)) given both photons survive."""
+def joint_split_probabilities(r2: float, t2: float, m_eff):
+    """(both det1, both det2, split, P(early to det1 | split)) given both photons survive.
+
+    ``m_eff`` is a scalar or an array of per-pair overlap factors; the four
+    results have its shape.
+    """
     s = r2 + t2
     rr, tt = r2 / s, t2 / s
     p_bunch = (1.0 + m_eff) * rr * tt
@@ -137,7 +141,10 @@ def joint_split_probabilities(r2: float, t2: float, m_eff: float) -> tuple[float
     # ordered split probabilities: distinguishable part keeps which-path identity,
     # interfering part is symmetrized
     p_early_d1 = (1.0 - m_eff) * tt**2 + 0.5 * m_eff * (tt - rr) ** 2
-    w_early_d1 = p_early_d1 / p_split if p_split > 0 else 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_early_d1 = np.where(p_split > 0, np.divide(p_early_d1, p_split), 0.5)
+    if w_early_d1.ndim == 0:
+        w_early_d1 = float(w_early_d1)
     return p_bunch, p_bunch, p_split, w_early_d1
 
 

@@ -4,8 +4,9 @@ Pulses are processed in fixed-size blocks.  Every random decision is drawn
 from a substream keyed by (master seed, owning chunk, stage) with a fixed
 number of draws per pulse, so any pulse's samples can be regenerated in
 isolation; consecutive-pulse photon pairs that straddle a block boundary are
-completed by re-deriving the neighbour chunk's draws.  Results are therefore
-bit-identical for any worker count.
+completed by reading the neighbour chunk's boundary row, which the counter-based
+streams reach by advancing their counter rather than drawing the rows before
+it.  Results are therefore bit-identical for any worker count.
 
 A fixed instrument path delay keeps all timestamps positive for the unsigned
 on-disk format; it shifts both channels equally and cancels in every delay
@@ -15,6 +16,7 @@ histogram.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +56,8 @@ from .optics import (
     HomInterferometer,
     PolarizationConfig,
     apply_dead_time,
+    joint_split_probabilities,
+    register_arrivals,
     sample_dark_counts,
 )
 from .source import (
@@ -125,6 +129,22 @@ class RunResult:
     def __iter__(self):
         return iter(self.streams)
 
+    def by_setting(self) -> tuple["RunResult", ...]:
+        """One result per setting of a multi-setting run.
+
+        Streams and channel stats are ordered (setting, detector), and each
+        stream's ``channel_id`` is its detector index; the other counts
+        describe the shared pulses and are the same in every part.
+        """
+        n_detectors = 1 + max(stream.channel_id for stream in self.streams)
+        return tuple(
+            RunResult(
+                streams=self.streams[k : k + n_detectors],
+                stats=replace(self.stats, channels=self.stats.channels[k : k + n_detectors]),
+            )
+            for k in range(0, len(self.streams), n_detectors)
+        )
+
 
 # ---------------------------------------------------------------------------
 # chunk-keyed draw reconstruction
@@ -143,16 +163,41 @@ class _Rows:
     comp_time: np.ndarray
     comp_env: np.ndarray
     route: np.ndarray  # (n, 4) uniforms: signal arm/port, companion arm/port
-    det_u: np.ndarray  # (n, 2) efficiency uniforms: signal, companion
-    det_z: np.ndarray  # (n, 2) jitter normals
+    det_u: np.ndarray | None  # (n, 2) efficiency uniforms: signal, companion
+    det_z: np.ndarray | None  # (n, 2) jitter normals
+
+
+def _uniform_rows(
+    seed: RunSeed, chunk_start: int, stage: int, first_row: int, n_rows: int, width: int
+) -> np.ndarray:
+    """Rows [first_row, first_row + n_rows) of a chunk's (rows, width) uniform table.
+
+    Philox yields four 64-bit words per counter step and each float64 uniform
+    consumes one word, so the rows before ``first_row`` are skipped by a
+    counter advance plus at most three discarded draws.
+    """
+    rng = substream(seed, chunk_start, stage)
+    skip = first_row * width
+    if skip:
+        rng.bit_generator.advance(skip // 4)
+        if skip % 4:
+            rng.random(skip % 4)
+    return rng.random((n_rows, width))
 
 
 def _emission_rows(
-    pipe: Pipeline, chunk_start: int, n_rows: int, blink: BlinkTable | None
+    pipe: Pipeline, chunk_start: int, n_rows: int, blink: BlinkTable | None, first_row: int = 0
 ) -> _Rows:
+    """Rows [first_row, first_row + n_rows) of chunk ``chunk_start``'s draws.
+
+    A read that does not start at row 0 leaves out the detection draws: the
+    jitter normals come from the ziggurat, which consumes a varying number of
+    words per value, so that stream cannot be advanced to a row.
+    """
     seed, emitter, train = pipe.seed, pipe.emitter, pipe.train
-    uniforms = substream(seed, chunk_start, STAGE_EMIT).random((n_rows, EMIT_DRAWS_PER_PULSE))
-    pulses = chunk_start + np.arange(n_rows)
+    uniforms = _uniform_rows(seed, chunk_start, STAGE_EMIT, first_row, n_rows, EMIT_DRAWS_PER_PULSE)
+    first_pulse = chunk_start + first_row
+    pulses = first_pulse + np.arange(n_rows)
 
     if emitter.spectral_diffusion_sigma_ghz > 0:
         dblocks = pulses // emitter.diffusion_block_pulses
@@ -166,10 +211,10 @@ def _emission_rows(
     else:
         bright = np.ones(n_rows, dtype=bool)
 
-    block = sample_emission(emitter, train, chunk_start, uniforms, wander, bright)
+    block = sample_emission(emitter, train, first_pulse, uniforms, wander, bright)
 
-    u_conv = substream(seed, chunk_start, STAGE_CONVERT).random((n_rows, 2))
     if pipe.conversion is not None:
+        u_conv = _uniform_rows(seed, chunk_start, STAGE_CONVERT, first_row, n_rows, 2)
         offset = pipe.filter_center_offset_ghz()
         sig_ok = block.sig_exists & (
             u_conv[:, 0] < survival_probability(pipe.conversion, block.sig_detuning_ghz, offset)
@@ -181,9 +226,12 @@ def _emission_rows(
         sig_ok = block.sig_exists
         comp_ok = block.comp_exists
 
-    route = substream(seed, chunk_start, STAGE_ROUTE).random((n_rows, 4))
-    det_u = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
-    det_z = substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
+    route = _uniform_rows(seed, chunk_start, STAGE_ROUTE, first_row, n_rows, 4)
+    if first_row == 0:
+        det_u = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
+        det_z = substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
+    else:
+        det_u = det_z = None
 
     return _Rows(
         sig_exists=block.sig_exists,
@@ -229,12 +277,16 @@ class _ChannelSink:
     def add_ports(self, ports: np.ndarray, arrivals, u_eff, z) -> int:
         """Route by port code (0/1 detector, negative lost); returns lost count."""
         ports = np.asarray(ports)
+        arrivals, u_eff, z = np.asarray(arrivals), np.asarray(u_eff), np.asarray(z)
         for channel in range(len(self.arrivals)):
-            mask = ports == channel
-            self.add(channel, np.asarray(arrivals)[mask], np.asarray(u_eff)[mask], np.asarray(z)[mask])
+            idx = np.flatnonzero(ports == channel)
+            self.add(channel, arrivals[idx], u_eff[idx], z[idx])
         return int(np.count_nonzero(ports < 0))
 
-    def register(self, detectors: tuple[DetectorConfig, ...], stats: RunStats) -> list[np.ndarray]:
+    def register(
+        self, detectors: tuple[DetectorConfig, ...], channel_stats: tuple[DetectStats, ...]
+    ) -> list[np.ndarray]:
+        """Unsorted tags per channel, dark counts included; counts go to ``channel_stats``."""
         out = []
         for ch, cfg in enumerate(detectors):
             if self.arrivals[ch]:
@@ -245,17 +297,10 @@ class _ChannelSink:
                 arrivals = np.empty(0, dtype=np.int64)
                 u = np.empty(0)
                 z = np.empty(0)
-            mask = u < cfg.efficiency
-            tags = arrivals[mask] + PATH_DELAY_PS
-            if cfg.irf_sigma_ps > 0:
-                tags = tags + np.rint(z[mask] * cfg.irf_sigma_ps).astype(np.int64)
-            st = stats.channels[ch]
-            st.n_in += int(arrivals.size)
-            st.registered += int(tags.size)
-            st.undetected += int(arrivals.size - tags.size)
+            tags = register_arrivals(cfg, arrivals, u, z, channel_stats[ch]) + PATH_DELAY_PS
             if self.dark[ch]:
                 dark = np.concatenate(self.dark[ch])
-                st.dark += int(dark.size)
+                channel_stats[ch].dark += int(dark.size)
                 tags = np.concatenate([tags, dark])
             out.append(tags)
         return out
@@ -277,11 +322,11 @@ def _dark_counts(
         sink.dark[ch].append(sample_dark_counts(det, window, rng))
 
 
-def _noise_photons(pipe: Pipeline, i0: int, i1: int) -> tuple[np.ndarray, np.random.Generator]:
+def _noise_photons(pipe: Pipeline, i0: int, i1: int) -> tuple[np.ndarray, np.random.Generator | None]:
     """Noise photon times for this block plus the stream for their later draws."""
-    rng = substream(pipe.seed, i0, STAGE_NOISE)
     if pipe.conversion is None or pipe.conversion.noise_rate_cps == 0:
-        return np.empty(0, dtype=np.int64), rng
+        return np.empty(0, dtype=np.int64), None
+    rng = substream(pipe.seed, i0, STAGE_NOISE)
     window = _block_window_ps(pipe.train, i0, i1)
     return sample_noise_times(pipe.conversion, window, rng), rng
 
@@ -303,7 +348,7 @@ def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink) -> tuple[l
         sink.add(0, noise_times, noise_rng.random(noise_times.size), noise_rng.standard_normal(noise_times.size))
 
     _dark_counts(pipe, detectors, i0, i1, sink)
-    tags = sink.register(detectors, stats)
+    tags = sink.register(detectors, stats.channels)
     return tags, stats
 
 
@@ -332,7 +377,7 @@ def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, bl
         )
 
     _dark_counts(pipe, detectors, i0, i1, sink)
-    return sink.register(detectors, stats), stats
+    return sink.register(detectors, stats.channels), stats
 
 
 def _independent_ports(long_arm: np.ndarray, u_port: np.ndarray, r2: float, t2: float) -> np.ndarray:
@@ -354,17 +399,46 @@ def _pair_overlap_vec(pipe: Pipeline, det_e, det_l, env_e, env_l, arm_delay_ps: 
     return m
 
 
-def _block_hom(pipe: Pipeline, detectors, ifo: HomInterferometer, i0: int, i1: int, blink, n_total: int):
+def _joint_ports(
+    m_eff: np.ndarray, u: np.ndarray, ua: np.ndarray, r2: float, t2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ports of meeting pairs whose photons both survive the output splitter."""
+    p_d1d1, p_d2d2, _, w_e_d1 = joint_split_probabilities(r2, t2, m_eff)
+    bunch1 = u < p_d1d1
+    bunch2 = ~bunch1 & (u < p_d1d1 + p_d2d2)
+    e_to_d1 = ~bunch1 & ~bunch2 & (ua < w_e_d1)
+    port_e = np.where(bunch1 | e_to_d1, 0, 1)
+    port_l = np.where(bunch2 | e_to_d1, 1, 0)
+    return port_e, port_l
+
+
+def _block_hom(
+    pipe: Pipeline,
+    detectors,
+    settings: tuple[HomInterferometer, ...],
+    i0: int,
+    i1: int,
+    blink,
+    n_total: int,
+):
+    """One block of the interferometer, simulated once for every setting.
+
+    The settings share splitters and arm delay, so emission, arm and port
+    decisions, independent routing and registration are common to all of
+    them; only the joint port draw of meeting pairs is evaluated per setting.
+    Tags and channel stats are ordered (setting, detector).
+    """
     n = i1 - i0
     rows = _emission_rows(pipe, i0, n, blink)
-    stats = _new_stats(pipe, rows, i0, i1, n_channels=2)
-    sink = _ChannelSink(2)
+    stats = _new_stats(pipe, rows, i0, i1, n_channels=len(detectors) * len(settings))
+    ifo = settings[0]
     r1, t1 = ifo.bs_in.r, ifo.bs_in.t
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
     delay = ifo.arm_delay_ps
 
-    # right halo: the first pulse of the next chunk completes the last pair
-    has_halo = i1 < n_total
+    # right halo: the first pulse of the next chunk completes the last pair,
+    # which can only start from a signal photon taking the long arm
+    has_halo = i1 < n_total and rows.sig_ok[-1] and rows.route[-1, 0] < r1
     if has_halo:
         halo = _emission_rows(pipe, i1, 1, blink)
         sig_ok_ext = np.concatenate([rows.sig_ok, halo.sig_ok])
@@ -399,9 +473,8 @@ def _block_hom(pipe: Pipeline, detectors, ifo: HomInterferometer, i0: int, i1: i
     # our first pulse, that block already routed and detected our photon
     consumed_left = False
     if i0 > 0 and rows.sig_ok[0] and short_arm[0]:
-        prev_start = i0 - BLOCK_PULSES
-        prev = _emission_rows(pipe, prev_start, i0 - prev_start, blink)
-        consumed_left = bool(prev.sig_ok[-1] and prev.route[-1, 0] < r1)
+        prev = _emission_rows(pipe, i0 - BLOCK_PULSES, 1, blink, first_row=BLOCK_PULSES - 1)
+        consumed_left = bool(prev.sig_ok[0] and prev.route[0, 0] < r1)
 
     consumed = np.zeros(n_ext, dtype=bool)
     pair_idx = np.flatnonzero(meet)
@@ -410,76 +483,63 @@ def _block_hom(pipe: Pipeline, detectors, ifo: HomInterferometer, i0: int, i1: i
     if consumed_left:
         consumed[0] = True
 
-    # joint routing of meeting pairs
+    sink = _ChannelSink(2)  # photons whose port is the same in every setting
+    pair_sinks = [_ChannelSink(2) for _ in settings]
     if pair_idx.size:
-        u_join = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))
         e, l = pair_idx, pair_idx + 1
-        if ifo.polarization_config == PolarizationConfig.CROSS:
-            m_eff = np.zeros(e.size)
-        else:
-            m_eff = ifo.classical_visibility**2 * _pair_overlap_vec(
-                pipe, sig_det_ext[e], sig_det_ext[l], sig_env_ext[e], sig_env_ext[l], delay
-            )
         s = r2 + t2
         e_surv = u_port_ext[e] < s
         l_surv = u_port_ext[l] < s
         arr_e = sig_time_ext[e] + delay
         arr_l = sig_time_ext[l]
 
-        rr, tt = r2 / s, t2 / s
-        p_bunch = (1.0 + m_eff) * rr * tt
-        p_split = rr**2 + tt**2 - 2.0 * rr * tt * m_eff
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_e_d1 = np.where(
-                p_split > 0,
-                ((1.0 - m_eff) * tt**2 + 0.5 * m_eff * (tt - rr) ** 2) / p_split,
-                0.5,
-            )
-        u, ua = u_join[pair_idx, 0], u_join[pair_idx, 1]
-        port_e = np.full(e.size, -1)
-        port_l = np.full(e.size, -1)
+        # a lone survivor routes independently off its own port uniform
+        port_e = np.where(e_surv & ~l_surv, np.where(u_port_ext[e] < t2, 0, 1), -1)
+        port_l = np.where(l_surv & ~e_surv, np.where(u_port_ext[l] < r2, 0, 1), -1)
         both = e_surv & l_surv
-        bunch1 = both & (u < p_bunch)
-        bunch2 = both & ~bunch1 & (u < 2 * p_bunch)
-        split_mask = both & ~bunch1 & ~bunch2
-        e_to_d1 = split_mask & (ua < w_e_d1)
-        port_e[bunch1] = 0
-        port_l[bunch1] = 0
-        port_e[bunch2] = 1
-        port_l[bunch2] = 1
-        port_e[e_to_d1] = 0
-        port_l[e_to_d1] = 1
-        port_e[split_mask & ~e_to_d1] = 1
-        port_l[split_mask & ~e_to_d1] = 0
-        # lone survivor routes independently off its own port uniform
-        only_e = e_surv & ~l_surv
-        only_l = l_surv & ~e_surv
-        port_e[only_e] = np.where(u_port_ext[e[only_e]] < t2, 0, 1)
-        port_l[only_l] = np.where(u_port_ext[l[only_l]] < r2, 0, 1)
+        alone = ~both
+        ea, la = e[alone], l[alone]
+        stats.routed_lost += sink.add_ports(port_e[alone], arr_e[alone], det_u_ext[ea], det_z_ext[ea])
+        stats.routed_lost += sink.add_ports(port_l[alone], arr_l[alone], det_u_ext[la], det_z_ext[la])
 
-        stats.routed_lost += sink.add_ports(port_e, arr_e, det_u_ext[e], det_z_ext[e])
-        stats.routed_lost += sink.add_ports(port_l, arr_l, det_u_ext[l], det_z_ext[l])
+        # joint routing of pairs that both survive: the only per-setting step
+        if np.any(both):
+            u_join = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))
+            eb, lb = e[both], l[both]
+            u, ua = u_join[pair_idx[both], 0], u_join[pair_idx[both], 1]
+            photons_e = (arr_e[both], det_u_ext[eb], det_z_ext[eb])
+            photons_l = (arr_l[both], det_u_ext[lb], det_z_ext[lb])
+            overlap = _pair_overlap_vec(
+                pipe, sig_det_ext[eb], sig_det_ext[lb], sig_env_ext[eb], sig_env_ext[lb], delay
+            )
+            for setting, pair_sink in zip(settings, pair_sinks):
+                if setting.polarization_config == PolarizationConfig.CROSS:
+                    m_eff = np.zeros(eb.size)
+                else:
+                    m_eff = setting.classical_visibility**2 * overlap
+                joint_e, joint_l = _joint_ports(m_eff, u, ua, r2, t2)
+                pair_sink.add_ports(joint_e, *photons_e)
+                pair_sink.add_ports(joint_l, *photons_l)
 
-    # independent signal photons owned by this block
-    own = np.zeros(n_ext, dtype=bool)
-    own[:n] = True
-    solo = sig_ok_ext & own & ~consumed & ~arm_lost
-    stats.routed_lost += int(np.count_nonzero(sig_ok_ext & own & arm_lost))
-    if np.any(solo):
-        arr = sig_time_ext[solo] + np.where(long_arm[solo], delay, 0)
-        ports = _independent_ports(long_arm[solo], u_port_ext[solo], r2, t2)
+    # independent signal photons owned by this block (the first n rows)
+    solo = np.flatnonzero((sig_ok_ext & ~consumed & ~arm_lost)[:n])
+    stats.routed_lost += int(np.count_nonzero(arm_lost[:n]))
+    if solo.size:
+        long_solo = long_arm[solo]
+        arr = sig_time_ext[solo] + np.where(long_solo, delay, 0)
+        ports = _independent_ports(long_solo, u_port_ext[solo], r2, t2)
         stats.routed_lost += sink.add_ports(ports, arr, det_u_ext[solo], det_z_ext[solo])
 
     # companions and noise photons route independently (zero overlap factor)
-    comp_ok = rows.comp_ok
-    if np.any(comp_ok):
-        u_arm_c = rows.route[comp_ok, 2]
+    comp = np.flatnonzero(rows.comp_ok)
+    if comp.size:
+        u_arm_c = rows.route[comp, 2]
         long_c = u_arm_c < r1
         lost_c = u_arm_c >= r1 + t1
-        arr_c = rows.comp_time[comp_ok] + np.where(long_c, delay, 0)
-        ports_c = _independent_ports(long_c, rows.route[comp_ok, 3], r2, t2)
+        arr_c = rows.comp_time[comp] + np.where(long_c, delay, 0)
+        ports_c = _independent_ports(long_c, rows.route[comp, 3], r2, t2)
         ports_c[lost_c] = -1
-        stats.routed_lost += sink.add_ports(ports_c, arr_c, rows.det_u[comp_ok, 1], rows.det_z[comp_ok, 1])
+        stats.routed_lost += sink.add_ports(ports_c, arr_c, rows.det_u[comp, 1], rows.det_z[comp, 1])
 
     noise_times, noise_rng = _noise_photons(pipe, i0, i1)
     if noise_times.size:
@@ -496,7 +556,15 @@ def _block_hom(pipe: Pipeline, detectors, ifo: HomInterferometer, i0: int, i1: i
         )
 
     _dark_counts(pipe, detectors, i0, i1, sink)
-    return sink.register(detectors, stats), stats
+    shared_stats = tuple(DetectStats() for _ in detectors)
+    shared_tags = sink.register(detectors, shared_stats)
+    tags = []
+    for k, pair_sink in enumerate(pair_sinks):
+        channels = stats.channels[k * len(detectors) : (k + 1) * len(detectors)]
+        for ch, pair_tags in enumerate(pair_sink.register(detectors, channels)):
+            channels[ch].merge(shared_stats[ch])
+            tags.append(np.concatenate([shared_tags[ch], pair_tags]))
+    return tags, stats
 
 
 def _new_stats(pipe: Pipeline, rows: _Rows, i0: int, i1: int, n_channels: int) -> RunStats:
@@ -520,36 +588,68 @@ def _block_ranges(n_pulses: int) -> list[tuple[int, int]]:
     return [(i0, min(i0 + BLOCK_PULSES, n_pulses)) for i0 in range(0, n_pulses, BLOCK_PULSES)]
 
 
-def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int) -> RunResult:
+class _TagFold:
+    """One channel's unsorted tags, folded in block by block as blocks finish.
+
+    The buffer grows by doubling, so each block's arrays are freed as soon as
+    they are copied in instead of being held until the run ends.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0, dtype=np.int64)
+        self.size = 0
+
+    def add(self, tags: np.ndarray) -> None:
+        end = self.size + tags.size
+        if end > self.buf.size:
+            grown = np.empty(max(end, 2 * self.buf.size), dtype=np.int64)
+            grown[: self.size] = self.buf[: self.size]
+            self.buf = grown
+        self.buf[self.size : end] = tags
+        self.size = end
+
+    def sorted(self) -> np.ndarray:
+        return np.sort(self.buf[: self.size])
+
+
+def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, n_settings: int = 1) -> RunResult:
+    """Run every block and merge its tags per channel.
+
+    A block returns tags for each of ``n_settings`` settings of the same
+    detectors, ordered (setting, detector); stream ``channel_id`` is the
+    detector index.
+    """
     n_pulses = pipe.train.n_pulses
     if n_pulses <= 0:
         raise ConfigError("n_pulses must be positive")
     blink = _build_blink_table(pipe)
     ranges = _block_ranges(n_pulses)
+    channels = tuple(detectors) * n_settings
+    total = RunStats(channels=tuple(DetectStats() for _ in channels))
+    folds = [_TagFold() for _ in channels]
 
     def job(rng_pair):
         i0, i1 = rng_pair
         return block_fn(pipe, detectors, i0, i1, blink)
 
+    def fold(results) -> None:
+        for tags, stats in results:
+            total.merge(stats)
+            for ch_fold, arr in zip(folds, tags):
+                ch_fold.add(arr)
+
     if workers <= 1:
-        results = [job(r) for r in ranges]
+        fold(job(r) for r in ranges)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, ranges))
-
-    total = RunStats(channels=tuple(DetectStats() for _ in detectors))
-    per_channel: list[list[np.ndarray]] = [[] for _ in detectors]
-    for tags, stats in results:
-        total.merge(stats)
-        for ch, arr in enumerate(tags):
-            per_channel[ch].append(arr)
+            fold(pool.map(job, ranges))
 
     streams = []
-    for ch, det in enumerate(detectors):
-        merged = np.sort(np.concatenate(per_channel[ch])) if per_channel[ch] else np.empty(0, np.int64)
-        kept, vetoed = apply_dead_time(merged, det.dead_time_ps)
+    for ch, det in enumerate(channels):
+        kept, vetoed = apply_dead_time(folds[ch].sorted(), det.dead_time_ps)
+        folds[ch] = None  # release the buffer before the next channel sorts
         total.channels[ch].vetoed += vetoed
-        streams.append(TagStream(channel_id=ch, tags=kept))
+        streams.append(TagStream(channel_id=ch % len(detectors), tags=kept))
     return RunResult(streams=tuple(streams), stats=total)
 
 
@@ -586,20 +686,33 @@ def run_hbt(
 
 def run_hom(
     pipe: Pipeline,
-    ifo: HomInterferometer,
+    ifo: HomInterferometer | Sequence[HomInterferometer],
     det1: DetectorConfig,
     det2: DetectorConfig,
     n_pulses: int | None = None,
     workers: int = 1,
 ) -> RunResult:
-    """Delay-matched interferometer topology (indistinguishability measurement)."""
+    """Delay-matched interferometer topology (indistinguishability measurement).
+
+    ``ifo`` is one setting or several settings that share splitters and arm
+    delay, such as the co- and cross-polarized halves of a paired run.  Each
+    pulse is simulated once for all of them, so every setting sees the same
+    photons.  Streams and channel stats are ordered (setting, detector);
+    ``RunResult.by_setting`` splits them.
+    """
+    settings = (ifo,) if isinstance(ifo, HomInterferometer) else tuple(ifo)
+    if not settings:
+        raise ConfigError("run_hom needs at least one interferometer setting")
+    shared = {(s.bs_in, s.bs_out, s.arm_delay_ps) for s in settings}
+    if len(shared) > 1:
+        raise ConfigError("interferometer settings run together must share bs_in, bs_out and arm_delay_ps")
     pipe = _with_pulses(pipe, n_pulses)
     n_total = pipe.train.n_pulses
 
     def block(p, dets, i0, i1, blink):
-        return _block_hom(p, dets, ifo, i0, i1, blink, n_total)
+        return _block_hom(p, dets, settings, i0, i1, blink, n_total)
 
-    return _run_blocks(block, pipe, (det1, det2), workers)
+    return _run_blocks(block, pipe, (det1, det2), workers, n_settings=len(settings))
 
 
 def irf_pipeline(pipe: Pipeline) -> Pipeline:

@@ -156,6 +156,19 @@ class TestRunArtifacts:
         (outdir / "report.txt").write_text("experiment = hbt\n")
         assert cli.main(["verify", str(outdir)]) == cli.EXIT_RUNTIME
 
+    @pytest.mark.parametrize("body", ['{"artifacts": ', "{}", "[]", '{"artifacts": {"report.txt": 5}}'])
+    def test_verify_rejects_malformed_manifest(self, tmp_path, capsys, body):
+        (tmp_path / "manifest.json").write_text(body)
+        assert cli.main(["verify", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_output_under_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        path = write_config(tmp_path, SATURATION_CONFIG, outdir=tmp_path / "unused")
+        assert cli.main(["run", str(path), "--output", str(blocker / "out")]) == cli.EXIT_RUNTIME
+        assert "cannot write" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "unused")

@@ -169,6 +169,12 @@ class TestTagStream:
         assert np.array_equal(back.tags, stream.tags)
         assert path.read_bytes()[:4] == b"PFTG"
 
+    def test_negative_tag_rejected(self, tmp_path):
+        path = tmp_path / "neg.pftg"
+        with pytest.raises(ConfigError, match="negative"):
+            io.write_tagstream(path, TagStream(channel_id=0, tags=np.array([-5, 3])))
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pftg"
         path.write_bytes(b"XXXX" + bytes(12))

@@ -1,14 +1,17 @@
 """Block engine: determinism, conservation, and closed-loop physics checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photonflow import pipeline
 from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, integrate_peaks
 from photonflow.conversion import ConversionConfig
-from photonflow.core import PulseTrainConfig, RunSeed, Wavelength
+from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength
 from photonflow.correlate import cross_correlate
 from photonflow.enumeration import calibrate_p_multi, hbt_expected, visibility_model
 from photonflow.optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
@@ -142,6 +145,96 @@ class TestConservationAndBoundaries:
         parallel = run_hom(pipe, interferometer(), det, det, workers=5)
         for s1, s2 in zip(serial.streams, parallel.streams):
             assert np.array_equal(s1.tags, s2.tags)
+
+
+class TestSharedSettings:
+    """Settings passed to one run_hom call share every pulse's simulation."""
+
+    @staticmethod
+    def settings_pair():
+        kwargs = dict(
+            bs_in=BeamSplitter(0.48, 0.48),
+            bs_out=BeamSplitter(0.47, 0.5),
+            arm_delay_ps=DELAY,
+            classical_visibility=0.95,
+        )
+        return (
+            HomInterferometer(polarization_config=PolarizationConfig.CO, **kwargs),
+            HomInterferometer(polarization_config=PolarizationConfig.CROSS, **kwargs),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_paired_call_equals_single_calls(self, monkeypatch, workers):
+        # small blocks put many meeting pairs on block edges; conversion noise,
+        # companions, dark counts and dead time exercise every shared path
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        pipe = make_pipeline(seed=17, n_pulses=6_000, p_emit=1.0, p_multi=0.05, conversion=True)
+        pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
+        det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
+        det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
+        co, cross = self.settings_pair()
+
+        paired = run_hom(pipe, (co, cross), det1, det2, workers=workers)
+        assert [s.channel_id for s in paired.streams] == [0, 1, 0, 1]
+        assert paired.stats.pulses == 6_000
+        parts = paired.by_setting()
+        for setting, part in zip((co, cross), parts):
+            single = run_hom(pipe, setting, det1, det2, workers=workers)
+            for mine, theirs in zip(part.streams, single.streams, strict=True):
+                assert mine.channel_id == theirs.channel_id
+                assert np.array_equal(mine.tags, theirs.tags)
+            assert part.stats == single.stats
+            assert part.stats.routed_lost > 0 and part.stats.noise_injected > 0
+            assert all(ch.dark > 0 and ch.vetoed > 0 for ch in part.stats.channels)
+            assert_conservation(part)
+        # the joint draw differs between the settings, so the streams must too
+        assert not np.array_equal(parts[0].streams[0].tags, parts[1].streams[0].tags)
+
+    def test_settings_must_share_optics(self):
+        co, cross = self.settings_pair()
+        other = replace(cross, bs_out=BeamSplitter())
+        det = ideal_detector()
+        with pytest.raises(ConfigError, match="share"):
+            run_hom(make_pipeline(n_pulses=100), (co, other), det, det)
+        with pytest.raises(ConfigError):
+            run_hom(make_pipeline(n_pulses=100), (), det, det)
+
+
+class TestHaloRow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        block=st.integers(2, 300),
+        chunk=st.integers(0, 50),
+        conversion=st.booleans(),
+    )
+    # an even block length puts the last row of the 2-column conversion table
+    # at an odd word offset inside a 4-word Philox step, an odd one on a step
+    @example(seed=5, block=64, chunk=3, conversion=True)
+    @example(seed=5, block=65, chunk=3, conversion=True)
+    def test_counter_advance_matches_full_regeneration(self, seed, block, chunk, conversion):
+        pipe = make_pipeline(
+            seed=seed,
+            n_pulses=(chunk + 1) * block,
+            conversion=conversion,
+            p_emit=0.9,
+            p_multi=0.3,
+            dephasing_linewidth_ghz=2.0,
+            spectral_diffusion_sigma_ghz=3.0,
+            diffusion_block_pulses=7,
+            blink_on_rate_per_us=20.0,
+            blink_off_rate_per_us=20.0,
+        )
+        blink = pipeline._build_blink_table(pipe)
+        start = chunk * block
+        full = pipeline._emission_rows(pipe, start, block, blink)
+        row = pipeline._emission_rows(pipe, start, 1, blink, first_row=block - 1)
+        for name in (
+            "sig_exists", "sig_ok", "sig_time", "sig_env", "sig_det",
+            "comp_exists", "comp_ok", "comp_time", "comp_env", "route",
+        ):
+            assert np.array_equal(getattr(row, name), getattr(full, name)[-1:]), name
+        assert row.det_u is None and row.det_z is None
 
 
 class TestRateExperiment:
