@@ -22,20 +22,15 @@ from .conversion import (
     LossBudget,
     MeasurementError,
     SaturationFit,
-    convert_photon,
     dfg_wavelength,
     external_efficiency,
     fit_saturation,
-    inject_noise,
     internal_efficiency_bounds,
     saturation_efficiency,
 )
 from .core import (
     CoincidenceHistogram,
     ConfigError,
-    Origin,
-    PhotonRecord,
-    Polarization,
     PulseTrainConfig,
     RunSeed,
     TagStream,
@@ -49,11 +44,6 @@ from .optics import (
     DetectorConfig,
     HomInterferometer,
     PolarizationConfig,
-    SplitPort,
-    detect,
-    hom_interfere,
-    pair_overlap,
-    split,
 )
 from .pipeline import (
     Pipeline,
@@ -66,9 +56,7 @@ from .pipeline import (
     run_hom,
 )
 from .source import (
-    BlinkState,
     EmitterConfig,
-    emit_pulse,
     expected_pair_overlap,
     pairwise_overlap,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 from .conversion import BoundsMeasurement, ConversionConfig, LossBudget
 from .core import ConfigError, PulseTrainConfig, RunSeed, Wavelength
 from .optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
-from .pipeline import Pipeline
+from .pipeline import PATH_DELAY_PS, Pipeline
 from .source import EmitterConfig
 
 EXPERIMENTS = ("lifetime", "hbt", "hom_co", "hom_cross", "hom_paired", "rate", "saturation_scan")
@@ -343,6 +343,13 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
     det2_raw = section("detector2", required=experiment in ("hbt", "hom_co", "hom_cross", "hom_paired"))
     det1 = DetectorConfig(**det1_raw) if det1_raw else DetectorConfig()
     det2 = DetectorConfig(**det2_raw) if det2_raw else det1
+    for name, det in (("detector1", det1), ("detector2", det2)):
+        # tags are shifted by the path delay; ten sigma of jitter must not reach below zero
+        if 10 * det.irf_sigma_ps > PATH_DELAY_PS:
+            raise ConfigError(
+                f"{path}: [{name}] irf_sigma_ps = {det.irf_sigma_ps} exceeds a tenth of the "
+                f"{PATH_DELAY_PS} ps path delay, so jitter could push a tag below zero"
+            )
 
     ana_raw = section("analysis", required=False) or {
         k: d for k, (c, d) in _SCHEMA["analysis"].items()

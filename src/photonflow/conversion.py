@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .core import ConfigError, Origin, PhotonRecord, Polarization, Wavelength
+from .core import ConfigError, Wavelength
 
 _FWHM_TO_GAUSS = 4.0 * math.log(2.0)  # exp(-4 ln2 (d/FWHM)^2) is 1/2 at d = FWHM/2
 
@@ -59,7 +59,6 @@ class ConversionConfig:
     filter_center: Wavelength | None = None
     loss_budget: LossBudget = field(default_factory=LossBudget)
     noise_rate_cps: float = 0.0
-    conversion_dephasing_ghz: float = 0.0  # hook, phase-preserving conversion by default
 
     def __post_init__(self):
         if not 0.0 < self.eta_max <= 1.0:
@@ -179,33 +178,6 @@ def survival_probability(cfg: ConversionConfig, detuning_ghz, center_offset_ghz:
     return eta * filter_transmission(cfg, np.asarray(detuning_ghz) + center_offset_ghz)
 
 
-def convert_photon(
-    cfg: ConversionConfig, photon: PhotonRecord, rng: np.random.Generator
-) -> PhotonRecord | None:
-    """Convert one photon; returns None if it is lost in conversion or filtering.
-
-    Emission time, detuning, and origin are preserved: the stage is a
-    phase-preserving spectral translation.
-    """
-    if photon.origin == Origin.NOISE:
-        raise ConfigError("noise photons are created inside the conversion stage")
-    out_wavelength = dfg_wavelength(photon.wavelength, cfg.pump_wavelength)
-    offset = filter_offset_ghz(cfg, out_wavelength)
-    p_survive = survival_probability(cfg, photon.detuning_ghz, offset)
-    if rng.random() >= p_survive:
-        return None
-    return PhotonRecord(
-        emit_time_ps=photon.emit_time_ps,
-        wavelength=out_wavelength,
-        detuning_ghz=photon.detuning_ghz,
-        polarization=photon.polarization,
-        origin=photon.origin,
-        pulse_index=photon.pulse_index,
-        env_start_ps=photon.env_start_ps,
-        wavepacket_tau_ps=photon.wavepacket_tau_ps,
-    )
-
-
 def sample_noise_times(
     cfg: ConversionConfig, window_ps: tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
@@ -220,32 +192,6 @@ def sample_noise_times(
     times = t0 + np.floor(rng.random(count) * (t1 - t0)).astype(np.int64)
     times.sort()
     return times
-
-
-def inject_noise(
-    cfg: ConversionConfig,
-    window_ps: tuple[int, int],
-    rng: np.random.Generator,
-    wavelength: Wavelength | None = None,
-) -> list[PhotonRecord]:
-    """Noise photons inside the filter band, uniform in the given window."""
-    wl = wavelength or cfg.filter_center
-    if wl is None:
-        raise ConfigError("inject_noise needs a filter_center or explicit wavelength")
-    times = sample_noise_times(cfg, window_ps, rng)
-    return [
-        PhotonRecord(
-            emit_time_ps=int(t),
-            wavelength=wl,
-            detuning_ghz=0.0,
-            polarization=Polarization.H,
-            origin=Origin.NOISE,
-            pulse_index=-1,
-            env_start_ps=float(t),
-            wavepacket_tau_ps=0.0,
-        )
-        for t in times
-    ]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ parallelism.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +37,6 @@ STAGE_JITTER = 9
 STAGE_SCAN = 10
 # reference (IRF) runs reuse the same stages shifted by this offset
 STAGE_BASE_IRF = 100
-
-
-class Polarization(enum.IntEnum):
-    H = 0
-    V = 1
-
-
-class Origin(enum.IntEnum):
-    SIGNAL = 0
-    MULTIPHOTON = 1
-    NOISE = 2
 
 
 @dataclass(frozen=True)
@@ -104,27 +92,6 @@ class PulseTrainConfig:
     @property
     def duration_ps(self) -> int:
         return int(self.pulse_start_ps(self.n_pulses))
-
-
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One photon in flight.
-
-    ``emit_time_ps`` is the sampled position inside the wavepacket (what an
-    ideal detector would register); ``env_start_ps`` is the start of the
-    wavepacket envelope and ``wavepacket_tau_ps`` its decay constant, used by
-    the interferometer to evaluate temporal overlap.  ``origin`` is fixed at
-    creation and never mutated downstream.
-    """
-
-    emit_time_ps: int
-    wavelength: Wavelength
-    detuning_ghz: float
-    polarization: Polarization
-    origin: Origin
-    pulse_index: int
-    env_start_ps: float = 0.0
-    wavepacket_tau_ps: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Measurement optics: beam splitters, the delay interferometer, detectors.
+"""Splitter, interferometer and detector kernels on photon arrays.
 
-Two-photon interference is handled at the coincidence-probability level: when
-two photons meet at the output splitter, their joint port assignment is
-sampled from the two-photon distribution with an effective overlap factor.
+Every rule here acts on whole arrays of photons and is the one the block
+engine calls.  A splitter sends each photon to port 0 (reflected), port 1
+(transmitted) or loses it, from one uniform per photon.  Two-photon
+interference is handled at the coincidence-probability level: when two
+photons meet at the output splitter, their joint port assignment is sampled
+from the two-photon distribution with an effective overlap factor.
 Everything else routes independently (a joint distribution with zero overlap
 factorizes exactly into independent routing, so distinguishable photons never
-need the joint path).
+need the joint path).  A detector thins arrivals by its efficiency, adds
+Gaussian jitter, and applies a dead-time veto to the merged, sorted stream.
 """
 
 from __future__ import annotations
@@ -16,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Origin, PhotonRecord, TagStream
+from .core import ConfigError
 
 # beyond this phase-mismatch argument the pair is treated as fully distinguishable
 COHERENCE_X_MAX = 6.0
-
-
-class SplitPort(enum.Enum):
-    REFLECT = "reflect"
-    TRANSMIT = "transmit"
-    LOST = "lost"
 
 
 class PolarizationConfig(enum.Enum):
@@ -65,6 +63,15 @@ class HomInterferometer:
     def epsilon(self) -> float:
         return 1.0 - self.classical_visibility
 
+    def effective_overlap(self, overlap: np.ndarray) -> np.ndarray:
+        """Overlap factor of the joint draw: (1 - epsilon)^2 times the pair overlap.
+
+        Crossed polarizations make every pair distinguishable.
+        """
+        if self.polarization_config == PolarizationConfig.CROSS:
+            return np.zeros(overlap.size)
+        return self.classical_visibility**2 * overlap
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -80,52 +87,34 @@ class DetectorConfig:
             raise ConfigError("detector parameters must be non-negative")
 
 
-def split(bs: BeamSplitter, photon: PhotonRecord, rng: np.random.Generator) -> SplitPort:
-    """Route one photon at a splitter: reflect w.p. r, transmit w.p. t, else lost."""
-    u = rng.random()
-    if u < bs.r:
-        return SplitPort.REFLECT
-    if u < bs.r + bs.t:
-        return SplitPort.TRANSMIT
-    return SplitPort.LOST
+def split_ports(u: np.ndarray, r: float, t: float) -> np.ndarray:
+    """Splitter port per photon from its uniform: 0 reflected, 1 transmitted, -1 lost.
 
-
-def pair_overlap(early: PhotonRecord, late: PhotonRecord, arm_delay_ps: float) -> float:
-    """Wavepacket overlap factor for two photons meeting at the output splitter.
-
-    Zero for companion or noise photons and for detunings beyond the coherence
-    criterion; otherwise a Gaussian detuning kernel times the exponential
-    envelope-mismatch factor.
+    A photon entering the other input port sees ``r`` and ``t`` swapped.
     """
-    if early.origin != Origin.SIGNAL or late.origin != Origin.SIGNAL:
-        return 0.0
-    if early.polarization != late.polarization:
-        return 0.0
-    tau = 0.5 * (early.wavepacket_tau_ps + late.wavepacket_tau_ps)
-    if tau <= 0:
-        return 0.0
-    x = 2.0 * math.pi * 1e-3 * (late.detuning_ghz - early.detuning_ghz) * tau
-    if abs(x) > COHERENCE_X_MAX:
-        return 0.0
-    delta = (early.env_start_ps + arm_delay_ps) - late.env_start_ps
-    return math.exp(-0.5 * x * x) * math.exp(-abs(delta) / tau)
+    port = (u >= r).astype(np.int8)
+    port[u >= r + t] = -1
+    return port
 
 
-def _route_from_long(r2: float, t2: float, u: float) -> int:
-    """Port of a lone photon arriving from the long arm: 0 = det1, 1 = det2, -1 = lost."""
-    if u < t2:
-        return 0
-    if u < t2 + r2:
-        return 1
-    return -1
+def pair_overlap(
+    tau_ps: float,
+    det_early: np.ndarray,
+    det_late: np.ndarray,
+    env_early: np.ndarray,
+    env_late: np.ndarray,
+    arm_delay_ps: float,
+) -> np.ndarray:
+    """Wavepacket overlap factor of photon pairs meeting at the output splitter.
 
-
-def _route_from_short(r2: float, t2: float, u: float) -> int:
-    if u < r2:
-        return 0
-    if u < r2 + t2:
-        return 1
-    return -1
+    A Gaussian kernel of the detuning difference times the exponential
+    envelope-mismatch factor; zero for detunings beyond the coherence
+    criterion.  The early photon's envelope is delayed by the long arm.
+    """
+    x = 2.0 * math.pi * 1e-3 * (det_late - det_early) * tau_ps
+    m = np.exp(-0.5 * x * x) * np.exp(-np.abs(env_early + arm_delay_ps - env_late) / tau_ps)
+    m[np.abs(x) > COHERENCE_X_MAX] = 0.0
+    return m
 
 
 def joint_split_probabilities(r2: float, t2: float, m_eff):
@@ -148,67 +137,19 @@ def joint_split_probabilities(r2: float, t2: float, m_eff):
     return p_bunch, p_bunch, p_split, w_early_d1
 
 
-def hom_interfere(
-    ifo: HomInterferometer,
-    early: PhotonRecord,
-    late: PhotonRecord,
-    rng: np.random.Generator,
-) -> tuple[list[int], list[int]]:
-    """Send two photons through the interferometer; arrival times per output port.
+def joint_ports(
+    r2: float, t2: float, m_eff: np.ndarray, u: np.ndarray, u_order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ports (early, late) of meeting pairs whose photons both survive the output splitter.
 
-    Photons must be ordered by emission time.  Each routes through the short or
-    long arm at the input splitter (reflection = long arm).  When the early
-    photon takes the long arm and the late one the short arm they meet at the
-    output splitter and their ports are drawn jointly with effective overlap
-    (1 - epsilon)^2 * pair_overlap; otherwise ports are drawn independently.
+    ``u`` picks bunched-to-port-0, bunched-to-port-1 or split; for a split,
+    ``u_order`` picks which photon goes to port 0.
     """
-    if late.emit_time_ps < early.emit_time_ps:
-        raise ConfigError("photons must be ordered by emission time")
-    d1: list[int] = []
-    d2: list[int] = []
-    r2, t2 = ifo.bs_out.r, ifo.bs_out.t
-
-    arm_early = split(ifo.bs_in, early, rng)
-    arm_late = split(ifo.bs_in, late, rng)
-    u_early, u_late = rng.random(), rng.random()
-
-    arrivals = {}
-    for record, arm in ((early, arm_early), (late, arm_late)):
-        if arm == SplitPort.REFLECT:
-            arrivals[id(record)] = record.emit_time_ps + ifo.arm_delay_ps
-        elif arm == SplitPort.TRANSMIT:
-            arrivals[id(record)] = record.emit_time_ps
-
-    meeting = arm_early == SplitPort.REFLECT and arm_late == SplitPort.TRANSMIT
-    if meeting and u_early < r2 + t2 and u_late < r2 + t2:
-        if ifo.polarization_config == PolarizationConfig.CROSS:
-            m_eff = 0.0
-        else:
-            m_eff = ifo.classical_visibility**2 * pair_overlap(early, late, ifo.arm_delay_ps)
-        p_d1d1, p_d2d2, _, w_early_d1 = joint_split_probabilities(r2, t2, m_eff)
-        u = rng.random()
-        t_early, t_late = arrivals[id(early)], arrivals[id(late)]
-        if u < p_d1d1:
-            d1.extend([t_early, t_late])
-        elif u < p_d1d1 + p_d2d2:
-            d2.extend([t_early, t_late])
-        elif rng.random() < w_early_d1:
-            d1.append(t_early)
-            d2.append(t_late)
-        else:
-            d2.append(t_early)
-            d1.append(t_late)
-        return sorted(d1), sorted(d2)
-
-    for record, arm, u in ((early, arm_early, u_early), (late, arm_late, u_late)):
-        if arm == SplitPort.LOST:
-            continue
-        port = _route_from_long(r2, t2, u) if arm == SplitPort.REFLECT else _route_from_short(r2, t2, u)
-        if port == 0:
-            d1.append(arrivals[id(record)])
-        elif port == 1:
-            d2.append(arrivals[id(record)])
-    return sorted(d1), sorted(d2)
+    p_d1d1, p_d2d2, _, w_e_d1 = joint_split_probabilities(r2, t2, m_eff)
+    bunch1 = u < p_d1d1
+    bunch2 = ~bunch1 & (u < p_d1d1 + p_d2d2)
+    e_to_d1 = ~bunch1 & ~bunch2 & (u_order < w_e_d1)
+    return np.where(bunch1 | e_to_d1, 0, 1), np.where(bunch2 | e_to_d1, 1, 0)
 
 
 @dataclass
@@ -279,30 +220,3 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
         i = jumps[i]
     kept = tags_ps[np.asarray(accepted, dtype=np.int64)]
     return kept, n - kept.size
-
-
-def detect(
-    cfg: DetectorConfig,
-    photons: list[PhotonRecord],
-    window_ps: tuple[int, int],
-    rng: np.random.Generator,
-    channel_id: int = 0,
-    stats: DetectStats | None = None,
-) -> TagStream:
-    """Full detector model for a list of photons arriving at one port.
-
-    Each photon registers with the configured efficiency at its emission time
-    plus Gaussian jitter; dark counts are Poisson-injected over the window; the
-    merged, sorted stream then passes the dead-time veto.
-    """
-    arrivals = np.asarray([p.emit_time_ps for p in photons], dtype=np.int64)
-    u_eff = rng.random(arrivals.size)
-    z = rng.standard_normal(arrivals.size)
-    local = stats if stats is not None else DetectStats()
-    tags = register_arrivals(cfg, arrivals, u_eff, z, local)
-    dark = sample_dark_counts(cfg, window_ps, rng)
-    local.dark += int(dark.size)
-    merged = np.sort(np.concatenate([tags, dark]))
-    kept, vetoed = apply_dead_time(merged, cfg.dead_time_ps)
-    local.vetoed += vetoed
-    return TagStream(channel_id=channel_id, tags=kept)

@@ -8,9 +8,18 @@ completed by reading the neighbour chunk's boundary row, which the counter-based
 streams reach by advancing their counter rather than drawing the rows before
 it.  Results are therefore bit-identical for any worker count.
 
+All three topologies run through one block driver.  It emits the block's
+photons, sends signal, companion and noise photons alike through the
+topology's routing function, which maps each photon's route uniforms to a
+detector port and an arm delay, then registers them and adds dark counts.
+Direct detection is one port and draws no route uniforms; the splitter reads
+one per photon; the interferometer reads two and adds a meeting-pair step,
+where photon pairs that meet at the output splitter get a joint port draw
+per setting.
+
 A fixed instrument path delay keeps all timestamps positive for the unsigned
 on-disk format; it shifts both channels equally and cancels in every delay
-histogram.
+histogram.  Configuration loading keeps ten sigma of IRF jitter inside it.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +60,16 @@ from .conversion import (
     survival_probability,
 )
 from .optics import (
-    COHERENCE_X_MAX,
     BeamSplitter,
     DetectorConfig,
     DetectStats,
     HomInterferometer,
-    PolarizationConfig,
     apply_dead_time,
-    joint_split_probabilities,
+    joint_ports,
+    pair_overlap,
     register_arrivals,
     sample_dark_counts,
+    split_ports,
 )
 from .source import (
     EMIT_DRAWS_PER_PULSE,
@@ -126,9 +137,6 @@ class RunResult:
     streams: tuple[TagStream, ...]
     stats: RunStats
 
-    def __iter__(self):
-        return iter(self.streams)
-
     def by_setting(self) -> tuple["RunResult", ...]:
         """One result per setting of a multi-setting run.
 
@@ -161,8 +169,6 @@ class _Rows:
     comp_exists: np.ndarray
     comp_ok: np.ndarray
     comp_time: np.ndarray
-    comp_env: np.ndarray
-    route: np.ndarray  # (n, 4) uniforms: signal arm/port, companion arm/port
     det_u: np.ndarray | None  # (n, 2) efficiency uniforms: signal, companion
     det_z: np.ndarray | None  # (n, 2) jitter normals
 
@@ -226,7 +232,6 @@ def _emission_rows(
         sig_ok = block.sig_exists
         comp_ok = block.comp_exists
 
-    route = _uniform_rows(seed, chunk_start, STAGE_ROUTE, first_row, n_rows, 4)
     if first_row == 0:
         det_u = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
         det_z = substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
@@ -242,8 +247,6 @@ def _emission_rows(
         comp_exists=block.comp_exists,
         comp_ok=comp_ok,
         comp_time=block.comp_time_ps,
-        comp_env=block.comp_env_ps,
-        route=route,
         det_u=det_u,
         det_z=det_z,
     )
@@ -257,7 +260,22 @@ def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
 
 
 # ---------------------------------------------------------------------------
-# per-channel tag accumulation
+# photon batches and per-channel tag accumulation
+
+class _Photons(NamedTuple):
+    """Photons entering a topology, one array entry per photon."""
+
+    time: np.ndarray  # emission time, integer ps
+    u_eff: np.ndarray  # detection efficiency uniform
+    z: np.ndarray  # IRF jitter normal
+    u_route: tuple[np.ndarray, ...]  # one array per route uniform the topology reads
+
+    def take(self, idx: np.ndarray) -> "_Photons":
+        """The photons at ``idx``, an index array or a boolean mask."""
+        if idx.dtype == bool:
+            idx = np.flatnonzero(idx)  # one pass over the mask, then cheap gathers
+        return _Photons(self.time[idx], self.u_eff[idx], self.z[idx], tuple(u[idx] for u in self.u_route))
+
 
 class _ChannelSink:
     """Collects (arrival, efficiency uniform, jitter normal) per channel."""
@@ -268,19 +286,14 @@ class _ChannelSink:
         self.z = [[] for _ in range(n_channels)]
         self.dark = [[] for _ in range(n_channels)]
 
-    def add(self, channel: int, arrivals, u_eff, z) -> None:
-        if len(arrivals):
-            self.arrivals[channel].append(np.asarray(arrivals, dtype=np.int64))
-            self.u_eff[channel].append(np.asarray(u_eff))
-            self.z[channel].append(np.asarray(z))
-
-    def add_ports(self, ports: np.ndarray, arrivals, u_eff, z) -> int:
+    def add(self, ports: np.ndarray, arrivals, u_eff, z) -> int:
         """Route by port code (0/1 detector, negative lost); returns lost count."""
-        ports = np.asarray(ports)
-        arrivals, u_eff, z = np.asarray(arrivals), np.asarray(u_eff), np.asarray(z)
         for channel in range(len(self.arrivals)):
             idx = np.flatnonzero(ports == channel)
-            self.add(channel, arrivals[idx], u_eff[idx], z[idx])
+            if idx.size:
+                self.arrivals[channel].append(arrivals[idx])
+                self.u_eff[channel].append(u_eff[idx])
+                self.z[channel].append(z[idx])
         return int(np.count_nonzero(ports < 0))
 
     def register(
@@ -332,230 +345,48 @@ def _noise_photons(pipe: Pipeline, i0: int, i1: int) -> tuple[np.ndarray, np.ran
 
 
 # ---------------------------------------------------------------------------
-# topologies
+# the block driver and the three topologies
 
-def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink) -> tuple[list[np.ndarray], RunStats]:
-    n = i1 - i0
-    rows = _emission_rows(pipe, i0, n, blink)
-    stats = _new_stats(pipe, rows, i0, i1, n_channels=1)
-    sink = _ChannelSink(1)
-    sink.add(0, rows.sig_time[rows.sig_ok], rows.det_u[rows.sig_ok, 0], rows.det_z[rows.sig_ok, 0])
-    sink.add(0, rows.comp_time[rows.comp_ok], rows.det_u[rows.comp_ok, 1], rows.det_z[rows.comp_ok, 1])
+def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs=None):
+    """One block of any topology: emission, routing, registration, dark counts.
 
-    noise_times, noise_rng = _noise_photons(pipe, i0, i1)
-    if noise_times.size:
-        stats.noise_injected += int(noise_times.size)
-        sink.add(0, noise_times, noise_rng.random(noise_times.size), noise_rng.standard_normal(noise_times.size))
-
-    _dark_counts(pipe, detectors, i0, i1, sink)
-    tags = sink.register(detectors, stats.channels)
-    return tags, stats
-
-
-def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, blink):
-    n = i1 - i0
-    rows = _emission_rows(pipe, i0, n, blink)
-    stats = _new_stats(pipe, rows, i0, i1, n_channels=2)
-    sink = _ChannelSink(2)
-
-    def ports_for(u):
-        return np.where(u < bs.r, 0, np.where(u < bs.r + bs.t, 1, -1))
-
-    for ok, times, u_arm, col in (
-        (rows.sig_ok, rows.sig_time, rows.route[:, 0], 0),
-        (rows.comp_ok, rows.comp_time, rows.route[:, 2], 1),
-    ):
-        ports = ports_for(u_arm[ok])
-        stats.routed_lost += sink.add_ports(ports, times[ok], rows.det_u[ok, col], rows.det_z[ok, col])
-
-    noise_times, noise_rng = _noise_photons(pipe, i0, i1)
-    if noise_times.size:
-        stats.noise_injected += int(noise_times.size)
-        ports = ports_for(noise_rng.random(noise_times.size))
-        stats.routed_lost += sink.add_ports(
-            ports, noise_times, noise_rng.random(noise_times.size), noise_rng.standard_normal(noise_times.size)
-        )
-
-    _dark_counts(pipe, detectors, i0, i1, sink)
-    return sink.register(detectors, stats.channels), stats
-
-
-def _independent_ports(long_arm: np.ndarray, u_port: np.ndarray, r2: float, t2: float) -> np.ndarray:
-    """Port codes for independently routed photons; loss encoded as -1.
-
-    Photons from the long arm transmit to detector 1 and reflect to detector
-    2; short-arm photons see the mirrored mapping.
-    """
-    from_long = np.where(u_port < t2, 0, np.where(u_port < r2 + t2, 1, -1))
-    from_short = np.where(u_port < r2, 0, np.where(u_port < r2 + t2, 1, -1))
-    return np.where(long_arm, from_long, from_short)
-
-
-def _pair_overlap_vec(pipe: Pipeline, det_e, det_l, env_e, env_l, arm_delay_ps: float) -> np.ndarray:
-    tau = pipe.emitter.lifetime_tau_ps
-    x = 2.0 * math.pi * 1e-3 * (det_l - det_e) * tau
-    m = np.exp(-0.5 * x * x) * np.exp(-np.abs(env_e + arm_delay_ps - env_l) / tau)
-    m[np.abs(x) > COHERENCE_X_MAX] = 0.0
-    return m
-
-
-def _joint_ports(
-    m_eff: np.ndarray, u: np.ndarray, ua: np.ndarray, r2: float, t2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ports of meeting pairs whose photons both survive the output splitter."""
-    p_d1d1, p_d2d2, _, w_e_d1 = joint_split_probabilities(r2, t2, m_eff)
-    bunch1 = u < p_d1d1
-    bunch2 = ~bunch1 & (u < p_d1d1 + p_d2d2)
-    e_to_d1 = ~bunch1 & ~bunch2 & (ua < w_e_d1)
-    port_e = np.where(bunch1 | e_to_d1, 0, 1)
-    port_l = np.where(bunch2 | e_to_d1, 1, 0)
-    return port_e, port_l
-
-
-def _block_hom(
-    pipe: Pipeline,
-    detectors,
-    settings: tuple[HomInterferometer, ...],
-    i0: int,
-    i1: int,
-    blink,
-    n_total: int,
-):
-    """One block of the interferometer, simulated once for every setting.
-
-    The settings share splitters and arm delay, so emission, arm and port
-    decisions, independent routing and registration are common to all of
-    them; only the joint port draw of meeting pairs is evaluated per setting.
-    Tags and channel stats are ordered (setting, detector).
+    ``route`` maps photons, through their ``n_route`` route uniforms, to a
+    port each (0/1 detector, negative lost) and an arm delay.  Signal,
+    companion and noise photons all go through it; the route table holds
+    signal columns 0-1 and companion columns 2-3, and a topology that reads
+    no column does not draw it.  ``pairs(rows, signal)`` is the interferometer's
+    meeting-pair step: given the signal photons of every row it returns the
+    ones left for independent routing and one sink per setting with the
+    jointly routed ones.  Tags and channel stats are ordered (setting,
+    detector).
     """
     n = i1 - i0
     rows = _emission_rows(pipe, i0, n, blink)
-    stats = _new_stats(pipe, rows, i0, i1, n_channels=len(detectors) * len(settings))
-    ifo = settings[0]
-    r1, t1 = ifo.bs_in.r, ifo.bs_in.t
-    r2, t2 = ifo.bs_out.r, ifo.bs_out.t
-    delay = ifo.arm_delay_ps
-
-    # right halo: the first pulse of the next chunk completes the last pair,
-    # which can only start from a signal photon taking the long arm
-    has_halo = i1 < n_total and rows.sig_ok[-1] and rows.route[-1, 0] < r1
-    if has_halo:
-        halo = _emission_rows(pipe, i1, 1, blink)
-        sig_ok_ext = np.concatenate([rows.sig_ok, halo.sig_ok])
-        sig_time_ext = np.concatenate([rows.sig_time, halo.sig_time])
-        sig_env_ext = np.concatenate([rows.sig_env, halo.sig_env])
-        sig_det_ext = np.concatenate([rows.sig_det, halo.sig_det])
-        u_arm_ext = np.concatenate([rows.route[:, 0], halo.route[:, 0]])
-        u_port_ext = np.concatenate([rows.route[:, 1], halo.route[:, 1]])
-        det_u_ext = np.concatenate([rows.det_u[:, 0], halo.det_u[:, 0]])
-        det_z_ext = np.concatenate([rows.det_z[:, 0], halo.det_z[:, 0]])
+    u_route = tuple(_uniform_rows(pipe.seed, i0, STAGE_ROUTE, 0, n, 4).T) if n_route else ()
+    signal = _Photons(rows.sig_time, rows.det_u[:, 0], rows.det_z[:, 0], u_route[:n_route])
+    companion = _Photons(rows.comp_time, rows.det_u[:, 1], rows.det_z[:, 1], u_route[2 : 2 + n_route])
+    if pairs is None:
+        solo, pair_sinks = signal.take(rows.sig_ok), [_ChannelSink(len(detectors))]
     else:
-        sig_ok_ext, sig_time_ext = rows.sig_ok, rows.sig_time
-        sig_env_ext, sig_det_ext = rows.sig_env, rows.sig_det
-        u_arm_ext, u_port_ext = rows.route[:, 0], rows.route[:, 1]
-        det_u_ext, det_z_ext = rows.det_u[:, 0], rows.det_z[:, 0]
-
-    n_ext = sig_ok_ext.size
-    long_arm = u_arm_ext < r1
-    short_arm = (u_arm_ext < r1 + t1) & ~long_arm
-    arm_lost = sig_ok_ext & ~long_arm & ~short_arm
-
-    # meeting pairs (early pulse e long, next pulse short), owned by this block
-    n_pairs = n_ext - 1
-    meet = (
-        sig_ok_ext[:-1] & long_arm[:-1] & sig_ok_ext[1:] & short_arm[1:]
-        if n_pairs > 0
-        else np.zeros(0, dtype=bool)
-    )
-    meet = meet[:n]  # only pairs whose early pulse belongs to this block
-
-    # left halo: if the previous block's last pulse formed a meeting pair with
-    # our first pulse, that block already routed and detected our photon
-    consumed_left = False
-    if i0 > 0 and rows.sig_ok[0] and short_arm[0]:
-        prev = _emission_rows(pipe, i0 - BLOCK_PULSES, 1, blink, first_row=BLOCK_PULSES - 1)
-        consumed_left = bool(prev.sig_ok[0] and prev.route[0, 0] < r1)
-
-    consumed = np.zeros(n_ext, dtype=bool)
-    pair_idx = np.flatnonzero(meet)
-    consumed[pair_idx] = True
-    consumed[pair_idx + 1] = True
-    if consumed_left:
-        consumed[0] = True
-
-    sink = _ChannelSink(2)  # photons whose port is the same in every setting
-    pair_sinks = [_ChannelSink(2) for _ in settings]
-    if pair_idx.size:
-        e, l = pair_idx, pair_idx + 1
-        s = r2 + t2
-        e_surv = u_port_ext[e] < s
-        l_surv = u_port_ext[l] < s
-        arr_e = sig_time_ext[e] + delay
-        arr_l = sig_time_ext[l]
-
-        # a lone survivor routes independently off its own port uniform
-        port_e = np.where(e_surv & ~l_surv, np.where(u_port_ext[e] < t2, 0, 1), -1)
-        port_l = np.where(l_surv & ~e_surv, np.where(u_port_ext[l] < r2, 0, 1), -1)
-        both = e_surv & l_surv
-        alone = ~both
-        ea, la = e[alone], l[alone]
-        stats.routed_lost += sink.add_ports(port_e[alone], arr_e[alone], det_u_ext[ea], det_z_ext[ea])
-        stats.routed_lost += sink.add_ports(port_l[alone], arr_l[alone], det_u_ext[la], det_z_ext[la])
-
-        # joint routing of pairs that both survive: the only per-setting step
-        if np.any(both):
-            u_join = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))
-            eb, lb = e[both], l[both]
-            u, ua = u_join[pair_idx[both], 0], u_join[pair_idx[both], 1]
-            photons_e = (arr_e[both], det_u_ext[eb], det_z_ext[eb])
-            photons_l = (arr_l[both], det_u_ext[lb], det_z_ext[lb])
-            overlap = _pair_overlap_vec(
-                pipe, sig_det_ext[eb], sig_det_ext[lb], sig_env_ext[eb], sig_env_ext[lb], delay
-            )
-            for setting, pair_sink in zip(settings, pair_sinks):
-                if setting.polarization_config == PolarizationConfig.CROSS:
-                    m_eff = np.zeros(eb.size)
-                else:
-                    m_eff = setting.classical_visibility**2 * overlap
-                joint_e, joint_l = _joint_ports(m_eff, u, ua, r2, t2)
-                pair_sink.add_ports(joint_e, *photons_e)
-                pair_sink.add_ports(joint_l, *photons_l)
-
-    # independent signal photons owned by this block (the first n rows)
-    solo = np.flatnonzero((sig_ok_ext & ~consumed & ~arm_lost)[:n])
-    stats.routed_lost += int(np.count_nonzero(arm_lost[:n]))
-    if solo.size:
-        long_solo = long_arm[solo]
-        arr = sig_time_ext[solo] + np.where(long_solo, delay, 0)
-        ports = _independent_ports(long_solo, u_port_ext[solo], r2, t2)
-        stats.routed_lost += sink.add_ports(ports, arr, det_u_ext[solo], det_z_ext[solo])
-
-    # companions and noise photons route independently (zero overlap factor)
-    comp = np.flatnonzero(rows.comp_ok)
-    if comp.size:
-        u_arm_c = rows.route[comp, 2]
-        long_c = u_arm_c < r1
-        lost_c = u_arm_c >= r1 + t1
-        arr_c = rows.comp_time[comp] + np.where(long_c, delay, 0)
-        ports_c = _independent_ports(long_c, rows.route[comp, 3], r2, t2)
-        ports_c[lost_c] = -1
-        stats.routed_lost += sink.add_ports(ports_c, arr_c, rows.det_u[comp, 1], rows.det_z[comp, 1])
+        solo, pair_sinks = pairs(rows, signal)
+    batches = [solo, companion.take(rows.comp_ok)]
 
     noise_times, noise_rng = _noise_photons(pipe, i0, i1)
-    if noise_times.size:
-        stats.noise_injected += int(noise_times.size)
-        u_arm_n = noise_rng.random(noise_times.size)
-        u_port_n = noise_rng.random(noise_times.size)
-        long_n = u_arm_n < r1
-        lost_n = u_arm_n >= r1 + t1
-        arr_n = noise_times + np.where(long_n, delay, 0)
-        ports_n = _independent_ports(long_n, u_port_n, r2, t2)
-        ports_n[lost_n] = -1
-        stats.routed_lost += sink.add_ports(
-            ports_n, arr_n, noise_rng.random(arr_n.size), noise_rng.standard_normal(arr_n.size)
-        )
+    m = noise_times.size
+    if m:
+        # one full array per route uniform, then the detection draws
+        u_noise = tuple(noise_rng.random((n_route, m)))
+        batches.append(_Photons(noise_times, noise_rng.random(m), noise_rng.standard_normal(m), u_noise))
 
+    sink = _ChannelSink(len(detectors))  # photons whose port is the same in every setting
+    routed_lost = 0
+    for photons in batches:
+        ports, delay = route(photons)
+        routed_lost += sink.add(ports, photons.time + delay, photons.u_eff, photons.z)
     _dark_counts(pipe, detectors, i0, i1, sink)
+
+    stats = _new_stats(rows, n_channels=len(detectors) * len(pair_sinks))
+    stats.noise_injected, stats.routed_lost = m, routed_lost
     shared_stats = tuple(DetectStats() for _ in detectors)
     shared_tags = sink.register(detectors, shared_stats)
     tags = []
@@ -567,18 +398,134 @@ def _block_hom(
     return tags, stats
 
 
-def _new_stats(pipe: Pipeline, rows: _Rows, i0: int, i1: int, n_channels: int) -> RunStats:
-    n = i1 - i0
+def _new_stats(rows: _Rows, n_channels: int) -> RunStats:
     return RunStats(
-        pulses=n,
-        emitted_signal=int(np.count_nonzero(rows.sig_exists[:n])),
-        emitted_multi=int(np.count_nonzero(rows.comp_exists[:n])),
+        pulses=rows.sig_exists.size,
+        emitted_signal=int(np.count_nonzero(rows.sig_exists)),
+        emitted_multi=int(np.count_nonzero(rows.comp_exists)),
         conversion_lost=int(
-            np.count_nonzero(rows.sig_exists[:n] & ~rows.sig_ok[:n])
-            + np.count_nonzero(rows.comp_exists[:n] & ~rows.comp_ok[:n])
+            np.count_nonzero(rows.sig_exists & ~rows.sig_ok)
+            + np.count_nonzero(rows.comp_exists & ~rows.comp_ok)
         ),
         channels=tuple(DetectStats() for _ in range(n_channels)),
     )
+
+
+def _direct_route(photons: _Photons):
+    """One detector and no splitter: every photon arrives undelayed."""
+    return np.zeros(photons.time.size, dtype=np.int8), 0
+
+
+def _splitter_route(bs: BeamSplitter, photons: _Photons):
+    """One splitter with a detector on each output port."""
+    return split_ports(photons.u_route[0], bs.r, bs.t), 0
+
+
+def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
+    """Input splitter picks the arm (reflected = long), output splitter the port.
+
+    A long-arm photon enters the output splitter from the other side, so it
+    sees r and t swapped.
+    """
+    u_arm, u_port = photons.u_route
+    arm = split_ports(u_arm, ifo.bs_in.r, ifo.bs_in.t)
+    long_arm = arm == 0
+    r2, t2 = ifo.bs_out.r, ifo.bs_out.t
+    port = np.where(long_arm, split_ports(u_port, t2, r2), split_ports(u_port, r2, t2))
+    port[arm < 0] = -1
+    return port, np.where(long_arm, ifo.arm_delay_ps, 0)
+
+
+def _meeting_pairs(
+    pipe: Pipeline, settings: tuple[HomInterferometer, ...], rows: _Rows, signal: _Photons,
+    i0: int, i1: int, blink, n_total: int,
+) -> tuple[_Photons, list[_ChannelSink]]:
+    """Signal photon pairs that meet at the output splitter, for one block.
+
+    A long-arm photon meets the next pulse's photon if that one takes the
+    short arm.  When both survive the output splitter, their ports are drawn
+    jointly, once per setting; every other photon routes independently.  The
+    block owns the pairs whose early photon it holds: the first row of the
+    next block (right halo) completes its last pair, and its own first photon
+    is left out if the previous block's last pair took it (left halo).
+    """
+    ifo = settings[0]
+    r1, t1 = ifo.bs_in.r, ifo.bs_in.t
+    r2, t2 = ifo.bs_out.r, ifo.bs_out.t
+    n = i1 - i0
+    ok, env, det = rows.sig_ok, rows.sig_env, rows.sig_det
+    has_halo = i1 < n_total and ok[-1] and signal.u_route[0][-1] < r1
+    if has_halo:
+        halo = _emission_rows(pipe, i1, 1, blink)
+        u_halo = _uniform_rows(pipe.seed, i1, STAGE_ROUTE, 0, 1, 4)[0, :2]
+        signal = _Photons(
+            np.append(signal.time, halo.sig_time),
+            np.append(signal.u_eff, halo.det_u[:, 0]),
+            np.append(signal.z, halo.det_z[:, 0]),
+            tuple(np.append(u, h) for u, h in zip(signal.u_route, u_halo)),
+        )
+        ok, env, det = np.append(ok, halo.sig_ok), np.append(env, halo.sig_env), np.append(det, halo.sig_det)
+
+    u_arm, u_port = signal.u_route
+    arm = split_ports(u_arm, r1, t1)
+    long_arm, short_arm = ok & (arm == 0), ok & (arm == 1)
+    survives = u_port < r2 + t2
+    early = np.flatnonzero(long_arm[:-1] & short_arm[1:])
+    early = early[survives[early] & survives[early + 1]]
+    late = early + 1
+
+    solo = ok.copy()
+    solo[early] = solo[late] = False
+    if has_halo:
+        solo[n] &= short_arm[n]  # the halo photon is ours only as the late photon of our last pair
+    if i0 > 0 and short_arm[0]:
+        prev = i0 - BLOCK_PULSES
+        prev_ok = _emission_rows(pipe, prev, 1, blink, first_row=BLOCK_PULSES - 1).sig_ok[0]
+        prev_long = _uniform_rows(pipe.seed, prev, STAGE_ROUTE, BLOCK_PULSES - 1, 1, 4)[0, 0] < r1
+        solo[0] = not (prev_ok and prev_long)
+
+    sinks = [_ChannelSink(2) for _ in settings]
+    if early.size:
+        u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))[early]
+        overlap = pair_overlap(
+            pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
+        )
+        e, l = signal.take(early), signal.take(late)
+        for setting, sink in zip(settings, sinks):
+            m_eff = setting.effective_overlap(overlap)
+            port_e, port_l = joint_ports(r2, t2, m_eff, u_joint[:, 0], u_joint[:, 1])
+            sink.add(port_e, e.time + ifo.arm_delay_ps, e.u_eff, e.z)
+            sink.add(port_l, l.time, l.u_eff, l.z)
+    return signal.take(solo), sinks
+
+
+def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink):
+    return _simulate_block(pipe, detectors, i0, i1, blink, 0, _direct_route)
+
+
+def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, blink):
+    return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs))
+
+
+def _block_hom(
+    pipe: Pipeline,
+    detectors,
+    settings: tuple[HomInterferometer, ...],
+    i0: int,
+    i1: int,
+    blink,
+    n_total: int,
+):
+    """One interferometer block, simulated once for every setting.
+
+    The settings share splitters and arm delay, so only the joint port draw
+    of meeting pairs is evaluated per setting.
+    """
+    def pairs(rows, signal):
+        return _meeting_pairs(pipe, settings, rows, signal, i0, i1, blink, n_total)
+
+    route = partial(_interferometer_route, settings[0])
+    return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, pairs)
 
 
 # ---------------------------------------------------------------------------

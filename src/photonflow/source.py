@@ -19,9 +19,6 @@ from scipy.special import erfc, wofz
 from .core import (
     STAGE_DIFFUSION,
     ConfigError,
-    Origin,
-    PhotonRecord,
-    Polarization,
     PulseTrainConfig,
     RunSeed,
     substream,
@@ -68,33 +65,6 @@ class EmitterConfig:
         return self.blink_on_rate_per_us > 0
 
 
-@dataclass
-class BlinkState:
-    """Two-state telegraph: current state and the absolute time of the next switch."""
-
-    bright: bool
-    next_switch_ps: float
-
-    def advance(self, cfg: EmitterConfig, to_time_ps: float, rng: np.random.Generator) -> None:
-        """Step the telegraph so the state is valid at ``to_time_ps``."""
-        if not cfg.blinking_enabled:
-            return
-        while self.next_switch_ps <= to_time_ps:
-            self.bright = not self.bright
-            rate = cfg.blink_off_rate_per_us if self.bright else cfg.blink_on_rate_per_us
-            self.next_switch_ps += rng.exponential(1e6 / rate)
-
-
-def initial_blink_state(cfg: EmitterConfig, rng: np.random.Generator) -> BlinkState:
-    """Stationary-distribution initial state at t = 0."""
-    if not cfg.blinking_enabled:
-        return BlinkState(bright=True, next_switch_ps=math.inf)
-    p_bright = cfg.blink_on_rate_per_us / (cfg.blink_on_rate_per_us + cfg.blink_off_rate_per_us)
-    bright = rng.random() < p_bright
-    rate = cfg.blink_off_rate_per_us if bright else cfg.blink_on_rate_per_us
-    return BlinkState(bright=bright, next_switch_ps=rng.exponential(1e6 / rate))
-
-
 class BlinkTable:
     """Precomputed telegraph switch times for one run.
 
@@ -108,16 +78,18 @@ class BlinkTable:
 
     @classmethod
     def build(cls, cfg: EmitterConfig, duration_ps: float, rng: np.random.Generator) -> "BlinkTable":
-        state = initial_blink_state(cfg, rng)
+        """Telegraph over [0, duration_ps], started in its stationary distribution."""
+        if not cfg.blinking_enabled:
+            return cls(True, np.empty(0))
+        on, off = cfg.blink_on_rate_per_us, cfg.blink_off_rate_per_us
+        initial = bright = rng.random() < on / (on + off)
+        t = rng.exponential(1e6 / (off if bright else on))
         switches = []
-        if cfg.blinking_enabled:
-            t, bright = state.next_switch_ps, state.bright
-            while t <= duration_ps:
-                switches.append(t)
-                bright = not bright
-                rate = cfg.blink_off_rate_per_us if bright else cfg.blink_on_rate_per_us
-                t += rng.exponential(1e6 / rate)
-        return cls(state.bright, np.asarray(switches))
+        while t <= duration_ps:
+            switches.append(t)
+            bright = not bright
+            t += rng.exponential(1e6 / (off if bright else on))
+        return cls(initial, np.asarray(switches))
 
     def bright_at(self, times_ps: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.switch_times_ps, np.asarray(times_ps, dtype=np.float64), side="right")
@@ -152,7 +124,6 @@ class EmissionBlock:
     emission law itself.
     """
 
-    first_pulse: int
     sig_exists: np.ndarray
     sig_time_ps: np.ndarray
     sig_time_exact_ps: np.ndarray
@@ -162,10 +133,6 @@ class EmissionBlock:
     comp_time_ps: np.ndarray
     comp_env_ps: np.ndarray
     comp_detuning_ghz: np.ndarray
-
-    @property
-    def n_pulses(self) -> int:
-        return int(self.sig_exists.size)
 
 
 def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.ndarray) -> np.ndarray:
@@ -217,7 +184,6 @@ def sample_emission(
     )
 
     return EmissionBlock(
-        first_pulse=first_pulse,
         sig_exists=sig_exists,
         sig_time_ps=sig_time,
         sig_time_exact_ps=sig_exact,
@@ -228,59 +194,6 @@ def sample_emission(
         comp_env_ps=comp_env,
         comp_detuning_ghz=comp_det,
     )
-
-
-def emit_pulse(
-    cfg: EmitterConfig,
-    train: PulseTrainConfig,
-    pulse_index: int,
-    rng: np.random.Generator,
-    blink: BlinkState | None = None,
-) -> list[PhotonRecord]:
-    """Photons emitted by one excitation pulse.
-
-    The slow spectral wander is drawn per call here; the block engine keys it
-    per diffusion block instead, which only matters for correlations between
-    nearby pulses.
-    """
-    if pulse_index >= train.n_pulses:
-        raise ConfigError("pulse_index beyond configured pulse train")
-    bright = True
-    if blink is not None and cfg.blinking_enabled:
-        blink.advance(cfg, float(train.pulse_start_ps(pulse_index)), rng)
-        bright = blink.bright
-    uniforms = rng.random((1, EMIT_DRAWS_PER_PULSE))
-    wander = rng.normal(0.0, cfg.spectral_diffusion_sigma_ghz) if cfg.spectral_diffusion_sigma_ghz else 0.0
-    block = sample_emission(cfg, train, pulse_index, uniforms, np.array([wander]), np.array([bright]))
-
-    photons = []
-    if block.sig_exists[0]:
-        photons.append(
-            PhotonRecord(
-                emit_time_ps=int(block.sig_time_ps[0]),
-                wavelength=cfg.wavelength,
-                detuning_ghz=float(block.sig_detuning_ghz[0]),
-                polarization=Polarization.H,
-                origin=Origin.SIGNAL,
-                pulse_index=pulse_index,
-                env_start_ps=float(block.sig_env_ps[0]),
-                wavepacket_tau_ps=cfg.lifetime_tau_ps,
-            )
-        )
-    if block.comp_exists[0]:
-        photons.append(
-            PhotonRecord(
-                emit_time_ps=int(block.comp_time_ps[0]),
-                wavelength=cfg.wavelength,
-                detuning_ghz=float(block.comp_detuning_ghz[0]),
-                polarization=Polarization.H,
-                origin=Origin.MULTIPHOTON,
-                pulse_index=pulse_index,
-                env_start_ps=float(block.comp_env_ps[0]),
-                wavepacket_tau_ps=cfg.lifetime_tau_ps,
-            )
-        )
-    return photons
 
 
 def temporal_jitter_overlap(pulse_width_ps: float, tau_ps: float) -> float:

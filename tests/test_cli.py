@@ -9,6 +9,7 @@ import pytest
 from photonflow import cli, io
 from photonflow.config import load_config
 from photonflow.core import ConfigError
+from photonflow.pipeline import PATH_DELAY_PS
 
 HBT_CONFIG = """
 [run]
@@ -109,6 +110,22 @@ class TestConfigValidation:
         )
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert "error" in capsys.readouterr().err
+
+    def test_irf_jitter_must_fit_path_delay(self, tmp_path, capsys):
+        # ten sigma of jitter must stay inside the path delay that keeps tags
+        # positive; a wider jitter stops the run before it simulates
+        limit = PATH_DELAY_PS / 10
+        head, tail = HBT_CONFIG.rsplit("irf_sigma_ps = 120.0", 1)
+        path = write_config(tmp_path, f"{head}irf_sigma_ps = {limit}{tail}", outdir=tmp_path / "out")
+        assert load_config(path).det2.irf_sigma_ps == limit
+        path = write_config(tmp_path, f"{head}irf_sigma_ps = {limit + 1}{tail}", outdir=tmp_path / "out")
+        with pytest.raises(ConfigError, match=r"\[detector2\] irf_sigma_ps"):
+            load_config(path)
+        wide = HBT_CONFIG.replace("irf_sigma_ps = 120.0", "irf_sigma_ps = 2000000")
+        path = write_config(tmp_path, wide, outdir=tmp_path / "out")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "irf_sigma_ps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_and_workers_override(self, tmp_path):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")

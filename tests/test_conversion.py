@@ -14,18 +14,19 @@ from photonflow.conversion import (
     FitError,
     LossBudget,
     MeasurementError,
-    convert_photon,
     dfg_wavelength,
     external_efficiency,
     filter_transmission,
     fit_saturation,
-    inject_noise,
     internal_efficiency_bounds,
     sample_noise_times,
     saturation_efficiency,
     survival_probability,
 )
-from photonflow.core import ConfigError, Origin, PhotonRecord, Polarization, RunSeed, Wavelength, substream
+from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
+from photonflow.optics import DetectorConfig
+from photonflow.pipeline import Pipeline, run_direct
+from photonflow.source import EmitterConfig
 
 
 def conversion(**kwargs):
@@ -37,19 +38,6 @@ def conversion(**kwargs):
     )
     defaults.update(kwargs)
     return ConversionConfig(**defaults)
-
-
-def photon(detuning=0.0, origin=Origin.SIGNAL, wavelength=940.0):
-    return PhotonRecord(
-        emit_time_ps=1000,
-        wavelength=Wavelength(wavelength),
-        detuning_ghz=detuning,
-        polarization=Polarization.H,
-        origin=origin,
-        pulse_index=0,
-        env_start_ps=990.0,
-        wavepacket_tau_ps=271.0,
-    )
 
 
 class TestDfgWavelength:
@@ -153,9 +141,9 @@ class TestConvertPhoton:
 
     def test_monte_carlo_survival_matches(self):
         cfg = conversion()
-        rng = substream(RunSeed(4), 0, 0)
         n = 200_000
-        survived = sum(convert_photon(cfg, photon(), rng) is not None for _ in range(n))
+        u = substream(RunSeed(4), 0, 0).random(n)
+        survived = np.count_nonzero(u < survival_probability(cfg, np.zeros(n)))
         sigma = math.sqrt(n * 0.417 * (1 - 0.417))
         assert abs(survived - 0.417 * n) < 3 * sigma
 
@@ -173,30 +161,30 @@ class TestConvertPhoton:
         assert avg > 0.9999
 
     def test_preserves_time_detuning_origin(self):
-        cfg = conversion()
-        rng = substream(RunSeed(12), 0, 0)
-        p = photon(detuning=2.5)
-        for _ in range(50):
-            out = convert_photon(cfg, p, rng)
-            if out is not None:
-                break
-        assert out is not None
-        assert out.emit_time_ps == p.emit_time_ps
-        assert out.detuning_ghz == p.detuning_ghz
-        assert out.origin == p.origin
-        assert out.env_start_ps == p.env_start_ps
-        assert out.wavelength.nm == pytest.approx(1545.2054794520548)
-
-    def test_noise_photons_rejected_as_input(self):
-        rng = substream(RunSeed(0), 0, 0)
-        with pytest.raises(ConfigError):
-            convert_photon(conversion(), photon(origin=Origin.NOISE), rng)
+        # conversion only thins the photon stream: every converted photon keeps
+        # its emission time, so its tag is one of the unconverted run's tags
+        plain = Pipeline(
+            emitter=EmitterConfig(
+                wavelength=Wavelength(940.0), lifetime_tau_ps=271.0, p_emit=0.5, p_multi=0.1,
+                dephasing_linewidth_ghz=2.5,
+            ),
+            train=PulseTrainConfig(rep_rate_mhz=73.0, pulse_width_ps=20.0, n_pulses=20_000),
+            seed=RunSeed(12),
+        )
+        converted = Pipeline(plain.emitter, plain.train, plain.seed, conversion=conversion())
+        tags = {}
+        for name, pipe in (("plain", plain), ("converted", converted)):
+            result = run_direct(pipe, DetectorConfig(irf_sigma_ps=50.0))
+            tags[name] = result.streams[0].tags
+        assert 0 < tags["converted"].size < 0.5 * tags["plain"].size
+        assert np.all(np.isin(tags["converted"], tags["plain"]))
+        assert converted.output_wavelength().nm == pytest.approx(1545.2054794520548)
 
 
 class TestInjectNoise:
     def test_zero_rate_empty(self):
         rng = substream(RunSeed(1), 0, 0)
-        assert inject_noise(conversion(), (0, 10**12), rng, Wavelength(1545.0)) == []
+        assert sample_noise_times(conversion(), (0, 10**12), rng).size == 0
 
     def test_poisson_counts(self):
         cfg = conversion(noise_rate_cps=1000.0)
@@ -209,11 +197,10 @@ class TestInjectNoise:
     def test_records_are_noise_tagged(self):
         cfg = conversion(noise_rate_cps=1e6, filter_center=Wavelength(1545.0))
         rng = substream(RunSeed(3), 0, 0)
-        photons = inject_noise(cfg, (0, 10**9), rng)
-        assert photons
-        assert all(p.origin == Origin.NOISE for p in photons)
-        times = [p.emit_time_ps for p in photons]
-        assert times == sorted(times)
+        times = sample_noise_times(cfg, (0, 10**9), rng)
+        assert times.size and times.dtype == np.int64
+        assert np.all(np.diff(times) >= 0)
+        assert times[0] >= 0 and times[-1] < 10**9
 
     def test_window_validated(self):
         rng = substream(RunSeed(4), 0, 0)

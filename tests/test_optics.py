@@ -1,77 +1,59 @@
-"""Splitters, the two-photon interferometer core, and the detector model."""
+"""Splitter, interferometer and detector kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from photonflow.core import (
-    ConfigError,
-    Origin,
-    PhotonRecord,
-    Polarization,
-    RunSeed,
-    Wavelength,
-    substream,
-)
+from photonflow.conversion import ConversionConfig, dfg_wavelength
+from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.optics import (
     BeamSplitter,
     DetectorConfig,
     DetectStats,
     HomInterferometer,
     PolarizationConfig,
-    SplitPort,
     apply_dead_time,
-    detect,
-    hom_interfere,
+    joint_ports,
     joint_split_probabilities,
     pair_overlap,
-    split,
+    register_arrivals,
+    sample_dark_counts,
+    split_ports,
 )
+from photonflow.pipeline import Pipeline, run_hom
+from photonflow.source import EmitterConfig
+
+DELAY = 13699
+TAU = 271.0
 
 
-def record(time_ps, detuning=0.0, origin=Origin.SIGNAL, env=None, tau=271.0, pol=Polarization.H):
-    return PhotonRecord(
-        emit_time_ps=time_ps,
-        wavelength=Wavelength(940.0),
-        detuning_ghz=detuning,
-        polarization=pol,
-        origin=origin,
-        pulse_index=0,
-        env_start_ps=float(time_ps) if env is None else env,
-        wavepacket_tau_ps=tau,
-    )
-
-
-def ifo(r2=0.5, t2=0.5, visibility=1.0, pol=PolarizationConfig.CO, delay=13699):
+def ifo(visibility=1.0, pol=PolarizationConfig.CO):
     return HomInterferometer(
         bs_in=BeamSplitter(0.5, 0.5),
-        bs_out=BeamSplitter(r2, t2),
-        arm_delay_ps=delay,
+        bs_out=BeamSplitter(0.5, 0.5),
+        arm_delay_ps=DELAY,
         classical_visibility=visibility,
         polarization_config=pol,
     )
 
 
+def uniforms(seed, shape):
+    return substream(RunSeed(seed), 0, 0).random(shape)
+
+
 class TestSplit:
     def test_full_reflectance(self):
-        rng = substream(RunSeed(0), 0, 0)
-        bs = BeamSplitter(1.0, 0.0)
-        assert all(split(bs, record(0), rng) == SplitPort.REFLECT for _ in range(100))
+        assert np.all(split_ports(uniforms(0, 100), 1.0, 0.0) == 0)
 
     def test_balanced_binomial(self):
-        rng = substream(RunSeed(1), 0, 0)
-        bs = BeamSplitter(0.5, 0.5)
         n = 1_000_000
-        photon = record(0)
-        reflected = sum(split(bs, photon, rng) == SplitPort.REFLECT for _ in range(n))
+        reflected = np.count_nonzero(split_ports(uniforms(1, n), 0.5, 0.5) == 0)
         assert abs(reflected / n - 0.5) < 3 * 0.5 / math.sqrt(n)
 
     def test_lossy_splitter(self):
-        bs = BeamSplitter(0.45, 0.45)
-        rng = substream(RunSeed(2), 0, 0)
         n = 100_000
-        lost = sum(split(bs, record(0), rng) == SplitPort.LOST for _ in range(n))
+        lost = np.count_nonzero(split_ports(uniforms(2, n), 0.45, 0.45) == -1)
         assert abs(lost / n - 0.1) < 3 * math.sqrt(0.1 * 0.9 / n)
 
     def test_invalid_ratios(self):
@@ -79,68 +61,99 @@ class TestSplit:
             BeamSplitter(0.7, 0.7)
 
 
+def overlap_of(det_early, det_late, env_early, env_late):
+    """Overlap factor of a single pair."""
+    det_early, det_late, env_early, env_late = (
+        np.array([value], dtype=float) for value in (det_early, det_late, env_early, env_late)
+    )
+    return pair_overlap(TAU, det_early, det_late, env_early, env_late, DELAY)[0]
+
+
+def hom_pipeline(filter_center_offset_ghz):
+    """Every pulse emits a signal photon and a companion 20 GHz off line; a
+    2 GHz filter passes the line at the given offset, plus converted noise."""
+    emitter = EmitterConfig(wavelength=Wavelength(945.0), lifetime_tau_ps=271.0, p_emit=1.0, p_multi=1.0)
+    pump = Wavelength(2400.0)
+    center = dfg_wavelength(emitter.wavelength, pump).frequency_ghz + filter_center_offset_ghz
+    conversion = ConversionConfig(
+        pump_wavelength=pump, pump_power_mw=327.0, eta_max=0.417, p_sat_mw=327.0,
+        filter_fwhm_ghz=2.0, filter_center=Wavelength.from_frequency_ghz(center), noise_rate_cps=5e6,
+    )
+    return Pipeline(
+        emitter=emitter,
+        train=PulseTrainConfig(rep_rate_mhz=73.0, pulse_width_ps=20.0, n_pulses=20_000),
+        seed=RunSeed(21),
+        conversion=conversion,
+    )
+
+
 class TestPairOverlap:
     def test_companion_and_noise_are_distinguishable(self):
-        a = record(0)
-        assert pair_overlap(record(0, origin=Origin.MULTIPHOTON), a, 13699) == 0.0
-        assert pair_overlap(record(0, origin=Origin.NOISE), a, 13699) == 0.0
+        # only signal photons enter the joint draw: with the filter on the
+        # companion line, the co and cross settings see the same companion and
+        # noise photons and register identical streams; on the signal line
+        # they differ
+        det = DetectorConfig()
+        for offset, same in ((20.0, True), (0.0, False)):
+            result = run_hom(hom_pipeline(offset), (ifo(), ifo(pol=PolarizationConfig.CROSS)), det, det)
+            assert result.stats.converted > 1000 and result.stats.noise_injected > 0
+            co, cross = result.by_setting()
+            identical = all(np.array_equal(a.tags, b.tags) for a, b in zip(co.streams, cross.streams))
+            assert identical == same, offset
 
     def test_polarization_mismatch(self):
-        assert pair_overlap(record(0), record(0, pol=Polarization.V), 13699) == 0.0
+        m = pair_overlap(TAU, np.zeros(3), np.zeros(3), np.zeros(3), np.full(3, float(DELAY)), DELAY)
+        assert np.array_equal(m, np.ones(3))
+        assert np.array_equal(ifo(pol=PolarizationConfig.CROSS).effective_overlap(m), np.zeros(3))
+        assert ifo(visibility=0.9).effective_overlap(m) == pytest.approx(np.full(3, 0.81))
 
     def test_detuning_beyond_coherence(self):
-        early = record(0, detuning=0.0)
-        late = record(13699, detuning=50.0, env=13699.0)
-        assert pair_overlap(early, late, 13699) == 0.0
+        assert overlap_of(0.0, 50.0, 0.0, float(DELAY)) == 0.0
 
     def test_formula(self):
-        tau = 271.0
-        early = record(0, detuning=0.0, env=0.0)
-        late = record(13699, detuning=0.1, env=13699.0 + 40.0)
-        x = 2 * math.pi * 1e-3 * 0.1 * tau
-        expected = math.exp(-0.5 * x * x) * math.exp(-40.0 / tau)
-        assert pair_overlap(early, late, 13699) == pytest.approx(expected)
+        x = 2 * math.pi * 1e-3 * 0.1 * TAU
+        expected = math.exp(-0.5 * x * x) * math.exp(-40.0 / TAU)
+        assert overlap_of(0.0, 0.1, 0.0, DELAY + 40.0) == pytest.approx(expected)
 
 
-def run_pairs(interferometer, n_pairs, seed, early_builder, late_builder):
-    """Feed photon pairs one repetition apart; count outcomes."""
-    central = 0
-    rng = substream(RunSeed(seed), 0, 0)
-    for _ in range(n_pairs):
-        d1, d2 = hom_interfere(interferometer, early_builder(), late_builder(), rng)
-        for t1 in d1:
-            for t2 in d2:
-                if abs(t2 - t1) < 2000:
-                    central += 1
-    return central
+def joint_draw(m_eff, r2, t2, seed):
+    """Ports (early, late) of pairs that both survive the output splitter."""
+    u = uniforms(seed, (2, m_eff.size))
+    return joint_ports(r2, t2, m_eff, u[0], u[1])
 
 
 class TestHomInterfere:
     def test_perfect_dip(self):
-        # identical photons, balanced splitter, perfect mode matching
-        central = run_pairs(
-            ifo(), 20_000, 3, lambda: record(0, env=0.0), lambda: record(13699, env=13699.0)
-        )
-        assert central == 0
+        # identical photons, balanced splitter, perfect mode matching: no split
+        port_e, port_l = joint_draw(np.ones(100_000), 0.5, 0.5, 3)
+        assert np.array_equal(port_e, port_l)
 
     def test_cross_polarized_central_rate(self):
+        # zero overlap: split at rr^2 + tt^2, and each photon keeps its own
+        # splitter law (the long-arm photon transmits to port 0)
         r2, t2 = 0.6, 0.4
-        setup = ifo(r2=r2, t2=t2, pol=PolarizationConfig.CROSS)
-        n = 60_000
-        central = run_pairs(setup, n, 4, lambda: record(0, env=0.0), lambda: record(13699, env=13699.0))
-        expected = 0.25 * (r2**2 + t2**2)  # meeting probability times classical coincidence
-        sigma = math.sqrt(n * expected * (1 - expected))
-        assert abs(central - n * expected) < 3 * sigma
+        n = 100_000
+        m_eff = ifo(pol=PolarizationConfig.CROSS).effective_overlap(np.ones(n))
+        port_e, port_l = joint_draw(m_eff, r2, t2, 4)
+        for count, p in (
+            (np.count_nonzero(port_e != port_l), r2**2 + t2**2),
+            (np.count_nonzero(port_e == 0), t2),
+            (np.count_nonzero(port_l == 0), r2),
+        ):
+            assert abs(count - n * p) < 3 * math.sqrt(n * p * (1 - p))
 
     def test_partial_overlap_suppression(self):
-        # detuning chosen for a 0.95 overlap factor: central peak at 5% of cross
-        tau = 271.0
+        # detuning chosen for a 0.95 overlap factor: split rate at 5% of cross
         x = math.sqrt(-2.0 * math.log(0.95))
-        detuning = x / (2 * math.pi * 1e-3 * tau)
+        detuning = x / (2 * math.pi * 1e-3 * TAU)
         n = 100_000
-        late = lambda: record(13699, detuning=detuning, env=13699.0)
-        co = run_pairs(ifo(), n, 5, lambda: record(0, env=0.0), late)
-        cross = run_pairs(ifo(pol=PolarizationConfig.CROSS), n, 6, lambda: record(0, env=0.0), late)
+        m = pair_overlap(TAU, np.zeros(n), np.full(n, detuning), np.zeros(n), np.full(n, float(DELAY)), DELAY)
+        assert np.allclose(m, 0.95)
+        splits = []
+        for setting, seed in ((ifo(), 5), (ifo(pol=PolarizationConfig.CROSS), 6)):
+            port_e, port_l = joint_draw(setting.effective_overlap(m), 0.5, 0.5, seed)
+            splits.append(np.count_nonzero(port_e != port_l))
+        co, cross = splits
         ratio = co / cross
         sigma = ratio * math.sqrt(1 / co + 1 / cross)
         assert abs(ratio - 0.05) < 3 * sigma
@@ -152,50 +165,51 @@ class TestHomInterfere:
                 assert b1 + b2 + s == pytest.approx(1.0)
                 assert 0.0 <= w <= 1.0
 
-    def test_photons_must_be_ordered(self):
-        rng = substream(RunSeed(7), 0, 0)
-        with pytest.raises(ConfigError):
-            hom_interfere(ifo(), record(100), record(0), rng)
+
+def detect(cfg, arrivals, window_ps, seed, stats=None):
+    """One detector channel as the engine runs it: register, add darks, sort, veto."""
+    rng = substream(RunSeed(seed), 0, 0)
+    stats = stats if stats is not None else DetectStats()
+    arrivals = np.asarray(arrivals, dtype=np.int64)
+    u_eff, z = rng.random(arrivals.size), rng.standard_normal(arrivals.size)
+    tags = register_arrivals(cfg, arrivals, u_eff, z, stats)
+    dark = sample_dark_counts(cfg, window_ps, rng)
+    stats.dark += dark.size
+    kept, vetoed = apply_dead_time(np.sort(np.concatenate([tags, dark])), cfg.dead_time_ps)
+    stats.vetoed += vetoed
+    return kept
 
 
 class TestDetect:
     def test_ideal_detector_exact_times(self):
-        photons = [record(t) for t in (100, 2000, 2000, 50_000)]
-        rng = substream(RunSeed(8), 0, 0)
-        stream = detect(DetectorConfig(), photons, (0, 100_000), rng)
-        assert stream.tags.tolist() == [100, 2000, 2000, 50_000]
+        tags = detect(DetectorConfig(), [100, 2000, 2000, 50_000], (0, 100_000), 8)
+        assert tags.tolist() == [100, 2000, 2000, 50_000]
 
     def test_jitter_sigma_recovered(self):
         cfg = DetectorConfig(efficiency=1.0, irf_sigma_ps=100.0)
         n = 100_000
-        photons = [record(10_000_000)] * n
-        rng = substream(RunSeed(9), 0, 0)
-        stream = detect(cfg, photons, (0, 20_000_000), rng)
-        spread = stream.tags.astype(float) - 10_000_000
+        tags = detect(cfg, np.full(n, 10_000_000), (0, 20_000_000), 9)
+        spread = tags.astype(float) - 10_000_000
         assert abs(spread.std(ddof=1) - 100.0) < 2.0
         assert abs(spread.mean()) < 3 * 100.0 / math.sqrt(n)
 
     def test_dead_time_veto(self):
         cfg = DetectorConfig(dead_time_ps=50_000)
-        rng = substream(RunSeed(10), 0, 0)
-        stream = detect(cfg, [record(1000), record(1010)], (0, 100_000), rng)
-        assert stream.tags.tolist() == [1000]
+        assert detect(cfg, [1000, 1010], (0, 100_000), 10).tolist() == [1000]
 
     def test_efficiency_thinning_and_accounting(self):
         cfg = DetectorConfig(efficiency=0.3)
         stats = DetectStats()
-        rng = substream(RunSeed(11), 0, 0)
-        photons = [record(100 * i) for i in range(100_000)]
-        stream = detect(cfg, photons, (0, 10_000_000), rng, stats=stats)
+        tags = detect(cfg, 100 * np.arange(100_000), (0, 10_000_000), 11, stats)
         assert stats.n_in == 100_000
         assert stats.registered + stats.undetected == stats.n_in
-        assert stats.registered == len(stream) + stats.vetoed - stats.dark
+        assert stats.registered == tags.size + stats.vetoed - stats.dark
         assert abs(stats.registered / 1e5 - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 1e5)
 
     def test_dark_counts_poisson(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate_cps=1e6)
         rng = substream(RunSeed(12), 0, 0)
-        counts = [len(detect(cfg, [], (0, 10**9), rng)) for _ in range(200)]
+        counts = [sample_dark_counts(cfg, (0, 10**9), rng).size for _ in range(200)]
         mean = np.mean(counts)  # expect 1000 per window
         assert abs(mean - 1000.0) < 3 * math.sqrt(1000.0 / 200)
 
@@ -210,8 +224,6 @@ class TestDetect:
         cfg = DetectorConfig(efficiency=1.0, irf_sigma_ps=sigma)
         u = rng.random(n)
         z = rng.standard_normal(n)
-        from photonflow.optics import register_arrivals
-
         tags = register_arrivals(cfg, emit, u, z)
         added = tags.var() - photons_var
         assert abs(tags.mean() - emit.mean()) < 3 * sigma / math.sqrt(n)

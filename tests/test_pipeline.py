@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from photonflow import pipeline
 from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, integrate_peaks
 from photonflow.conversion import ConversionConfig
-from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength
+from photonflow.core import STAGE_ROUTE, ConfigError, PulseTrainConfig, RunSeed, Wavelength
 from photonflow.correlate import cross_correlate
 from photonflow.enumeration import calibrate_p_multi, hbt_expected, visibility_model
 from photonflow.optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
@@ -231,10 +231,13 @@ class TestHaloRow:
         row = pipeline._emission_rows(pipe, start, 1, blink, first_row=block - 1)
         for name in (
             "sig_exists", "sig_ok", "sig_time", "sig_env", "sig_det",
-            "comp_exists", "comp_ok", "comp_time", "comp_env", "route",
+            "comp_exists", "comp_ok", "comp_time",
         ):
             assert np.array_equal(getattr(row, name), getattr(full, name)[-1:]), name
         assert row.det_u is None and row.det_z is None
+        route_row = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, block - 1, 1, 4)
+        route_full = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, 0, block, 4)
+        assert np.array_equal(route_row, route_full[-1:])
 
 
 class TestRateExperiment:

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from photonflow.core import Origin, PulseTrainConfig, RunSeed, Wavelength, substream
+from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.source import (
     EMIT_DRAWS_PER_PULSE,
-    BlinkState,
     BlinkTable,
     EmitterConfig,
-    emit_pulse,
     expected_pair_overlap,
-    initial_blink_state,
     natural_linewidth_ghz,
     pairwise_overlap,
     sample_emission,
@@ -51,10 +48,8 @@ def emission_arrays(cfg, pulse_train, seed=11):
 
 class TestEmission:
     def test_p_emit_zero_always_empty(self):
-        cfg = emitter(p_emit=0.0)
-        rng = substream(RunSeed(1), 0, 0)
-        for pulse in range(200):
-            assert emit_pulse(cfg, train(200), pulse, rng) == []
+        block = emission_arrays(emitter(p_emit=0.0, p_multi=0.0), train(200), seed=1)
+        assert not block.sig_exists.any() and not block.comp_exists.any()
 
     def test_mean_emission_delay(self):
         # tau plus half the excitation pulse width, at a million pulses
@@ -84,11 +79,12 @@ class TestEmission:
         assert np.max(np.abs(block.sig_time_ps - block.sig_time_exact_ps)) <= 0.5
 
     def test_companion_needs_signal_and_carries_origin(self):
-        cfg = emitter(p_emit=1.0, p_multi=1.0)
-        rng = substream(RunSeed(3), 0, 0)
-        photons = emit_pulse(cfg, train(10), 0, rng)
-        assert [p.origin for p in photons] == [Origin.SIGNAL, Origin.MULTIPHOTON]
-        assert photons[1].detuning_ghz > 5.0  # companion sits far off line
+        block = emission_arrays(emitter(p_emit=1.0, p_multi=1.0), train(10), seed=3)
+        assert block.sig_exists.all() and block.comp_exists.all()
+        assert np.all(block.comp_detuning_ghz > 5.0)  # companion sits far off line
+        mixed = emission_arrays(emitter(p_emit=0.5, p_multi=0.5), train(10_000), seed=3)
+        assert mixed.comp_exists.any()
+        assert not np.any(mixed.comp_exists & ~mixed.sig_exists)
 
     def test_companion_rate(self):
         cfg = emitter(p_emit=0.5, p_multi=0.1)
@@ -97,12 +93,6 @@ class TestEmission:
         expected = 0.5 * 0.1 * tr.n_pulses
         sigma = math.sqrt(expected)
         assert abs(block.comp_exists.sum() - expected) < 5 * sigma
-
-    def test_pulse_index_bound(self):
-        from photonflow.core import ConfigError
-
-        with pytest.raises(ConfigError):
-            emit_pulse(emitter(), train(5), 5, substream(RunSeed(0), 0, 0))
 
     def test_emit_time_not_before_pulse_start(self):
         cfg = emitter()
@@ -229,9 +219,12 @@ class TestBlinking:
 
     def test_dark_state_emits_nothing(self):
         cfg = emitter(blink_on_rate_per_us=0.1, blink_off_rate_per_us=0.1)
-        blink = BlinkState(bright=False, next_switch_ps=math.inf)
-        rng = substream(RunSeed(5), 0, 0)
-        assert emit_pulse(cfg, train(10), 0, rng, blink) == []
+        tr = train(10)
+        dark = BlinkTable(initial_bright=False, switch_times_ps=np.empty(0))
+        bright = dark.bright_at(tr.pulse_start_ps(np.arange(tr.n_pulses)))
+        uniforms = substream(RunSeed(5), 0, 0).random((tr.n_pulses, EMIT_DRAWS_PER_PULSE))
+        block = sample_emission(cfg, tr, 0, uniforms, np.zeros(tr.n_pulses), bright)
+        assert not block.sig_exists.any() and not block.comp_exists.any()
 
     def test_dwell_times_exponential(self):
         cfg = emitter(blink_on_rate_per_us=0.1, blink_off_rate_per_us=0.1)
@@ -251,11 +244,10 @@ class TestBlinking:
         assert abs(bright_fraction - 0.75) < 0.05
 
     def test_advance_matches_initial_state_contract(self):
+        # the state holds its initial value up to the first switch and flips at each switch
         cfg = emitter(blink_on_rate_per_us=0.2, blink_off_rate_per_us=0.2)
-        rng = substream(RunSeed(10), 0, 0)
-        state = initial_blink_state(cfg, rng)
-        before = state.bright
-        state.advance(cfg, state.next_switch_ps - 1.0, rng)
-        assert state.bright == before
-        state.advance(cfg, state.next_switch_ps + 1.0, rng)
-        assert state.bright != before
+        table = BlinkTable.build(cfg, 1e9, substream(RunSeed(10), 0, 0))
+        first, second = table.switch_times_ps[:2]
+        states = table.bright_at(np.array([0.0, first - 1.0, first + 1.0, second - 1.0, second + 1.0]))
+        before = table.initial_bright
+        assert states.tolist() == [before, before, not before, not before, before]
