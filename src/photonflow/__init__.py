@@ -26,6 +26,7 @@ from .conversion import (
     external_efficiency,
     fit_saturation,
     internal_efficiency_bounds,
+    saturation_curve,
     saturation_efficiency,
 )
 from .core import (
@@ -55,10 +56,6 @@ from .pipeline import (
     run_hbt,
     run_hom,
 )
-from .source import (
-    EmitterConfig,
-    expected_pair_overlap,
-    pairwise_overlap,
-)
+from .source import EmitterConfig, expected_pair_overlap
 
 __version__ = "0.1.0"

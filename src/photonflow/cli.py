@@ -32,7 +32,9 @@ from .conversion import (
     MeasurementError,
     fit_saturation,
     internal_efficiency_bounds,
+    saturation_curve,
     saturation_efficiency,
+    survival_probability,
 )
 from .core import STAGE_SCAN, ConfigError, substream
 from .correlate import cross_correlate
@@ -55,16 +57,15 @@ EXIT_CONFIG = 2
 EXIT_FLAGGED = 3
 
 
-def expected_source_g2(pipe: Pipeline, r: float = 0.5, t: float = 0.5) -> float:
+def expected_source_g2(pipe: Pipeline) -> float:
     """Central-peak ratio this pipeline's source should show in a splitter setup.
 
     Used as the calibration input of the visibility correction; mirrors an
-    independently measured purity value.
+    independently measured purity value.  The ratio does not depend on the
+    splitter, so a balanced one is assumed.
     """
     surv_signal = surv_multi = 1.0
     if pipe.conversion is not None:
-        from .conversion import survival_probability
-
         offset = pipe.filter_center_offset_ghz()
         surv_signal = float(survival_probability(pipe.conversion, 0.0, offset))
         surv_multi = float(
@@ -73,7 +74,7 @@ def expected_source_g2(pipe: Pipeline, r: float = 0.5, t: float = 0.5) -> float:
     if pipe.emitter.p_multi == 0:
         return 0.0
     return hbt_expected(
-        pipe.emitter.p_emit, pipe.emitter.p_multi, r, t, surv_signal, surv_multi
+        pipe.emitter.p_emit, pipe.emitter.p_multi, 0.5, 0.5, surv_signal, surv_multi
     ).g2
 
 
@@ -111,25 +112,20 @@ class _Artifacts:
         (self.outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(cfg: RunConfig, result: RunResult | None) -> dict:
+def _base_report(cfg: RunConfig, result: RunResult) -> dict:
+    st = result.stats
     report = {
         "experiment": cfg.experiment,
         "seed": cfg.seed.master_seed,
         "n_pulses": cfg.n_pulses,
+        "emitted_signal": st.emitted_signal,
+        "emitted_multi": st.emitted_multi,
+        "conversion_lost": st.conversion_lost,
+        "noise_injected": st.noise_injected,
+        "routed_lost": st.routed_lost,
     }
-    if result is not None:
-        st = result.stats
-        report.update(
-            {
-                "emitted_signal": st.emitted_signal,
-                "emitted_multi": st.emitted_multi,
-                "conversion_lost": st.conversion_lost,
-                "noise_injected": st.noise_injected,
-                "routed_lost": st.routed_lost,
-            }
-        )
-        for ch, det in enumerate(st.channels):
-            report[f"tags_ch{ch}"] = det.registered + det.dark - det.vetoed
+    for ch, det in enumerate(st.channels):
+        report[f"tags_ch{ch}"] = det.registered + det.dark - det.vetoed
     return report
 
 
@@ -326,16 +322,14 @@ def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
 
 
 def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
-    scan = cfg.scan
+    scan = cfg.resolved["saturation_scan"]
     conv = cfg.conversion
     rng = substream(cfg.seed, 0, STAGE_SCAN)
     powers = np.linspace(scan["p_min_mw"], scan["p_max_mw"], scan["n_points"])
     eta_true = np.array([saturation_efficiency(conv, p) for p in powers])
     eta_meas = eta_true * (1.0 + scan["noise_fraction"] * rng.standard_normal(powers.size))
     fit = fit_saturation(list(zip(powers.tolist(), eta_meas.tolist())))
-    eta_fit = np.array(
-        [fit.eta_max * np.sin(0.5 * np.pi * np.sqrt(p / fit.p_sat_mw)) ** 2 for p in powers]
-    )
+    eta_fit = saturation_curve(powers, fit.eta_max, fit.p_sat_mw)
 
     if art.want_csv():
         with open(art.path("saturation.csv"), "w") as fh:
@@ -346,7 +340,7 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         ideal = conv.loss_budget.transmission()
         band = scan["ideal_band_fraction"]
         grid = np.linspace(powers[0], powers[-1], 200)
-        fit_curve = fit.eta_max * np.sin(0.5 * np.pi * np.sqrt(grid / fit.p_sat_mw)) ** 2
+        fit_curve = saturation_curve(grid, fit.eta_max, fit.p_sat_mw)
         write_svg_plot(
             art.path("saturation.svg"),
             [

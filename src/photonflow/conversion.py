@@ -117,12 +117,13 @@ def saturation_efficiency(cfg: ConversionConfig, pump_power_mw: float) -> float:
     """External conversion efficiency at the given in-waveguide pump power."""
     if pump_power_mw < 0:
         raise ConfigError("pump power must be non-negative")
-    eta = cfg.eta_max * math.sin(0.5 * math.pi * math.sqrt(pump_power_mw / cfg.p_sat_mw)) ** 2
+    eta = float(saturation_curve(pump_power_mw, cfg.eta_max, cfg.p_sat_mw))
     return min(max(eta, 0.0), cfg.eta_max)
 
 
-def _saturation_model(p, eta_max, p_sat):
-    return eta_max * np.sin(0.5 * np.pi * np.sqrt(p / p_sat)) ** 2
+def saturation_curve(p_mw, eta_max: float, p_sat_mw: float):
+    """The sin^2 saturation law eta_max sin^2(pi/2 sqrt(P/P_sat)), for scalars or arrays."""
+    return eta_max * np.sin(0.5 * np.pi * np.sqrt(p_mw / p_sat_mw)) ** 2
 
 
 def fit_saturation(points: list[tuple[float, float]]) -> SaturationFit:
@@ -141,13 +142,13 @@ def fit_saturation(points: list[tuple[float, float]]) -> SaturationFit:
     p0 = [float(np.max(eta)), float(p[order][imax])]
     try:
         popt, pcov = curve_fit(
-            _saturation_model, p, eta, p0=p0,
+            saturation_curve, p, eta, p0=p0,
             bounds=([1e-9, 1e-9], [1.0, 100.0 * float(np.max(p))]),
             maxfev=20000,
         )
     except RuntimeError as exc:
         raise FitError(f"saturation fit did not converge: {exc}") from exc
-    residuals = eta - _saturation_model(p, *popt)
+    residuals = eta - saturation_curve(p, *popt)
     perr = np.sqrt(np.diag(pcov))
     return SaturationFit(
         eta_max=float(popt[0]),

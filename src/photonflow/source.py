@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, wofz
+from scipy.special import erfc
 
 from .core import (
     STAGE_DIFFUSION,
@@ -206,29 +206,6 @@ def temporal_jitter_overlap(pulse_width_ps: float, tau_ps: float) -> float:
     if w == 0:
         return 1.0
     return (2.0 * tau / w**2) * (w - tau * (1.0 - math.exp(-w / tau)))
-
-
-def pairwise_overlap(cfg: EmitterConfig, train: PulseTrainConfig) -> float:
-    """Expected two-photon wavepacket overlap for consecutive-pulse photons.
-
-    Overlap of two exponential wavepackets with detuning difference D is
-    1/(1 + (2 pi D tau)^2); this averages that kernel over independent
-    per-photon detunings (Lorentzian dephasing plus Gaussian wander), which
-    has a closed form through the Faddeeva function, and multiplies the
-    excitation-jitter envelope factor.
-    """
-    tau = cfg.lifetime_tau_ps
-    b = natural_linewidth_ghz(tau)  # overlap kernel scale
-    c = cfg.dephasing_linewidth_ghz  # Cauchy scale of the detuning difference
-    s = cfg.spectral_diffusion_sigma_ghz * math.sqrt(2.0)  # Gaussian sigma of the difference
-
-    if s < 1e-9 * (b + c):  # Gaussian part negligible: pure Cauchy limit
-        spectral = b / (b + c)
-    else:
-        # pi*b * VoigtPDF(0; lorentz scale b+c, gauss sigma s)
-        z = 1j * (b + c) / (s * math.sqrt(2.0))
-        spectral = math.pi * b * float(np.real(wofz(z))) / (s * math.sqrt(2.0 * math.pi))
-    return temporal_jitter_overlap(train.pulse_width_ps, tau) * spectral
 
 
 def expected_pair_overlap(cfg: EmitterConfig, train: PulseTrainConfig) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from photonflow import cli, io
 from photonflow.config import load_config
 from photonflow.core import ConfigError
 from photonflow.pipeline import PATH_DELAY_PS
+
+PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
 HBT_CONFIG = """
 [run]
@@ -127,6 +130,26 @@ class TestConfigValidation:
         assert "irf_sigma_ps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("raw", ["inf", "1e400"])
+    def test_non_finite_int_rejected(self, tmp_path, capsys, raw):
+        body = HBT_CONFIG.replace("n_pulses = 40000", f"n_pulses = {raw}")
+        path = write_config(tmp_path, body, outdir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="n_pulses"):
+            load_config(path)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "n_pulses" in capsys.readouterr().err
+
+    def test_run_needs_a_pulse(self, tmp_path, capsys):
+        # an empty pulse train is rejected before the output directory exists
+        body = HBT_CONFIG.replace("n_pulses = 40000", "n_pulses = 0")
+        path = write_config(tmp_path, body, outdir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="n_pulses"):
+            load_config(path)
+        assert cli.main(["run", str(path), "--dry-run"]) == cli.EXIT_CONFIG
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert "n_pulses" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_and_workers_override(self, tmp_path):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
         cfg = load_config(path, seed_override=999, workers_override=4)
@@ -143,6 +166,26 @@ class TestDryRun:
         assert "run.experiment = hbt" in printed
         assert "emitter.p_emit = 0.4" in printed
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(PROFILE_DIR.glob("*.cfg"))])
+    def test_printed_config_reloads_to_the_same_run(self, tmp_path, capsys, name):
+        # the dry run prints every resolved key; written back as a config file
+        # it describes the same run.  A key left unset prints as None and is
+        # left out of the rewritten file.
+        original = load_config(PROFILE_DIR / name, seed_override=5, workers_override=2)
+        assert cli.main(["run", str(PROFILE_DIR / name), "--dry-run", "--seed", "5", "--workers", "2"]) == 0
+        sections: dict[str, list[str]] = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, value = line.split(" = ", 1)
+            section, key = key.split(".", 1)
+            lines = sections.setdefault(section, [])
+            if value != "None":
+                lines.append(f"{key} = {value}")
+        assert len(sections["run"]) == 5
+        rewritten = tmp_path / "resolved.cfg"
+        rewritten.write_text("".join(f"[{s}]\n" + "\n".join(ls) + "\n" for s, ls in sections.items()))
+        reloaded = load_config(rewritten)
+        assert replace(reloaded, source_text="") == replace(original, source_text="")
 
 
 class TestRunArtifacts:
@@ -283,11 +326,9 @@ class TestCompare:
 
 
 class TestProfiles:
-    PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
-
     @pytest.mark.parametrize("name", [p.name for p in sorted(PROFILE_DIR.glob("*.cfg"))])
     def test_profiles_validate(self, name):
-        cfg = load_config(self.PROFILE_DIR / name)
+        cfg = load_config(PROFILE_DIR / name)
         assert cfg.experiment in (
             "lifetime",
             "hbt",

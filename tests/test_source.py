@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.source import (
@@ -14,8 +14,6 @@ from photonflow.source import (
     BlinkTable,
     EmitterConfig,
     expected_pair_overlap,
-    natural_linewidth_ghz,
-    pairwise_overlap,
     sample_emission,
     temporal_jitter_overlap,
 )
@@ -102,72 +100,15 @@ class TestEmission:
         assert np.all(block.sig_time_ps[block.sig_exists] >= starts[block.sig_exists])
 
 
-def overlap_quadrature(tau_ps, dephasing_ghz, diffusion_ghz):
-    """Independent oracle: numerical integral of the two-photon overlap kernel.
-
-    The detuning difference of two photons is Cauchy (scale = per-photon FWHM)
-    convolved with a Gaussian of sigma*sqrt(2); the overlap kernel for
-    exponential wavepackets is 1/(1 + (2 pi D tau)^2).
-    """
-    b = natural_linewidth_ghz(tau_ps)
-    c = dephasing_ghz  # difference of two half-width Cauchy draws
-    s = diffusion_ghz * math.sqrt(2.0)
-
-    def kernel(delta):
-        return 1.0 / (1.0 + (delta / b) ** 2)
-
-    if s == 0:
-        if c == 0:
-            return 1.0
-        value, _ = integrate.quad(
-            lambda th: kernel(c * math.tan(th)) / math.pi, -math.pi / 2, math.pi / 2
-        )
-        return value
-
-    def integrand(g, th):
-        delta = (c * math.tan(th) if c else 0.0) + g
-        weight = stats.norm.pdf(g, scale=s) / math.pi
-        return kernel(delta) * weight
-
-    if c == 0:
-        value, _ = integrate.quad(lambda g: kernel(g) * stats.norm.pdf(g, scale=s), -40 * s, 40 * s)
-        return value
-    value, _ = integrate.dblquad(
-        integrand, -math.pi / 2, math.pi / 2, lambda th: -40 * s, lambda th: 40 * s
-    )
-    return value
-
-
 class TestPairwiseOverlap:
     def test_pure_wavepackets_give_unity(self):
         cfg = emitter()
-        assert pairwise_overlap(cfg, train(10, width=0.0)) == pytest.approx(1.0)
-
-    def test_lorentzian_dephasing_closed_form(self):
-        tau = 271.0
-        gamma = natural_linewidth_ghz(tau)
-        for dephasing in (0.05, 0.2, 1.0):
-            cfg = emitter(dephasing_linewidth_ghz=dephasing)
-            got = pairwise_overlap(cfg, train(10, width=0.0))
-            assert got == pytest.approx(gamma / (gamma + dephasing), rel=1e-9)
-            assert got == pytest.approx(overlap_quadrature(tau, dephasing, 0.0), rel=1e-6)
-
-    def test_voigt_case_matches_quadrature(self):
-        cfg = emitter(dephasing_linewidth_ghz=0.1, spectral_diffusion_sigma_ghz=0.3)
-        got = pairwise_overlap(cfg, train(10, width=0.0))
-        assert got == pytest.approx(overlap_quadrature(271.0, 0.1, 0.3), rel=1e-5)
-
-    def test_large_diffusion_limit(self):
-        sigma = 30 * natural_linewidth_ghz(271.0)
-        cfg = emitter(spectral_diffusion_sigma_ghz=sigma)
-        got = pairwise_overlap(cfg, train(10, width=0.0))
-        assert got < 0.1
-        assert got == pytest.approx(overlap_quadrature(271.0, 0.0, sigma), rel=1e-5)
+        assert expected_pair_overlap(cfg, train(10, width=0.0)) == pytest.approx(1.0)
 
     def test_pulse_width_factor(self):
         cfg = emitter()
         expected = temporal_jitter_overlap(20.0, 271.0)
-        assert pairwise_overlap(cfg, train(10, width=20.0)) == pytest.approx(expected)
+        assert expected_pair_overlap(cfg, train(10, width=20.0)) == pytest.approx(expected)
         # factor agrees with a Monte Carlo average
         rng = np.random.default_rng(0)
         du = np.abs(rng.uniform(0, 20, 2_000_000) - rng.uniform(0, 20, 2_000_000))
@@ -184,7 +125,7 @@ class TestPairwiseOverlap:
         lo = emitter(dephasing_linewidth_ghz=min(d1, d2), spectral_diffusion_sigma_ghz=min(s1, s2))
         hi = emitter(dephasing_linewidth_ghz=max(d1, d2), spectral_diffusion_sigma_ghz=max(s1, s2))
         tr = train(10)
-        assert pairwise_overlap(hi, tr) <= pairwise_overlap(lo, tr) + 1e-12
+        assert expected_pair_overlap(hi, tr) <= expected_pair_overlap(lo, tr) + 1e-12
 
     def test_engine_matched_expectation(self):
         # expected_pair_overlap is the mean of the interferometer's Gaussian
@@ -197,17 +138,6 @@ class TestPairwiseOverlap:
         d -= 0.5 * 0.05 * np.tan(np.pi * (rng.random(2_000_000) - 0.5))
         mc = np.exp(-0.5 * (2e-3 * np.pi * d * tau) ** 2).mean()
         assert expected_pair_overlap(cfg, tr) == pytest.approx(mc, abs=5e-4)
-
-    def test_agreement_between_definitions_at_high_overlap(self):
-        # the Gaussian-kernel engine expectation and the Lorentzian-kernel
-        # analytic overlap agree within 2% down to overlaps around 0.9
-        tr = train(10)
-        for dephasing in (0.0, 0.01, 0.03, 0.06):
-            cfg = emitter(dephasing_linewidth_ghz=dephasing)
-            a = pairwise_overlap(cfg, tr)
-            b = expected_pair_overlap(cfg, tr)
-            assert a >= 0.88
-            assert abs(a - b) <= 0.02
 
 
 class TestBlinking:
