@@ -200,9 +200,15 @@ def _take(values: dict, prefix: str) -> dict:
 def _coerce(section: str, key: str, raw: str, conv, path: str):
     try:
         if conv is int:
-            return int(float(raw)) if float(raw) == int(float(raw)) else int(raw)
+            try:
+                return int(raw)  # exact at any size; float would round above 2**53
+            except ValueError:
+                value = float(raw)  # an integral literal such as 1e7
+                if not value.is_integer():
+                    raise
+                return int(value)
         return conv(raw)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a valid {conv.__name__}") from exc
 
 
@@ -257,6 +263,9 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
         raise ConfigError(f"{path}: workers must be >= 1")
     if run["n_pulses"] < 1:
         raise ConfigError(f"{path}: n_pulses must be >= 1")
+    for key in ("bin_width_ps", "lifetime_bin_width_ps"):
+        if analysis[key] < 1:
+            raise ConfigError(f"{path}: [analysis] {key} must be >= 1")
     train = PulseTrainConfig(n_pulses=run["n_pulses"], **table["pulse_train"])
 
     emitter = conversion = None

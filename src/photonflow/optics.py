@@ -204,19 +204,79 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
     """Greedy dead-time veto on a sorted tag array.
 
     A tag closer than dead_time to the previous accepted tag is discarded;
-    vetoed tags do not extend the dead window.  The jump table (first index
-    past each tag's dead window) is built vectorized, then the accepted set is
-    the orbit of the first tag under it.
+    vetoed tags do not extend the dead window.  With ``jumps[i]`` the first
+    index past tag i's dead window, the accepted set is the orbit of index 0
+    under ``jumps``.  It is found exactly without a per-tag Python loop:
+
+    1. the array is cut into segments of ceil(sqrt(n)) tags.  The first orbit
+       index at or past a segment start ``s`` lies in ``[s, jumps[s - 1]]``,
+       because the orbit index before it is at most ``s - 1`` and ``jumps``
+       is monotone; those indices, capped at the segment end, are the
+       segment's candidate entries;
+    2. a walk starts from every candidate and all walks step in lockstep
+       until they leave their segment, which gives each candidate's exit.
+       Orbits under a monotone jump table never cross, so when two walks of
+       a segment land on the same index the right one is dropped and takes
+       the exit of the nearest surviving walk to its left.  Walks that never
+       merge visit disjoint indices, so the walking costs O(n) in total;
+    3. the true entries are stitched from index 0, one Python step per
+       segment the orbit enters, and only their orbits are walked again to
+       mark the kept tags.
+
+    Time is O(n log n), set by the ``searchsorted`` that builds the jump
+    table; memory is O(n).  Returns the kept tags and the vetoed count.
     """
     tags_ps = np.asarray(tags_ps, dtype=np.int64)
     n = int(tags_ps.size)
     if dead_time_ps <= 0 or n < 2:
         return tags_ps, 0
     jumps = np.searchsorted(tags_ps, tags_ps + dead_time_ps, side="left")
-    accepted = []
-    i = 0
-    while i < n:
-        accepted.append(i)
-        i = jumps[i]
-    kept = tags_ps[np.asarray(accepted, dtype=np.int64)]
+    seg = math.isqrt(n - 1) + 1
+    starts = np.arange(0, n, seg)
+    ends = np.minimum(starts + seg, n)
+    last = np.zeros_like(starts)  # the orbit starts at index 0
+    np.minimum(jumps[starts[1:] - 1], ends[1:] - 1, out=last[1:])
+    counts = last - starts + 1
+    first = np.cumsum(counts) - counts  # walk id of each segment's first candidate
+    n_walks = int(counts.sum())
+
+    ids = np.arange(n_walks)
+    pos = ids - np.repeat(first - starts, counts)
+    end = np.repeat(ends, counts)
+    exits = np.empty(n_walks, dtype=np.int64)
+    merged = np.zeros(n_walks, dtype=bool)
+    while ids.size:
+        pos = jumps[pos]
+        out = pos >= end
+        if out.any():
+            exits[ids[out]] = pos[out]
+            stay = ~out
+            ids, pos, end = ids[stay], pos[stay], end[stay]
+        # walks still inside a segment are ordered by position within it
+        dup = pos[1:] == pos[:-1]
+        if dup.any():
+            merged[ids[1:][dup]] = True
+            stay = np.concatenate(([True], ~dup))
+            ids, pos, end = ids[stay], pos[stay], end[stay]
+    exits = exits[np.maximum.accumulate(np.where(merged, 0, np.arange(n_walks)))]
+
+    # an exit is the first orbit index past its segment, so it is a
+    # candidate entry of the segment it lies in
+    entries = []
+    entry = 0
+    first = first.tolist()
+    while entry < n:
+        entries.append(entry)
+        k = entry // seg
+        entry = int(exits[first[k] + entry - k * seg])
+
+    keep = np.zeros(n, dtype=bool)
+    pos = np.asarray(entries, dtype=np.int64)
+    end = ends[pos // seg]
+    while pos.size:
+        keep[pos] = True
+        pos = jumps[pos]
+        stay = pos < end
+        pos, end = pos[stay], end[stay]
+    kept = tags_ps[keep]
     return kept, n - kept.size

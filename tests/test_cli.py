@@ -150,6 +150,29 @@ class TestConfigValidation:
         assert "n_pulses" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["bin_width_ps", "lifetime_bin_width_ps"])
+    def test_bin_width_must_be_positive(self, tmp_path, capsys, key):
+        # a zero bin width is rejected at load, before the output directory exists
+        body = HBT_CONFIG.replace("[analysis]\nbin_width_ps = 100", f"[analysis]\n{key} = 0")
+        path = write_config(tmp_path, body, outdir=tmp_path / "out")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert cli.main(["run", str(path), "--dry-run"]) == cli.EXIT_CONFIG
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_keys_read_exactly(self, tmp_path, capsys):
+        # 2**53 + 1 has no float64; it must not be read through float
+        seed = 2**53 + 1
+        body = HBT_CONFIG.replace("seed = 31415", f"seed = {seed}")
+        path = write_config(tmp_path, body, outdir=tmp_path / "out")
+        assert load_config(path).seed.master_seed == seed
+        assert cli.main(["run", str(path), "--dry-run"]) == cli.EXIT_OK
+        assert f"run.seed = {seed}" in capsys.readouterr().out.splitlines()
+        body = HBT_CONFIG.replace("n_pulses = 40000", "n_pulses = 4e4")
+        assert load_config(write_config(tmp_path, body, outdir=tmp_path / "out")).n_pulses == 40000
+
     def test_seed_and_workers_override(self, tmp_path):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
         cfg = load_config(path, seed_override=999, workers_override=4)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonflow.conversion import ConversionConfig, dfg_wavelength
 from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
@@ -230,7 +232,75 @@ class TestDetect:
         assert abs(added - sigma**2) < 0.05 * sigma**2
 
 
+def _dead_time_oracle(tags_ps, dead_time_ps):
+    """Reference veto: walk the accepted orbit one tag at a time."""
+    tags_ps = np.asarray(tags_ps, dtype=np.int64)
+    n = int(tags_ps.size)
+    if dead_time_ps <= 0 or n < 2:
+        return tags_ps, 0
+    jumps = np.searchsorted(tags_ps, tags_ps + dead_time_ps, side="left")
+    accepted = []
+    i = 0
+    while i < n:
+        accepted.append(i)
+        i = jumps[i]
+    kept = tags_ps[np.asarray(accepted, dtype=np.int64)]
+    return kept, n - kept.size
+
+
+def _straddling_bursts(n, half, dead_time_ps):
+    """Tags two dead times apart, except a burst of equal tags around each
+    start of the ceil(sqrt(n))-long segments ``apply_dead_time`` cuts."""
+    seg = math.isqrt(max(n - 1, 0)) + 1
+    idx = np.arange(n)
+    k = (idx + half) // seg
+    burst = (np.abs(idx - k * seg) < half) & (k > 0)
+    return np.where(burst, k * seg - half, idx).astype(np.int64) * 2 * dead_time_ps
+
+
+@st.composite
+def veto_cases(draw):
+    dead = draw(st.integers(1, 40))
+    root = draw(st.integers(1, 45))
+    # n of 0, 1 and 2, and n on either side of a square, where the segment length steps
+    n = draw(st.sampled_from([0, 1, 2, root * root - 1, root * root, root * root + 1]) | st.integers(0, 2000))
+    shape = draw(st.sampled_from(["clustered", "periodic", "bursts"]))
+    if shape == "clustered":
+        # zero gaps make duplicate tags
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tags = np.cumsum(rng.integers(0, 2 * dead + 1, n))
+    elif shape == "periodic":
+        # jumps[i] = i + ceil(dead / step): walks from different residues never merge
+        tags = draw(st.integers(1, dead)) * np.arange(n)
+    else:
+        seg = math.isqrt(max(n - 1, 0)) + 1
+        tags = _straddling_bursts(n, draw(st.integers(1, max(1, seg // 2))), dead)
+    tags = tags.astype(np.int64) + draw(st.integers(0, 10**6))
+    if n and draw(st.booleans()):
+        dead = max(1, int(tags[-1] - tags[0]) + draw(st.integers(0, 2)))  # the whole span
+    return tags, dead
+
+
 class TestApplyDeadTime:
+    @given(veto_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, case):
+        tags, dead = case
+        kept, vetoed = apply_dead_time(tags, dead)
+        want, want_vetoed = _dead_time_oracle(tags, dead)
+        assert np.array_equal(kept, want)
+        assert vetoed == want_vetoed
+
+    def test_straddling_bursts_match_the_loop(self):
+        # the burst tags past each segment start are its candidate entries,
+        # and their walks merge at the first step
+        tags = _straddling_bursts(100_003, 150, 1000)
+        assert np.all(np.diff(tags) >= 0)
+        kept, vetoed = apply_dead_time(tags, 1000)
+        want, want_vetoed = _dead_time_oracle(tags, 1000)
+        assert np.array_equal(kept, want)
+        assert vetoed == want_vetoed > 0
+
     def test_greedy_semantics(self):
         tags = np.array([0, 10, 20, 30, 100, 105, 200])
         kept, vetoed = apply_dead_time(tags, 25)
