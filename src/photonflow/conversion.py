@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .core import ConfigError, Wavelength
 
@@ -128,6 +127,8 @@ def saturation_curve(p_mw, eta_max: float, p_sat_mw: float):
 
 def fit_saturation(points: list[tuple[float, float]]) -> SaturationFit:
     """Least-squares fit of the sin^2 saturation model to (power, efficiency) points."""
+    from scipy.optimize import curve_fit  # only the saturation scan needs scipy
+
     if len(points) < 4:
         raise FitError(f"need at least 4 scan points, got {len(points)}")
     p = np.asarray([pt[0] for pt in points], dtype=float)

@@ -209,10 +209,11 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
     under ``jumps``.  It is found exactly without a per-tag Python loop:
 
     1. the array is cut into segments of ceil(sqrt(n)) tags.  The first orbit
-       index at or past a segment start ``s`` lies in ``[s, jumps[s - 1]]``,
-       because the orbit index before it is at most ``s - 1`` and ``jumps``
-       is monotone; those indices, capped at the segment end, are the
-       segment's candidate entries;
+       index at or past a segment start is the jump target of an orbit index
+       before that start.  So the segment's candidate entries are the
+       distinct jump targets inside it whose first source index (``jumps``
+       is monotone) lies before its start, plus index 0 for the first
+       segment;
     2. a walk starts from every candidate and all walks step in lockstep
        until they leave their segment, which gives each candidate's exit.
        Orbits under a monotone jump table never cross, so when two walks of
@@ -231,18 +232,27 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
     if dead_time_ps <= 0 or n < 2:
         return tags_ps, 0
     jumps = np.searchsorted(tags_ps, tags_ps + dead_time_ps, side="left")
+    # the sources before each segment start s that jump into the segment are
+    # the range [first index with jump >= s, min(s, first index with jump >= end))
     seg = math.isqrt(n - 1) + 1
-    starts = np.arange(0, n, seg)
-    ends = np.minimum(starts + seg, n)
-    last = np.zeros_like(starts)  # the orbit starts at index 0
-    np.minimum(jumps[starts[1:] - 1], ends[1:] - 1, out=last[1:])
-    counts = last - starts + 1
-    first = np.cumsum(counts) - counts  # walk id of each segment's first candidate
-    n_walks = int(counts.sum())
+    seg_starts = np.arange(seg, n, seg)
+    lo = np.searchsorted(jumps, seg_starts)
+    hi = np.minimum(np.searchsorted(jumps, np.minimum(seg_starts + seg, n)), seg_starts)
+    sizes = hi - lo
+    sources = np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    targets = jumps[sources]
+    # ranges of different segments hold targets in different segments, so a
+    # target that differs from its left neighbour is new
+    distinct = np.ones(targets.size, dtype=bool)
+    distinct[1:] = targets[1:] != targets[:-1]
+    starts = np.concatenate(([0], targets[distinct]))
+    n_walks = starts.size
 
     ids = np.arange(n_walks)
-    pos = ids - np.repeat(first - starts, counts)
-    end = np.repeat(ends, counts)
+    pos = starts
+    # each walk runs until the end of its start's segment; starts are sorted
+    seg_ends = np.minimum(np.arange(seg, n + seg, seg), n)
+    end = np.repeat(seg_ends, np.diff(np.searchsorted(starts, seg_ends), prepend=0))
     exits = np.empty(n_walks, dtype=np.int64)
     merged = np.zeros(n_walks, dtype=bool)
     while ids.size:
@@ -258,21 +268,20 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
             merged[ids[1:][dup]] = True
             stay = np.concatenate(([True], ~dup))
             ids, pos, end = ids[stay], pos[stay], end[stay]
-    exits = exits[np.maximum.accumulate(np.where(merged, 0, np.arange(n_walks)))]
+    if merged.any():
+        exits = exits[np.maximum.accumulate(np.where(merged, 0, np.arange(n_walks)))]
 
     # an exit is the first orbit index past its segment, so it is a
     # candidate entry of the segment it lies in
     entries = []
     entry = 0
-    first = first.tolist()
     while entry < n:
         entries.append(entry)
-        k = entry // seg
-        entry = int(exits[first[k] + entry - k * seg])
+        entry = int(exits[np.searchsorted(starts, entry)])
 
     keep = np.zeros(n, dtype=bool)
     pos = np.asarray(entries, dtype=np.int64)
-    end = ends[pos // seg]
+    end = np.minimum(pos - pos % seg + seg, n)
     while pos.size:
         keep[pos] = True
         pos = jumps[pos]

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import (
     STAGE_DIFFUSION,
@@ -131,7 +130,6 @@ class EmissionBlock:
     sig_detuning_ghz: np.ndarray
     comp_exists: np.ndarray
     comp_time_ps: np.ndarray
-    comp_env_ps: np.ndarray
     comp_detuning_ghz: np.ndarray
 
 
@@ -191,7 +189,6 @@ def sample_emission(
         sig_detuning_ghz=sig_det,
         comp_exists=comp_exists,
         comp_time_ps=comp_time,
-        comp_env_ps=comp_env,
         comp_detuning_ghz=comp_det,
     )
 
@@ -219,5 +216,5 @@ def expected_pair_overlap(cfg: EmitterConfig, train: PulseTrainConfig) -> float:
     """
     tau = cfg.lifetime_tau_ps
     q = cfg.dephasing_linewidth_ghz / natural_linewidth_ghz(tau)
-    spectral = math.exp(q * q / 2.0) * float(erfc(q / math.sqrt(2.0)))
+    spectral = math.exp(q * q / 2.0) * math.erfc(q / math.sqrt(2.0))
     return temporal_jitter_overlap(train.pulse_width_ps, tau) * spectral

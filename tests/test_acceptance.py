@@ -23,10 +23,11 @@ from photonflow.conversion import (
 )
 from photonflow.core import RunSeed, TagStream, Wavelength, substream
 from photonflow.correlate import cross_correlate
-from photonflow.enumeration import hom_pair_central
 from photonflow.io import read_report
 from photonflow.pipeline import run_direct, run_hbt
 from photonflow.source import expected_pair_overlap
+
+from oracles import hom_pair_central
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 

@@ -17,7 +17,10 @@ from photonflow.analysis import (
     integrate_peaks,
     lifetime_model_counts,
 )
+from photonflow.conversion import FitError
 from photonflow.core import CoincidenceHistogram, ConfigError
+
+from oracles import visibility_forward
 
 PERIOD = 1e6 / 73.0
 
@@ -182,6 +185,27 @@ class TestFitLifetime:
         curve = lifetime_model_counts(fit, irf)
         assert curve.sum() == pytest.approx(decay.counts.sum(), rel=0.01)
 
+    def test_unbiased_at_low_counts(self):
+        # 8 ps bins leave the tail with few counts per bin, where weights
+        # taken from the counts bias tau low; the Poisson fit must not
+        taus, errs = [], []
+        for seed in range(2000, 2040):
+            decay, irf = synthetic_decay(tau=271.0, irf_sigma=180.0, n_counts=250_000, seed=seed)
+            fit = fit_lifetime(decay, irf)
+            taus.append(fit.tau_ps)
+            errs.append(fit.tau_err_ps)
+        taus = np.array(taus)
+        standard_error = taus.std(ddof=1) / math.sqrt(taus.size)
+        assert abs(taus.mean() - 271.0) <= 3 * standard_error
+        pulls = (taus - 271.0) / np.array(errs)
+        assert 0.8 <= pulls.std(ddof=1) <= 1.25
+
+    def test_degenerate_histograms_raise_fit_error(self):
+        # a flat decay over a flat IRF fixes neither tau nor t0
+        flat = CoincidenceHistogram(8, -6848.0, np.full(1713, 5, dtype=np.int64))
+        with pytest.raises(FitError):
+            fit_lifetime(flat, flat)
+
     def test_binning_mismatch_rejected(self):
         decay, irf = synthetic_decay(271.0, 100.0, 10_000)
         other = CoincidenceHistogram(irf.bin_width_ps * 2, irf.offset_ps, irf.counts[::2].copy())
@@ -227,7 +251,7 @@ class TestEstimateVisibility:
     @settings(max_examples=40, deadline=None)
     def test_inversion_recovers_model_truth(self, m, g2, r2, eps):
         calib = VisibilityCalib(r2=r2, t2=1.0 - r2, epsilon=eps, g2=g2)
-        a_perp, a_par = calib.model().forward(m, g2, eps)
+        a_perp, a_par = visibility_forward(calib.model(), m, g2, eps)
         scale = 10**7  # large counts so integer rounding is negligible
         h_co, h_cross = visibility_histograms(a_perp, a_par, norm=scale)
         result = estimate_visibility(h_co, h_cross, 500_000, calib, PERIOD, 2000)

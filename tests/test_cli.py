@@ -2,15 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import photonflow
 from photonflow import cli, io
 from photonflow.config import load_config
 from photonflow.core import ConfigError
 from photonflow.pipeline import PATH_DELAY_PS
+
+from test_golden import cli_config_text
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -361,3 +366,45 @@ class TestProfiles:
             "rate",
             "saturation_scan",
         )
+
+
+# Runs in a fresh interpreter: imports the CLI, runs each profile and lists the
+# scipy modules loaded after each step.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from photonflow import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = {"import": [0, scipy_modules()]}
+for name, config, outdir in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", config, "--output", outdir])
+    steps[name] = [code, scipy_modules()]
+print(json.dumps(steps))
+"""
+
+
+class TestColdStart:
+    def test_scipy_stays_off_the_run_path(self, tmp_path):
+        # only the saturation scan's curve fit needs scipy; it runs last, and
+        # its scipy import shows that the probe sees one when it happens
+        runs = []
+        for name in ("hbt_930", "hom_930", "lifetime_1550", "rate_1550", "saturation"):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(cli_config_text(name))
+            runs.append((name, str(config), str(tmp_path / name)))
+        src = Path(photonflow.__file__).resolve().parent.parent
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        saturation = steps.pop("saturation")
+        assert steps == {step: [cli.EXIT_OK, []] for step in steps}
+        assert set(steps) == {"import", "hbt_930", "hom_930", "lifetime_1550", "rate_1550"}
+        assert saturation[0] == cli.EXIT_OK and "scipy.optimize" in saturation[1]

@@ -150,16 +150,16 @@ CLI_GOLDEN = {
         "decay_hist.csv": "7e84c750c752ffe6815c56c4ed67fed9afa7f92bf86de1e0a75546d55c84d2be",
         "irf_hist.csv": "8e6824b37420ab46ed29eabffe9c17744a88a7a7c8112116558779ad064534ff",
         "irf_tags_ch0.pftg": "cde7723665e38d4c4e89e1990a8a96d506845b2c90dbfbd97d96ec0aeb3bafe5",
-        "lifetime_fit.svg": "c83da6ee4926780f8281749781ba52d0c6bdc7a19e21af47af943b4e6d123164",
-        "report.txt": "f06e755bd97757f8f29f2dacab3af0271eae98b4f545b16e0aff6a1ae7def7cf",
+        "lifetime_fit.svg": "b9005409b3b48478dfc8e05d3aa30b36176dd5ccc953ddb935d868a0989acae7",
+        "report.txt": "ea7748687fbfab8d97276aa907dbadf1c35752b346642df16ef493e097e8286b",
         "tags_ch0.pftg": "d2af95252c3a7824b651bb436723dfe066a8d231b5463697386ca01f097c7732",
     },
     "lifetime_930": {
         "decay_hist.csv": "e8150babc049d3d3c38957ed81877f0ad1e041cff365df813a1bc9e16e85f69d",
         "irf_hist.csv": "059d243279362b69697ead96ec9b206f535aa09d4906aec097324bb1a84a3ed8",
         "irf_tags_ch0.pftg": "8cdfef9c5c48154f286e2cbf1d9ffa93f64a0b6f1d64a102fa741ddb0db04527",
-        "lifetime_fit.svg": "bc9ec6caf439122c0b0032e6f01c3b5cd161677d1e7e263abd267265cbc004c3",
-        "report.txt": "0ebdead13ffa469ead0cc3ce0c4e4f4cb39ae592dc8ea0e4775af2ea15f53704",
+        "lifetime_fit.svg": "03093efb7f34e3e3f0cf9b0d0e95c3bb7fafc1b1570b731f50c0aa37b6c289b2",
+        "report.txt": "d79b2f0aba05106d71307562a57b6edef6a73d6bfe675dbc507baf0857ec5626",
         "tags_ch0.pftg": "bb7641f0a3fbbfbd488432e393739cced400e0e5b7bec9fbafd9302770de331d",
     },
     "rate_1550": {

@@ -292,8 +292,8 @@ class TestApplyDeadTime:
         assert vetoed == want_vetoed
 
     def test_straddling_bursts_match_the_loop(self):
-        # the burst tags past each segment start are its candidate entries,
-        # and their walks merge at the first step
+        # each burst straddles a segment start, so the segment is entered from
+        # burst tags that lie before the start
         tags = _straddling_bursts(100_003, 150, 1000)
         assert np.all(np.diff(tags) >= 0)
         kept, vetoed = apply_dead_time(tags, 1000)

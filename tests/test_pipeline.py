@@ -13,7 +13,7 @@ from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, inte
 from photonflow.conversion import ConversionConfig
 from photonflow.core import STAGE_ROUTE, ConfigError, PulseTrainConfig, RunSeed, Wavelength
 from photonflow.correlate import cross_correlate
-from photonflow.enumeration import calibrate_p_multi, hbt_expected, visibility_model
+from photonflow.enumeration import hbt_expected, visibility_model
 from photonflow.optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
 from photonflow.pipeline import (
     Pipeline,
@@ -24,6 +24,8 @@ from photonflow.pipeline import (
     run_hom,
 )
 from photonflow.source import EmitterConfig
+
+from oracles import calibrate_p_multi
 
 PERIOD = 1e6 / 73.0
 DELAY = round(PERIOD)
