@@ -284,22 +284,19 @@ class VisibilityResult:
 
 
 def estimate_visibility(
-    h_co: CoincidenceHistogram,
-    h_cross: CoincidenceHistogram,
+    peaks_co: PeakIntegration,
+    peaks_cross: PeakIntegration,
     norm_delay_ps: float,
     calib: VisibilityCalib,
     rep_period_ps: float,
-    half_window_ps: int,
 ) -> VisibilityResult:
-    """Raw and corrected visibility from the two polarization traces.
+    """Raw and corrected visibility from the peak areas of the two polarization traces.
 
     Each trace's central area is normalized by its own side peak at the
     normalization delay; the corrected value inverts the enumerated
     coincidence model using the supplied splitting ratios, interferometer
     visibility, and independently measured central-peak ratio.
     """
-    peaks_co = integrate_peaks(h_co, rep_period_ps, half_window_ps)
-    peaks_cross = integrate_peaks(h_cross, rep_period_ps, half_window_ps)
     c_par, _ = peaks_co.area_at(0.0, rep_period_ps)
     c_perp, _ = peaks_cross.area_at(0.0, rep_period_ps)
     n_par, _ = peaks_co.area_at(norm_delay_ps, rep_period_ps)

@@ -220,6 +220,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         pipe, [cfg.interferometer(pol) for pol in polarizations], cfg.det1, cfg.det2, workers=cfg.workers
     )
     histograms: dict[str, object] = {}
+    peaks: dict[str, object] = {}
     report: dict = {}
     for pol, result in zip(polarizations, paired.by_setting()):
         tag = pol.value
@@ -230,9 +231,9 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         histograms[tag] = hist
         if art.want_csv():
             io.write_histogram_csv(art.path(f"correlation_{tag}.csv"), hist)
-        peaks = integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)
-        central, _ = peaks.area_at(0.0, cfg.train.period_ps)
-        norm, _ = peaks.area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
+        peaks[tag] = integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)
+        central, _ = peaks[tag].area_at(0.0, cfg.train.period_ps)
+        norm, _ = peaks[tag].area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
         report[f"central_area_{tag}"] = central
         report[f"norm_area_{tag}"] = norm
 
@@ -247,12 +248,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
             t1=cfg.bs1.t,
         )
         vis = estimate_visibility(
-            histograms["co"],
-            histograms["cross"],
-            cfg.analysis.norm_delay_ps,
-            calib,
-            cfg.train.period_ps,
-            cfg.analysis.peak_half_window_ps,
+            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, calib, cfg.train.period_ps
         )
         flagged = vis.flagged
         report.update(
@@ -433,7 +429,7 @@ def cmd_compare(args) -> int:
     try:
         ra = io.read_report(Path(args.run_a) / "report.txt")
         rb = io.read_report(Path(args.run_b) / "report.txt")
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if ra.get("experiment") != rb.get("experiment"):
@@ -442,30 +438,33 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
+    keys = [key for key in ra if f"{key}_err" in ra and key in rb and f"{key}_err" in rb]
+    if not keys:
+        print("no paired quantities with uncertainties found", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        values = {key: [float(r[name]) for r in (ra, rb) for name in (key, f"{key}_err")] for key in keys}
+    except ValueError as exc:
+        print(f"error: malformed report value: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     all_consistent = True
-    compared = 0
     print(f"{'quantity':<22}{'a':>14}{'b':>14}{'delta':>12}{'sigma':>12}  verdict")
-    for key in ra:
-        err_key = f"{key}_err"
-        if err_key not in ra or key not in rb or err_key not in rb:
-            continue
-        va, vb = float(ra[key]), float(rb[key])
-        sigma_joint = float(np.hypot(ra[err_key], rb[err_key]))
+    for key, (va, ea, vb, eb) in values.items():
+        sigma_joint = float(np.hypot(ea, eb))
         delta = vb - va
         consistent = abs(delta) <= 2.0 * sigma_joint
         all_consistent &= consistent
-        compared += 1
         verdict = "consistent" if consistent else "INCONSISTENT"
         print(f"{key:<22}{va:>14.6g}{vb:>14.6g}{delta:>12.3g}{sigma_joint:>12.3g}  {verdict}")
-    if compared == 0:
-        print("no paired quantities with uncertainties found", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK if all_consistent else EXIT_RUNTIME
 
 
 def _read_manifest_artifacts(run_dir: Path) -> dict[str, str]:
-    """The manifest's artifact name -> sha256 table; ConfigError if it is malformed."""
+    """The manifest's artifact name -> sha256 table; ConfigError if it is malformed.
+
+    A name that is absolute or resolves outside ``run_dir`` makes it malformed.
+    """
     path = run_dir / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
@@ -476,6 +475,14 @@ def _read_manifest_artifacts(run_dir: Path) -> dict[str, str]:
         isinstance(name, str) and isinstance(digest, str) for name, digest in artifacts.items()
     ):
         raise ConfigError(f"{path}: no 'artifacts' table of file name to sha256")
+    root = run_dir.resolve()
+    for name in artifacts:
+        try:
+            inside = not Path(name).is_absolute() and (run_dir / name).resolve().is_relative_to(root)
+        except ValueError:  # a NUL byte in the name
+            inside = False
+        if not inside:
+            raise ConfigError(f"{path}: artifact {name!r} is not a file name inside the run directory")
     return artifacts
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, Wavelength
+from .core import ConfigError, Wavelength, poisson_times
 
 _FWHM_TO_GAUSS = 4.0 * math.log(2.0)  # exp(-4 ln2 (d/FWHM)^2) is 1/2 at d = FWHM/2
 
@@ -187,11 +187,7 @@ def sample_noise_times(
     t0, t1 = window_ps
     if t1 <= t0:
         raise ConfigError("noise window must have t1 > t0")
-    if cfg.noise_rate_cps == 0:
-        return np.empty(0, dtype=np.int64)
-    mean = cfg.noise_rate_cps * (t1 - t0) * 1e-12
-    count = rng.poisson(mean)
-    times = t0 + np.floor(rng.random(count) * (t1 - t0)).astype(np.int64)
+    times = poisson_times(cfg.noise_rate_cps, window_ps, rng)
     times.sort()
     return times
 

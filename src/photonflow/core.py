@@ -189,3 +189,16 @@ def substream(seed: RunSeed, pulse_index: int, stage_id: int) -> np.random.Gener
         spawn_key=(seed.stage_base + stage_id, pulse_index),
     )
     return np.random.Generator(np.random.Philox(ss))
+
+
+def poisson_times(rate_cps: float, window_ps: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """Unsorted integer-ps event times of a Poisson process over [t0, t1).
+
+    Draws the count, then one uniform per event; an empty window or a zero
+    rate draws nothing.
+    """
+    t0, t1 = window_ps
+    if rate_cps == 0 or t1 <= t0:
+        return np.empty(0, dtype=np.int64)
+    count = rng.poisson(rate_cps * (t1 - t0) * 1e-12)
+    return t0 + np.floor(rng.random(count) * (t1 - t0)).astype(np.int64)

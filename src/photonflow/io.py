@@ -81,9 +81,9 @@ def read_report(path: str | Path) -> dict:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key:
+        if not sep or not key:
             raise ConfigError(f"{path}: malformed report line {line!r}")
         try:
             items[key] = int(value)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, poisson_times
 
 # beyond this phase-mismatch argument the pair is treated as fully distinguishable
 COHERENCE_X_MAX = 6.0
@@ -193,11 +193,8 @@ def register_arrivals(
 def sample_dark_counts(
     cfg: DetectorConfig, window_ps: tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
-    t0, t1 = window_ps
-    if cfg.dark_rate_cps == 0 or t1 <= t0:
-        return np.empty(0, dtype=np.int64)
-    count = rng.poisson(cfg.dark_rate_cps * (t1 - t0) * 1e-12)
-    return t0 + np.floor(rng.random(count) * (t1 - t0)).astype(np.int64)
+    """Unsorted dark-count times of one detector over ``window_ps``."""
+    return poisson_times(cfg.dark_rate_cps, window_ps, rng)
 
 
 def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray, int]:

@@ -11,7 +11,8 @@ it.  Results are therefore bit-identical for any worker count.
 All three topologies run through one block driver.  It emits the block's
 photons, sends signal, companion and noise photons alike through the
 topology's routing function, which maps each photon's route uniforms to a
-detector port and an arm delay, then registers them and adds dark counts.
+detector port and an arm delay, registers them as one table split by port,
+and adds dark counts.
 Direct detection is one port and draws no route uniforms; the splitter reads
 one per photon; the interferometer reads two and adds a meeting-pair step,
 where photon pairs that meet at the output splitter get a joint port draw
@@ -74,6 +75,7 @@ from .optics import (
 from .source import (
     EMIT_DRAWS_PER_PULSE,
     BlinkTable,
+    EmissionBlock,
     EmitterConfig,
     diffusion_offsets_ghz,
     sample_emission,
@@ -157,22 +159,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # chunk-keyed draw reconstruction
 
-@dataclass
-class _Rows:
-    """Per-pulse samples for rows [0, n) of one chunk's fixed-layout draws."""
-
-    sig_exists: np.ndarray
-    sig_ok: np.ndarray  # exists and survived conversion
-    sig_time: np.ndarray
-    sig_env: np.ndarray
-    sig_det: np.ndarray
-    comp_exists: np.ndarray
-    comp_ok: np.ndarray
-    comp_time: np.ndarray
-    det_u: np.ndarray | None  # (n, 2) efficiency uniforms: signal, companion
-    det_z: np.ndarray | None  # (n, 2) jitter normals
-
-
 def _uniform_rows(
     seed: RunSeed, chunk_start: int, stage: int, first_row: int, n_rows: int, width: int
 ) -> np.ndarray:
@@ -193,12 +179,11 @@ def _uniform_rows(
 
 def _emission_rows(
     pipe: Pipeline, chunk_start: int, n_rows: int, blink: BlinkTable | None, first_row: int = 0
-) -> _Rows:
-    """Rows [first_row, first_row + n_rows) of chunk ``chunk_start``'s draws.
+) -> tuple[EmissionBlock, np.ndarray, np.ndarray]:
+    """Rows [first_row, first_row + n_rows) of chunk ``chunk_start``'s emission.
 
-    A read that does not start at row 0 leaves out the detection draws: the
-    jitter normals come from the ziggurat, which consumes a varying number of
-    words per value, so that stream cannot be advanced to a row.
+    Returns the emission plus the ``sig_ok`` and ``comp_ok`` masks: the
+    photon exists and survived conversion.
     """
     seed, emitter, train = pipe.seed, pipe.emitter, pipe.train
     uniforms = _uniform_rows(seed, chunk_start, STAGE_EMIT, first_row, n_rows, EMIT_DRAWS_PER_PULSE)
@@ -218,38 +203,25 @@ def _emission_rows(
         bright = np.ones(n_rows, dtype=bool)
 
     block = sample_emission(emitter, train, first_pulse, uniforms, wander, bright)
+    if pipe.conversion is None:
+        return block, block.sig_exists, block.comp_exists
+    u_conv = _uniform_rows(seed, chunk_start, STAGE_CONVERT, first_row, n_rows, 2)
+    offset = pipe.filter_center_offset_ghz()
+    survive = survival_probability(pipe.conversion, block.sig_detuning_ghz, offset)
+    sig_ok = block.sig_exists & (u_conv[:, 0] < survive)
+    survive = survival_probability(pipe.conversion, block.comp_detuning_ghz, offset)
+    return block, sig_ok, block.comp_exists & (u_conv[:, 1] < survive)
 
-    if pipe.conversion is not None:
-        u_conv = _uniform_rows(seed, chunk_start, STAGE_CONVERT, first_row, n_rows, 2)
-        offset = pipe.filter_center_offset_ghz()
-        sig_ok = block.sig_exists & (
-            u_conv[:, 0] < survival_probability(pipe.conversion, block.sig_detuning_ghz, offset)
-        )
-        comp_ok = block.comp_exists & (
-            u_conv[:, 1] < survival_probability(pipe.conversion, block.comp_detuning_ghz, offset)
-        )
-    else:
-        sig_ok = block.sig_exists
-        comp_ok = block.comp_exists
 
-    if first_row == 0:
-        det_u = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
-        det_z = substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
-    else:
-        det_u = det_z = None
+def _detection_rows(seed: RunSeed, chunk_start: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [0, n_rows) of a chunk's (rows, 2) efficiency uniforms and jitter normals.
 
-    return _Rows(
-        sig_exists=block.sig_exists,
-        sig_ok=sig_ok,
-        sig_time=block.sig_time_ps,
-        sig_env=block.sig_env_ps,
-        sig_det=block.sig_detuning_ghz,
-        comp_exists=block.comp_exists,
-        comp_ok=comp_ok,
-        comp_time=block.comp_time_ps,
-        det_u=det_u,
-        det_z=det_z,
-    )
+    Column 0 is the signal photon, column 1 the companion.  Reads start at
+    row 0: the normals come from the ziggurat, which consumes a varying
+    number of words per value, so that stream cannot be advanced to a row.
+    """
+    u_eff = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
+    return u_eff, substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
 
 
 def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
@@ -260,7 +232,7 @@ def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
 
 
 # ---------------------------------------------------------------------------
-# photon batches and per-channel tag accumulation
+# the block driver and the three topologies
 
 class _Photons(NamedTuple):
     """Photons entering a topology, one array entry per photon."""
@@ -277,137 +249,88 @@ class _Photons(NamedTuple):
         return _Photons(self.time[idx], self.u_eff[idx], self.z[idx], tuple(u[idx] for u in self.u_route))
 
 
-class _ChannelSink:
-    """Collects (arrival, efficiency uniform, jitter normal) per channel."""
-
-    def __init__(self, n_channels: int):
-        self.arrivals = [[] for _ in range(n_channels)]
-        self.u_eff = [[] for _ in range(n_channels)]
-        self.z = [[] for _ in range(n_channels)]
-        self.dark = [[] for _ in range(n_channels)]
-
-    def add(self, ports: np.ndarray, arrivals, u_eff, z) -> int:
-        """Route by port code (0/1 detector, negative lost); returns lost count."""
-        for channel in range(len(self.arrivals)):
-            idx = np.flatnonzero(ports == channel)
-            if idx.size:
-                self.arrivals[channel].append(arrivals[idx])
-                self.u_eff[channel].append(u_eff[idx])
-                self.z[channel].append(z[idx])
-        return int(np.count_nonzero(ports < 0))
-
-    def register(
-        self, detectors: tuple[DetectorConfig, ...], channel_stats: tuple[DetectStats, ...]
-    ) -> list[np.ndarray]:
-        """Unsorted tags per channel, dark counts included; counts go to ``channel_stats``."""
-        out = []
-        for ch, cfg in enumerate(detectors):
-            if self.arrivals[ch]:
-                arrivals = np.concatenate(self.arrivals[ch])
-                u = np.concatenate(self.u_eff[ch])
-                z = np.concatenate(self.z[ch])
-            else:
-                arrivals = np.empty(0, dtype=np.int64)
-                u = np.empty(0)
-                z = np.empty(0)
-            tags = register_arrivals(cfg, arrivals, u, z, channel_stats[ch]) + PATH_DELAY_PS
-            if self.dark[ch]:
-                dark = np.concatenate(self.dark[ch])
-                channel_stats[ch].dark += int(dark.size)
-                tags = np.concatenate([tags, dark])
-            out.append(tags)
-        return out
-
-
-def _block_window_ps(train: PulseTrainConfig, i0: int, i1: int) -> tuple[int, int]:
-    return int(train.pulse_start_ps(i0)), int(train.pulse_start_ps(i1))
-
-
-def _dark_counts(
-    pipe: Pipeline, detectors, i0: int, i1: int, sink: _ChannelSink
-) -> None:
-    if not any(d.dark_rate_cps > 0 for d in detectors):
-        return
-    rng = substream(pipe.seed, i0, STAGE_DARK)
-    t0, t1 = _block_window_ps(pipe.train, i0, i1)
-    window = (t0 + PATH_DELAY_PS, t1 + PATH_DELAY_PS)
+def _register(detectors, ports, arrivals, u_eff, z) -> tuple[list[np.ndarray], list[DetectStats]]:
+    """Unsorted tags and detection stats per detector of photons routed to ``ports``."""
+    tags, stats = [], []
     for ch, det in enumerate(detectors):
-        sink.dark[ch].append(sample_dark_counts(det, window, rng))
+        idx = np.flatnonzero(ports == ch)
+        stats.append(DetectStats())
+        tags.append(register_arrivals(det, arrivals[idx], u_eff[idx], z[idx], stats[-1]) + PATH_DELAY_PS)
+    return tags, stats
 
 
-def _noise_photons(pipe: Pipeline, i0: int, i1: int) -> tuple[np.ndarray, np.random.Generator | None]:
-    """Noise photon times for this block plus the stream for their later draws."""
-    if pipe.conversion is None or pipe.conversion.noise_rate_cps == 0:
-        return np.empty(0, dtype=np.int64), None
-    rng = substream(pipe.seed, i0, STAGE_NOISE)
-    window = _block_window_ps(pipe.train, i0, i1)
-    return sample_noise_times(pipe.conversion, window, rng), rng
-
-
-# ---------------------------------------------------------------------------
-# the block driver and the three topologies
-
-def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs=None):
+def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs):
     """One block of any topology: emission, routing, registration, dark counts.
 
     ``route`` maps photons, through their ``n_route`` route uniforms, to a
     port each (0/1 detector, negative lost) and an arm delay.  Signal,
     companion and noise photons all go through it; the route table holds
     signal columns 0-1 and companion columns 2-3, and a topology that reads
-    no column does not draw it.  ``pairs(rows, signal)`` is the interferometer's
-    meeting-pair step: given the signal photons of every row it returns the
-    ones left for independent routing and one sink per setting with the
-    jointly routed ones.  Tags and channel stats are ordered (setting,
-    detector).
+    no column does not draw it.  ``pairs(block, sig_ok, signal)`` is the
+    interferometer's meeting-pair step: given the signal photons of every
+    row it returns the ones left for routing and, for each setting, the
+    ``(ports, arrivals, u_eff, z)`` of the photons it routed jointly.  Without
+    it (``None``) the block has one setting.  The routed photons form one
+    table that is registered once; each setting's pair photons are
+    registered on their own and join its tags and channel stats, which are
+    ordered (setting, detector).
     """
     n = i1 - i0
-    rows = _emission_rows(pipe, i0, n, blink)
+    block, sig_ok, comp_ok = _emission_rows(pipe, i0, n, blink)
+    det_u, det_z = _detection_rows(pipe.seed, i0, n)
     u_route = tuple(_uniform_rows(pipe.seed, i0, STAGE_ROUTE, 0, n, 4).T) if n_route else ()
-    signal = _Photons(rows.sig_time, rows.det_u[:, 0], rows.det_z[:, 0], u_route[:n_route])
-    companion = _Photons(rows.comp_time, rows.det_u[:, 1], rows.det_z[:, 1], u_route[2 : 2 + n_route])
+    signal = _Photons(block.sig_time_ps, det_u[:, 0], det_z[:, 0], u_route[:n_route])
+    companion = _Photons(block.comp_time_ps, det_u[:, 1], det_z[:, 1], u_route[2 : 2 + n_route])
     if pairs is None:
-        solo, pair_sinks = signal.take(rows.sig_ok), [_ChannelSink(len(detectors))]
+        solo, pair_tables = signal.take(sig_ok), [(np.empty(0),) * 4]
     else:
-        solo, pair_sinks = pairs(rows, signal)
-    batches = [solo, companion.take(rows.comp_ok)]
+        solo, pair_tables = pairs(block, sig_ok, signal)
+    batches = [solo, companion.take(comp_ok)]
 
-    noise_times, noise_rng = _noise_photons(pipe, i0, i1)
-    m = noise_times.size
-    if m:
+    t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
+    noise = np.empty(0, dtype=np.int64)
+    if pipe.conversion is not None and pipe.conversion.noise_rate_cps > 0:
+        rng = substream(pipe.seed, i0, STAGE_NOISE)
+        noise = sample_noise_times(pipe.conversion, (t0, t1), rng)
+    if noise.size:
         # one full array per route uniform, then the detection draws
-        u_noise = tuple(noise_rng.random((n_route, m)))
-        batches.append(_Photons(noise_times, noise_rng.random(m), noise_rng.standard_normal(m), u_noise))
+        u_noise = tuple(rng.random((n_route, noise.size)))
+        batches.append(_Photons(noise, rng.random(noise.size), rng.standard_normal(noise.size), u_noise))
 
-    sink = _ChannelSink(len(detectors))  # photons whose port is the same in every setting
-    routed_lost = 0
-    for photons in batches:
-        ports, delay = route(photons)
-        routed_lost += sink.add(ports, photons.time + delay, photons.u_eff, photons.z)
-    _dark_counts(pipe, detectors, i0, i1, sink)
+    routes = [route(photons) for photons in batches]
+    ports = np.concatenate([port for port, _ in routes])
+    shared_tags, shared_stats = _register(
+        detectors,
+        ports,
+        np.concatenate([photons.time + delay for photons, (_, delay) in zip(batches, routes)]),
+        np.concatenate([photons.u_eff for photons in batches]),
+        np.concatenate([photons.z for photons in batches]),
+    )
+    if any(det.dark_rate_cps > 0 for det in detectors):
+        rng = substream(pipe.seed, i0, STAGE_DARK)
+        dark = [sample_dark_counts(det, (t0 + PATH_DELAY_PS, t1 + PATH_DELAY_PS), rng) for det in detectors]
+    else:
+        dark = [np.empty(0, dtype=np.int64)] * len(detectors)
 
-    stats = _new_stats(rows, n_channels=len(detectors) * len(pair_sinks))
-    stats.noise_injected, stats.routed_lost = m, routed_lost
-    shared_stats = tuple(DetectStats() for _ in detectors)
-    shared_tags = sink.register(detectors, shared_stats)
-    tags = []
-    for k, pair_sink in enumerate(pair_sinks):
-        channels = stats.channels[k * len(detectors) : (k + 1) * len(detectors)]
-        for ch, pair_tags in enumerate(pair_sink.register(detectors, channels)):
-            channels[ch].merge(shared_stats[ch])
-            tags.append(np.concatenate([shared_tags[ch], pair_tags]))
-    return tags, stats
-
-
-def _new_stats(rows: _Rows, n_channels: int) -> RunStats:
-    return RunStats(
-        pulses=rows.sig_exists.size,
-        emitted_signal=int(np.count_nonzero(rows.sig_exists)),
-        emitted_multi=int(np.count_nonzero(rows.comp_exists)),
-        conversion_lost=int(
-            np.count_nonzero(rows.sig_exists & ~rows.sig_ok)
-            + np.count_nonzero(rows.comp_exists & ~rows.comp_ok)
-        ),
-        channels=tuple(DetectStats() for _ in range(n_channels)),
+    tags, channels = [], []
+    for table in pair_tables:
+        pair_tags, pair_stats = _register(detectors, *table)
+        for ch, stats in enumerate(pair_stats):
+            stats.merge(shared_stats[ch])
+            stats.dark = int(dark[ch].size)
+            tags.append(np.concatenate([shared_tags[ch], pair_tags[ch], dark[ch]]))
+        channels += pair_stats
+    emitted_signal = int(np.count_nonzero(block.sig_exists))
+    emitted_multi = int(np.count_nonzero(block.comp_exists))
+    converted = int(np.count_nonzero(sig_ok)) + int(np.count_nonzero(comp_ok))
+    return tags, RunStats(
+        pulses=n,
+        emitted_signal=emitted_signal,
+        emitted_multi=emitted_multi,
+        conversion_lost=emitted_signal + emitted_multi - converted,
+        noise_injected=int(noise.size),
+        routed_lost=int(np.count_nonzero(ports < 0)),
+        channels=tuple(channels),
     )
 
 
@@ -437,9 +360,9 @@ def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
 
 
 def _meeting_pairs(
-    pipe: Pipeline, settings: tuple[HomInterferometer, ...], rows: _Rows, signal: _Photons,
-    i0: int, i1: int, blink, n_total: int,
-) -> tuple[_Photons, list[_ChannelSink]]:
+    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, sig_ok: np.ndarray,
+    signal: _Photons, i0: int, i1: int, blink, n_total: int,
+) -> tuple[_Photons, list[tuple[np.ndarray, ...]]]:
     """Signal photon pairs that meet at the output splitter, for one block.
 
     A long-arm photon meets the next pulse's photon if that one takes the
@@ -448,23 +371,30 @@ def _meeting_pairs(
     block owns the pairs whose early photon it holds: the first row of the
     next block (right halo) completes its last pair, and its own first photon
     is left out if the previous block's last pair took it (left halo).
+
+    Returns the signal photons left for independent routing and, for each
+    setting, the ``(ports, arrivals, u_eff, z)`` of the pair photons, early
+    photons first; the arrivals and draws are the same in every setting.
     """
     ifo = settings[0]
     r1, t1 = ifo.bs_in.r, ifo.bs_in.t
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
     n = i1 - i0
-    ok, env, det = rows.sig_ok, rows.sig_env, rows.sig_det
+    ok, env, det = sig_ok, block.sig_env_ps, block.sig_detuning_ghz
     has_halo = i1 < n_total and ok[-1] and signal.u_route[0][-1] < r1
     if has_halo:
-        halo = _emission_rows(pipe, i1, 1, blink)
+        halo, halo_ok, _ = _emission_rows(pipe, i1, 1, blink)
+        halo_u, halo_z = _detection_rows(pipe.seed, i1, 1)
         u_halo = _uniform_rows(pipe.seed, i1, STAGE_ROUTE, 0, 1, 4)[0, :2]
         signal = _Photons(
-            np.append(signal.time, halo.sig_time),
-            np.append(signal.u_eff, halo.det_u[:, 0]),
-            np.append(signal.z, halo.det_z[:, 0]),
+            np.append(signal.time, halo.sig_time_ps),
+            np.append(signal.u_eff, halo_u[:, 0]),
+            np.append(signal.z, halo_z[:, 0]),
             tuple(np.append(u, h) for u, h in zip(signal.u_route, u_halo)),
         )
-        ok, env, det = np.append(ok, halo.sig_ok), np.append(env, halo.sig_env), np.append(det, halo.sig_det)
+        ok = np.append(ok, halo_ok)
+        env = np.append(env, halo.sig_env_ps)
+        det = np.append(det, halo.sig_detuning_ghz)
 
     u_arm, u_port = signal.u_route
     arm = split_ports(u_arm, r1, t1)
@@ -480,31 +410,31 @@ def _meeting_pairs(
         solo[n] &= short_arm[n]  # the halo photon is ours only as the late photon of our last pair
     if i0 > 0 and short_arm[0]:
         prev = i0 - BLOCK_PULSES
-        prev_ok = _emission_rows(pipe, prev, 1, blink, first_row=BLOCK_PULSES - 1).sig_ok[0]
+        _, prev_ok, _ = _emission_rows(pipe, prev, 1, blink, first_row=BLOCK_PULSES - 1)
         prev_long = _uniform_rows(pipe.seed, prev, STAGE_ROUTE, BLOCK_PULSES - 1, 1, 4)[0, 0] < r1
-        solo[0] = not (prev_ok and prev_long)
+        solo[0] = not (prev_ok[0] and prev_long)
 
-    sinks = [_ChannelSink(2) for _ in settings]
+    u_joint = np.empty((0, 2))
     if early.size:
         u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))[early]
-        overlap = pair_overlap(
-            pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
-        )
-        e, l = signal.take(early), signal.take(late)
-        for setting, sink in zip(settings, sinks):
-            m_eff = setting.effective_overlap(overlap)
-            port_e, port_l = joint_ports(r2, t2, m_eff, u_joint[:, 0], u_joint[:, 1])
-            sink.add(port_e, e.time + ifo.arm_delay_ps, e.u_eff, e.z)
-            sink.add(port_l, l.time, l.u_eff, l.z)
-    return signal.take(solo), sinks
+    overlap = pair_overlap(
+        pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
+    )
+    met = signal.take(np.concatenate([early, late]))
+    arrivals = met.time + np.repeat([ifo.arm_delay_ps, 0], early.size)
+    tables = []
+    for setting in settings:
+        ports = joint_ports(r2, t2, setting.effective_overlap(overlap), u_joint[:, 0], u_joint[:, 1])
+        tables.append((np.concatenate(ports), arrivals, met.u_eff, met.z))
+    return signal.take(solo), tables
 
 
 def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink):
-    return _simulate_block(pipe, detectors, i0, i1, blink, 0, _direct_route)
+    return _simulate_block(pipe, detectors, i0, i1, blink, 0, _direct_route, None)
 
 
 def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, blink):
-    return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs))
+    return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs), None)
 
 
 def _block_hom(
@@ -521,8 +451,8 @@ def _block_hom(
     The settings share splitters and arm delay, so only the joint port draw
     of meeting pairs is evaluated per setting.
     """
-    def pairs(rows, signal):
-        return _meeting_pairs(pipe, settings, rows, signal, i0, i1, blink, n_total)
+    def pairs(block, sig_ok, signal):
+        return _meeting_pairs(pipe, settings, block, sig_ok, signal, i0, i1, blink, n_total)
 
     route = partial(_interferometer_route, settings[0])
     return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, pairs)

@@ -213,6 +213,10 @@ class TestFitLifetime:
             fit_lifetime(decay, other)
 
 
+def integrate_both(*histograms):
+    return [integrate_peaks(h, PERIOD, 2000) for h in histograms]
+
+
 def visibility_histograms(a_perp, a_par, norm=200_000):
     h_co = peaked_histogram({0: int(round(a_par * norm)), 36: norm, 37: norm, -36: norm})
     h_cross = peaked_histogram({0: int(round(a_perp * norm)), 36: norm, 37: norm, -36: norm})
@@ -222,23 +226,21 @@ def visibility_histograms(a_perp, a_par, norm=200_000):
 class TestEstimateVisibility:
     def test_raw_visibility_from_reported_areas(self):
         h_co, h_cross = visibility_histograms(a_perp=1.0, a_par=0.108)
-        result = estimate_visibility(
-            h_co, h_cross, 500_000, VisibilityCalib(), PERIOD, 2000
-        )
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)
         assert result.v_raw == pytest.approx(0.892, abs=1e-6)
 
     def test_equal_areas_give_zero(self):
         h_co, h_cross = visibility_histograms(a_perp=0.5, a_par=0.5)
-        result = estimate_visibility(h_co, h_cross, 500_000, VisibilityCalib(), PERIOD, 2000)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)
         assert result.v_raw == pytest.approx(0.0, abs=1e-9)
 
     def test_rescaling_invariance(self):
         calib = VisibilityCalib(g2=0.02, epsilon=0.01)
         h_co, h_cross = visibility_histograms(a_perp=0.51, a_par=0.06, norm=100_000)
-        base = estimate_visibility(h_co, h_cross, 500_000, calib, PERIOD, 2000)
+        base = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
         h_co4 = CoincidenceHistogram(h_co.bin_width_ps, h_co.offset_ps, h_co.counts * 4)
         h_cross4 = CoincidenceHistogram(h_cross.bin_width_ps, h_cross.offset_ps, h_cross.counts * 4)
-        scaled = estimate_visibility(h_co4, h_cross4, 500_000, calib, PERIOD, 2000)
+        scaled = estimate_visibility(*integrate_both(h_co4, h_cross4), 500_000, calib, PERIOD)
         assert scaled.v_raw == pytest.approx(base.v_raw, rel=1e-12)
         assert scaled.v_corr == pytest.approx(base.v_corr, rel=1e-12)
 
@@ -254,13 +256,13 @@ class TestEstimateVisibility:
         a_perp, a_par = visibility_forward(calib.model(), m, g2, eps)
         scale = 10**7  # large counts so integer rounding is negligible
         h_co, h_cross = visibility_histograms(a_perp, a_par, norm=scale)
-        result = estimate_visibility(h_co, h_cross, 500_000, calib, PERIOD, 2000)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
         assert result.v_corr == pytest.approx(m, abs=1e-4)
 
     def test_out_of_range_correction_is_flagged(self):
         h_co, h_cross = visibility_histograms(a_perp=0.5, a_par=0.0)
         calib = VisibilityCalib(epsilon=0.4)  # wildly wrong mode matching
-        result = estimate_visibility(h_co, h_cross, 500_000, calib, PERIOD, 2000)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
         assert result.flagged
         assert result.v_corr > 1.05
 
@@ -268,4 +270,4 @@ class TestEstimateVisibility:
         h_co = peaked_histogram({0: 10})
         h_cross = peaked_histogram({0: 10, 36: 100, 37: 100})
         with pytest.raises(AnalysisError):
-            estimate_visibility(h_co, h_cross, 500_000, VisibilityCalib(), PERIOD, 2000)
+            estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)

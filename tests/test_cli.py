@@ -244,7 +244,18 @@ class TestRunArtifacts:
         (outdir / "report.txt").write_text("experiment = hbt\n")
         assert cli.main(["verify", str(outdir)]) == cli.EXIT_RUNTIME
 
-    @pytest.mark.parametrize("body", ['{"artifacts": ', "{}", "[]", '{"artifacts": {"report.txt": 5}}'])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"artifacts": ',
+            "{}",
+            "[]",
+            '{"artifacts": {"report.txt": 5}}',
+            '{"artifacts": {"/etc/hostname": "0"}}',
+            '{"artifacts": {"../report.txt": "0"}}',
+            '{"artifacts": {"report\\u0000.txt": "0"}}',
+        ],
+    )
     def test_verify_rejects_malformed_manifest(self, tmp_path, capsys, body):
         (tmp_path / "manifest.json").write_text(body)
         assert cli.main(["verify", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -351,6 +362,22 @@ class TestCompare:
             tmp_path / "b", {"experiment": "lifetime", "tau_ps": 269.0, "tau_ps_err": 4.0}
         )
         assert cli.main(["compare", str(a), str(b)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "experiment = hbt\n= 3\n",
+            "experiment = hbt\ng2 0.02\n",
+            "experiment = hbt\ng2 = abc\ng2_err = 0.001\n",
+        ],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, body):
+        a = self.write_report_dir(tmp_path / "a", {"experiment": "hbt", "g2": 0.02, "g2_err": 0.001})
+        b = tmp_path / "b"
+        b.mkdir()
+        (b / "report.txt").write_text(body)
+        assert cli.main(["compare", str(a), str(b)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestProfiles:

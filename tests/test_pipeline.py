@@ -1,7 +1,7 @@
 """Block engine: determinism, conservation, and closed-loop physics checks."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from photonflow.pipeline import (
     run_hbt,
     run_hom,
 )
-from photonflow.source import EmitterConfig
+from photonflow.source import EmissionBlock, EmitterConfig
 
 from oracles import calibrate_p_multi
 
@@ -229,14 +229,17 @@ class TestHaloRow:
         )
         blink = pipeline._build_blink_table(pipe)
         start = chunk * block
-        full = pipeline._emission_rows(pipe, start, block, blink)
-        row = pipeline._emission_rows(pipe, start, 1, blink, first_row=block - 1)
-        for name in (
-            "sig_exists", "sig_ok", "sig_time", "sig_env", "sig_det",
-            "comp_exists", "comp_ok", "comp_time",
+        full, full_sig_ok, full_comp_ok = pipeline._emission_rows(pipe, start, block, blink)
+        row, row_sig_ok, row_comp_ok = pipeline._emission_rows(pipe, start, 1, blink, first_row=block - 1)
+        for f in fields(EmissionBlock):
+            assert np.array_equal(getattr(row, f.name), getattr(full, f.name)[-1:]), f.name
+        assert np.array_equal(row_sig_ok, full_sig_ok[-1:])
+        assert np.array_equal(row_comp_ok, full_comp_ok[-1:])
+        # the right halo reads row 0 of the next chunk's detection draws alone
+        for one, all_rows in zip(
+            pipeline._detection_rows(pipe.seed, start, 1), pipeline._detection_rows(pipe.seed, start, block)
         ):
-            assert np.array_equal(getattr(row, name), getattr(full, name)[-1:]), name
-        assert row.det_u is None and row.det_z is None
+            assert np.array_equal(one, all_rows[:1])
         route_row = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, block - 1, 1, 4)
         route_full = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, 0, block, 4)
         assert np.array_equal(route_row, route_full[-1:])
@@ -461,12 +464,11 @@ class TestVisibilityRoundTrip:
 
         calib = VisibilityCalib(r2=r2, t2=1.0 - r2, epsilon=eps, g2=hbt_expected(p_emit, p_multi).g2)
         vis = estimate_visibility(
-            hists[PolarizationConfig.CO],
-            hists[PolarizationConfig.CROSS],
+            integrate_peaks(hists[PolarizationConfig.CO], PERIOD, 2000),
+            integrate_peaks(hists[PolarizationConfig.CROSS], PERIOD, 2000),
             500_000,
             calib,
             PERIOD,
-            2000,
         )
         assert abs(vis.v_corr - truth) <= 0.02
 
