@@ -1,12 +1,17 @@
 """End-to-end experiment runners on a block-parallel Monte Carlo engine.
 
 Pulses are processed in fixed-size blocks.  Every random decision is drawn
-from a substream keyed by (master seed, owning chunk, stage) with a fixed
-number of draws per pulse, so any pulse's samples can be regenerated in
-isolation; consecutive-pulse photon pairs that straddle a block boundary are
-completed by reading the neighbour chunk's boundary row, which the counter-based
-streams reach by advancing their counter rather than drawing the rows before
-it.  Results are therefore bit-identical for any worker count.
+from a substream keyed by (master seed, owning chunk, stage).  Only the
+emission decision is drawn for every pulse; every other draw is made only for
+photons that exist, in compacted order: one emission row per emitting pulse,
+and one conversion, route and detection row per photon, signal photons first.
+A signal photon's rows are keyed by its emitter rank (the pulse's position
+among the chunk's emitting pulses).  Consecutive-pulse photon pairs that
+straddle a block boundary are completed by reading the neighbour chunk's
+boundary photon: its rank follows from the chunk's per-pulse emission
+uniforms, and the counter-based streams reach its rows by advancing their
+counter rather than drawing the rows before it.  Results are therefore
+bit-identical for any worker count.
 
 All three topologies run through one block driver.  It emits the block's
 photons, sends signal, companion and noise photons alike through the
@@ -73,11 +78,12 @@ from .optics import (
     split_ports,
 )
 from .source import (
-    EMIT_DRAWS_PER_PULSE,
+    EMIT_DRAWS,
     BlinkTable,
     EmissionBlock,
     EmitterConfig,
     diffusion_offsets_ghz,
+    emitting,
     sample_emission,
 )
 
@@ -159,69 +165,92 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # chunk-keyed draw reconstruction
 
-def _uniform_rows(
-    seed: RunSeed, chunk_start: int, stage: int, first_row: int, n_rows: int, width: int
-) -> np.ndarray:
-    """Rows [first_row, first_row + n_rows) of a chunk's (rows, width) uniform table.
+def _stream(seed: RunSeed, chunk_start: int, stage: int, skip: int = 0) -> np.random.Generator:
+    """A chunk's substream with its first ``skip`` uniforms passed over.
 
     Philox yields four 64-bit words per counter step and each float64 uniform
-    consumes one word, so the rows before ``first_row`` are skipped by a
-    counter advance plus at most three discarded draws.
+    consumes one word, so the skip is a counter advance plus at most three
+    discarded draws.
     """
     rng = substream(seed, chunk_start, stage)
-    skip = first_row * width
     if skip:
         rng.bit_generator.advance(skip // 4)
         if skip % 4:
             rng.random(skip % 4)
-    return rng.random((n_rows, width))
+    return rng
+
+
+def _pulse_bright(blink: BlinkTable | None, train: PulseTrainConfig, first_pulse: int, n: int):
+    """Blinking state of pulses [first_pulse, first_pulse + n), or True without blinking."""
+    if blink is None:
+        return True
+    return blink.bright_at(train.pulse_start_ps(first_pulse + np.arange(n)).astype(np.float64))
 
 
 def _emission_rows(
-    pipe: Pipeline, chunk_start: int, n_rows: int, blink: BlinkTable | None, first_row: int = 0
-) -> tuple[EmissionBlock, np.ndarray, np.ndarray]:
-    """Rows [first_row, first_row + n_rows) of chunk ``chunk_start``'s emission.
+    pipe: Pipeline, first_pulse: int, u_emit: np.ndarray, blink: BlinkTable | None, rng: np.random.Generator
+) -> EmissionBlock:
+    """Emission of pulses [first_pulse, first_pulse + u_emit.size).
 
-    Returns the emission plus the ``sig_ok`` and ``comp_ok`` masks: the
-    photon exists and survived conversion.
+    ``u_emit`` holds their emission uniforms, one per pulse.  A chunk's
+    emission stream holds that column for all of its pulses, then one row of
+    ``EMIT_DRAWS`` uniforms per emitting pulse; ``rng`` is the stream at the
+    row of the range's first emitting pulse.
     """
-    seed, emitter, train = pipe.seed, pipe.emitter, pipe.train
-    uniforms = _uniform_rows(seed, chunk_start, STAGE_EMIT, first_row, n_rows, EMIT_DRAWS_PER_PULSE)
-    first_pulse = chunk_start + first_row
-    pulses = first_pulse + np.arange(n_rows)
-
+    emitter, n = pipe.emitter, u_emit.size
+    emits = emitting(emitter, u_emit, _pulse_bright(blink, pipe.train, first_pulse, n))
+    uniforms = rng.random((int(np.count_nonzero(emits)), EMIT_DRAWS))
+    wander = 0.0
     if emitter.spectral_diffusion_sigma_ghz > 0:
-        dblocks = pulses // emitter.diffusion_block_pulses
+        dblocks = (first_pulse + np.arange(n)) // emitter.diffusion_block_pulses
         unique, inverse = np.unique(dblocks, return_inverse=True)
-        wander = diffusion_offsets_ghz(emitter, seed, unique)[inverse]
-    else:
-        wander = np.zeros(n_rows)
+        wander = diffusion_offsets_ghz(emitter, pipe.seed, unique)[inverse]
+    return sample_emission(emitter, pipe.train, first_pulse, emits, wander, uniforms)
 
-    if blink is not None and emitter.blinking_enabled:
-        bright = blink.bright_at(train.pulse_start_ps(pulses).astype(np.float64))
-    else:
-        bright = np.ones(n_rows, dtype=bool)
 
-    block = sample_emission(emitter, train, first_pulse, uniforms, wander, bright)
+def _converted(pipe: Pipeline, chunk_start: int, detuning_ghz: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Which photons survive conversion, from the chunk's conversion uniforms at ``first_row`` on.
+
+    A chunk's conversion uniforms hold one per signal photon, by emitter
+    rank, then one per companion.
+    """
     if pipe.conversion is None:
-        return block, block.sig_exists, block.comp_exists
-    u_conv = _uniform_rows(seed, chunk_start, STAGE_CONVERT, first_row, n_rows, 2)
-    offset = pipe.filter_center_offset_ghz()
-    survive = survival_probability(pipe.conversion, block.sig_detuning_ghz, offset)
-    sig_ok = block.sig_exists & (u_conv[:, 0] < survive)
-    survive = survival_probability(pipe.conversion, block.comp_detuning_ghz, offset)
-    return block, sig_ok, block.comp_exists & (u_conv[:, 1] < survive)
+        return np.ones(detuning_ghz.size, dtype=bool)
+    survive = survival_probability(pipe.conversion, detuning_ghz, pipe.filter_center_offset_ghz())
+    return _stream(pipe.seed, chunk_start, STAGE_CONVERT, first_row).random(detuning_ghz.size) < survive
+
+
+def _signal_at(
+    pipe: Pipeline, chunk_start: int, chunk_pulses: int, row: int, blink: BlinkTable | None, n_route: int
+) -> tuple[EmissionBlock, np.ndarray, np.ndarray]:
+    """Row ``row`` of a chunk of ``chunk_pulses`` pulses read alone, for a block halo.
+
+    The pulse's emitter rank is the number of emitting pulses before it,
+    which takes the chunk's emission uniforms up to the row (one per pulse);
+    every other read is a counter advance to that rank.  Returns the
+    emission, the ``sig_ok`` mask of its signal photon (survived conversion)
+    and that photon's route uniforms, an ``(n_signal, n_route)`` table.
+    """
+    seed = pipe.seed
+    u_emit = substream(seed, chunk_start, STAGE_EMIT).random(row + 1)
+    bright = _pulse_bright(blink, pipe.train, chunk_start, row)
+    rank = int(np.count_nonzero(emitting(pipe.emitter, u_emit[:row], bright)))
+    rows = _stream(seed, chunk_start, STAGE_EMIT, chunk_pulses + EMIT_DRAWS * rank)
+    block = _emission_rows(pipe, chunk_start + row, u_emit[row:], blink, rows)
+    ok = _converted(pipe, chunk_start, block.sig_detuning_ghz, rank)
+    return block, ok, _stream(seed, chunk_start, STAGE_ROUTE, n_route * rank).random((ok.size, n_route))
 
 
 def _detection_rows(seed: RunSeed, chunk_start: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [0, n_rows) of a chunk's (rows, 2) efficiency uniforms and jitter normals.
+    """The first ``n_rows`` efficiency uniforms and jitter normals of a chunk.
 
-    Column 0 is the signal photon, column 1 the companion.  Reads start at
-    row 0: the normals come from the ziggurat, which consumes a varying
+    Row r belongs to the chunk's r-th photon: signal photons by emitter rank,
+    then companions.  The right halo reads row 0 alone; no read starts later,
+    because the normals come from the ziggurat, which consumes a varying
     number of words per value, so that stream cannot be advanced to a row.
     """
-    u_eff = substream(seed, chunk_start, STAGE_DETECT).random((n_rows, 2))
-    return u_eff, substream(seed, chunk_start, STAGE_JITTER).standard_normal((n_rows, 2))
+    u_eff = substream(seed, chunk_start, STAGE_DETECT).random(n_rows)
+    return u_eff, substream(seed, chunk_start, STAGE_JITTER).standard_normal(n_rows)
 
 
 def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
@@ -264,28 +293,34 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
 
     ``route`` maps photons, through their ``n_route`` route uniforms, to a
     port each (0/1 detector, negative lost) and an arm delay.  Signal,
-    companion and noise photons all go through it; the route table holds
-    signal columns 0-1 and companion columns 2-3, and a topology that reads
-    no column does not draw it.  ``pairs(block, sig_ok, signal)`` is the
-    interferometer's meeting-pair step: given the signal photons of every
-    row it returns the ones left for routing and, for each setting, the
-    ``(ports, arrivals, u_eff, z)`` of the photons it routed jointly.  Without
-    it (``None``) the block has one setting.  The routed photons form one
-    table that is registered once; each setting's pair photons are
-    registered on their own and join its tags and channel stats, which are
-    ordered (setting, detector).
+    companion and noise photons all go through it, and a topology that reads
+    no route uniform does not draw any.  Conversion, route and detection
+    draws hold one row per photon that exists: signal photons by emitter
+    rank, then companions.  ``pairs(block, sig_ok, signal)`` is the
+    interferometer's meeting-pair step: given the signal photons that
+    survived conversion, it returns the ones left for routing and, for each
+    setting, the ``(ports, arrivals, u_eff, z)`` of the photons it routed
+    jointly.  Without it (``None``) the block has one setting.  The routed
+    photons form one table that is registered once; each setting's pair
+    photons are registered on their own and join its tags and channel stats,
+    which are ordered (setting, detector).
     """
-    n = i1 - i0
-    block, sig_ok, comp_ok = _emission_rows(pipe, i0, n, blink)
-    det_u, det_z = _detection_rows(pipe.seed, i0, n)
-    u_route = tuple(_uniform_rows(pipe.seed, i0, STAGE_ROUTE, 0, n, 4).T) if n_route else ()
-    signal = _Photons(block.sig_time_ps, det_u[:, 0], det_z[:, 0], u_route[:n_route])
-    companion = _Photons(block.comp_time_ps, det_u[:, 1], det_z[:, 1], u_route[2 : 2 + n_route])
+    n, seed = i1 - i0, pipe.seed
+    rng = substream(seed, i0, STAGE_EMIT)
+    block = _emission_rows(pipe, i0, rng.random(n), blink, rng)
+    k = block.sig_pulse.size
+    ok = _converted(pipe, i0, np.concatenate([block.sig_detuning_ghz, block.comp_detuning_ghz]))
+    sig_ok, comp_ok = ok[:k], ok[k:]
+    det_u, det_z = _detection_rows(seed, i0, ok.size)
+    u_route = np.empty((0, 0))
+    if n_route:
+        u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
+    signal = _Photons(block.sig_time_ps, det_u[:k], det_z[:k], tuple(u_route[:k].T))
     if pairs is None:
         solo, pair_tables = signal.take(sig_ok), [(np.empty(0),) * 4]
     else:
-        solo, pair_tables = pairs(block, sig_ok, signal)
-    batches = [solo, companion.take(comp_ok)]
+        solo, pair_tables = pairs(block, sig_ok, signal.take(sig_ok))
+    batches = [solo, _Photons(block.comp_time_ps, det_u[k:], det_z[k:], tuple(u_route[k:].T)).take(comp_ok)]
 
     t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
     noise = np.empty(0, dtype=np.int64)
@@ -320,14 +355,11 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
             stats.dark = int(dark[ch].size)
             tags.append(np.concatenate([shared_tags[ch], pair_tags[ch], dark[ch]]))
         channels += pair_stats
-    emitted_signal = int(np.count_nonzero(block.sig_exists))
-    emitted_multi = int(np.count_nonzero(block.comp_exists))
-    converted = int(np.count_nonzero(sig_ok)) + int(np.count_nonzero(comp_ok))
     return tags, RunStats(
         pulses=n,
-        emitted_signal=emitted_signal,
-        emitted_multi=emitted_multi,
-        conversion_lost=emitted_signal + emitted_multi - converted,
+        emitted_signal=k,
+        emitted_multi=ok.size - k,
+        conversion_lost=ok.size - int(np.count_nonzero(ok)),
         noise_injected=int(noise.size),
         routed_lost=int(np.count_nonzero(ports < 0)),
         channels=tuple(channels),
@@ -368,9 +400,11 @@ def _meeting_pairs(
     A long-arm photon meets the next pulse's photon if that one takes the
     short arm.  When both survive the output splitter, their ports are drawn
     jointly, once per setting; every other photon routes independently.  The
-    block owns the pairs whose early photon it holds: the first row of the
-    next block (right halo) completes its last pair, and its own first photon
-    is left out if the previous block's last pair took it (left halo).
+    block owns the pairs whose early photon it holds: the next block's
+    photon at its first pulse (right halo) completes its last pair, and its
+    own photon at its first pulse is left out if the previous block's last
+    pair took it (left halo).  Pulses are adjacent by index, not by position
+    in the photon arrays.
 
     Returns the signal photons left for independent routing and, for each
     setting, the ``(ports, arrivals, u_eff, z)`` of the pair photons, early
@@ -380,43 +414,42 @@ def _meeting_pairs(
     r1, t1 = ifo.bs_in.r, ifo.bs_in.t
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
     n = i1 - i0
-    ok, env, det = sig_ok, block.sig_env_ps, block.sig_detuning_ghz
-    has_halo = i1 < n_total and ok[-1] and signal.u_route[0][-1] < r1
-    if has_halo:
-        halo, halo_ok, _ = _emission_rows(pipe, i1, 1, blink)
-        halo_u, halo_z = _detection_rows(pipe.seed, i1, 1)
-        u_halo = _uniform_rows(pipe.seed, i1, STAGE_ROUTE, 0, 1, 4)[0, :2]
-        signal = _Photons(
-            np.append(signal.time, halo.sig_time_ps),
-            np.append(signal.u_eff, halo_u[:, 0]),
-            np.append(signal.z, halo_z[:, 0]),
-            tuple(np.append(u, h) for u, h in zip(signal.u_route, u_halo)),
-        )
-        ok = np.append(ok, halo_ok)
-        env = np.append(env, halo.sig_env_ps)
-        det = np.append(det, halo.sig_detuning_ghz)
+    pulse, env, det = block.sig_pulse[sig_ok], block.sig_env_ps[sig_ok], block.sig_detuning_ghz[sig_ok]
+    has_halo = False
+    if i1 < n_total and pulse.size and pulse[-1] == n - 1 and signal.u_route[0][-1] < r1:
+        halo, halo_ok, u_halo = _signal_at(pipe, i1, min(BLOCK_PULSES, n_total - i1), 0, blink, 2)
+        has_halo = bool(halo_ok.any())
+        if has_halo:
+            halo_u, halo_z = _detection_rows(pipe.seed, i1, 1)
+            signal = _Photons(
+                np.append(signal.time, halo.sig_time_ps),
+                np.append(signal.u_eff, halo_u),
+                np.append(signal.z, halo_z),
+                tuple(np.append(u, h) for u, h in zip(signal.u_route, u_halo[0])),
+            )
+            pulse = np.append(pulse, n)
+            env = np.append(env, halo.sig_env_ps)
+            det = np.append(det, halo.sig_detuning_ghz)
 
     u_arm, u_port = signal.u_route
     arm = split_ports(u_arm, r1, t1)
-    long_arm, short_arm = ok & (arm == 0), ok & (arm == 1)
+    long_arm, short_arm = arm == 0, arm == 1
     survives = u_port < r2 + t2
-    early = np.flatnonzero(long_arm[:-1] & short_arm[1:])
+    early = np.flatnonzero(long_arm[:-1] & short_arm[1:] & (pulse[1:] == pulse[:-1] + 1))
     early = early[survives[early] & survives[early + 1]]
     late = early + 1
 
-    solo = ok.copy()
+    solo = np.ones(pulse.size, dtype=bool)
     solo[early] = solo[late] = False
     if has_halo:
-        solo[n] &= short_arm[n]  # the halo photon is ours only as the late photon of our last pair
-    if i0 > 0 and short_arm[0]:
-        prev = i0 - BLOCK_PULSES
-        _, prev_ok, _ = _emission_rows(pipe, prev, 1, blink, first_row=BLOCK_PULSES - 1)
-        prev_long = _uniform_rows(pipe.seed, prev, STAGE_ROUTE, BLOCK_PULSES - 1, 1, 4)[0, 0] < r1
-        solo[0] = not (prev_ok[0] and prev_long)
+        solo[-1] &= short_arm[-1]  # the halo photon is ours only as the late photon of our last pair
+    if i0 > 0 and pulse.size and pulse[0] == 0 and short_arm[0]:
+        _, prev_ok, prev_route = _signal_at(pipe, i0 - BLOCK_PULSES, BLOCK_PULSES, BLOCK_PULSES - 1, blink, 2)
+        solo[0] = not (prev_ok.any() and prev_route[0, 0] < r1)
 
     u_joint = np.empty((0, 2))
     if early.size:
-        u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((n, 2))[early]
+        u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((early.size, 2))
     overlap = pair_overlap(
         pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
     )

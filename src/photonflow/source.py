@@ -109,26 +109,29 @@ def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
     return -tau_ps * np.log1p(-u)
 
 
-# columns of the fixed per-pulse uniform draw block
-_U_EMIT, _U_W_S, _U_EXP_S, _U_CAU_S, _U_MULTI, _U_W_C, _U_EXP_C, _U_CAU_C = range(8)
-EMIT_DRAWS_PER_PULSE = 8
+# columns of an emitting pulse's uniform row: its signal photon, the
+# companion decision, then the companion photon
+_U_W_S, _U_EXP_S, _U_CAU_S, _U_MULTI, _U_W_C, _U_EXP_C, _U_CAU_C = range(7)
+EMIT_DRAWS = 7
 
 
 @dataclass
 class EmissionBlock:
-    """Struct-of-arrays emission result for a contiguous pulse range.
+    """Struct-of-arrays emission of a contiguous pulse range, one entry per photon.
 
-    ``sig_time_ps`` is quantized to the 1 ps recording grid;
-    ``sig_time_exact_ps`` keeps the continuous sample for analyses of the
-    emission law itself.
+    Signal arrays have one entry per emitting pulse and companion arrays one
+    per companion, both in pulse order; ``sig_pulse`` and ``comp_pulse`` are
+    the pulses' offsets from the range's first pulse.  ``sig_time_ps`` is
+    quantized to the 1 ps recording grid; ``sig_time_exact_ps`` keeps the
+    continuous sample for analyses of the emission law itself.
     """
 
-    sig_exists: np.ndarray
+    sig_pulse: np.ndarray
     sig_time_ps: np.ndarray
     sig_time_exact_ps: np.ndarray
     sig_env_ps: np.ndarray
     sig_detuning_ghz: np.ndarray
-    comp_exists: np.ndarray
+    comp_pulse: np.ndarray
     comp_time_ps: np.ndarray
     comp_detuning_ghz: np.ndarray
 
@@ -148,46 +151,54 @@ def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.n
     return out
 
 
+def emitting(cfg: EmitterConfig, u_emit: np.ndarray, bright) -> np.ndarray:
+    """Which pulses emit a signal photon, from one uniform per pulse and the blinking state."""
+    return bright & (u_emit < cfg.p_emit)
+
+
 def sample_emission(
     cfg: EmitterConfig,
     train: PulseTrainConfig,
     first_pulse: int,
+    emits: np.ndarray,
+    wander_ghz,
     uniforms: np.ndarray,
-    wander_ghz: np.ndarray,
-    bright: np.ndarray,
 ) -> EmissionBlock:
-    """Turn a fixed-layout uniform block into emission arrays.
+    """Turn the emitting pulses' uniform rows into emission arrays.
 
-    ``uniforms`` has shape (n_pulses, EMIT_DRAWS_PER_PULSE); pulse i of the
-    block consumes exactly row i, so any sub-range of pulses can be
-    regenerated independently.
+    ``emits`` marks the emitting pulses of the range starting at
+    ``first_pulse`` (see ``emitting``).  ``uniforms`` has one row of
+    ``EMIT_DRAWS`` columns per emitting pulse, in pulse order, so the row of
+    the emitter of rank r can be regenerated alone.  ``wander_ghz`` is the
+    slow detuning per pulse of the range, or one value for all of it.
     """
-    n = uniforms.shape[0]
+    emitters = np.flatnonzero(emits)
     u = uniforms
-    starts = train.pulse_start_ps(first_pulse + np.arange(n)).astype(np.float64)
+    starts = train.pulse_start_ps(first_pulse + emitters).astype(np.float64)
+    wander = wander_ghz[emitters] if np.ndim(wander_ghz) else wander_ghz
 
-    sig_exists = bright & (u[:, _U_EMIT] < cfg.p_emit)
     sig_env = starts + u[:, _U_W_S] * train.pulse_width_ps
     sig_exact = sig_env + _sample_exponential(cfg.lifetime_tau_ps, u[:, _U_EXP_S])
     sig_time = np.rint(sig_exact).astype(np.int64)
-    sig_det = wander_ghz + _sample_cauchy(cfg.dephasing_linewidth_ghz, u[:, _U_CAU_S])
+    sig_det = wander + _sample_cauchy(cfg.dephasing_linewidth_ghz, u[:, _U_CAU_S])
 
-    comp_exists = sig_exists & (u[:, _U_MULTI] < cfg.p_multi)
-    comp_env = starts + u[:, _U_W_C] * train.pulse_width_ps
-    comp_time = np.rint(comp_env + _sample_exponential(cfg.lifetime_tau_ps, u[:, _U_EXP_C])).astype(np.int64)
+    multi = np.flatnonzero(u[:, _U_MULTI] < cfg.p_multi)
+    uc = u[multi]
+    comp_env = starts[multi] + uc[:, _U_W_C] * train.pulse_width_ps
+    comp_time = np.rint(comp_env + _sample_exponential(cfg.lifetime_tau_ps, uc[:, _U_EXP_C])).astype(np.int64)
     comp_det = (
-        wander_ghz
-        + _sample_cauchy(cfg.dephasing_linewidth_ghz, u[:, _U_CAU_C])
+        (wander[multi] if np.ndim(wander) else wander)
+        + _sample_cauchy(cfg.dephasing_linewidth_ghz, uc[:, _U_CAU_C])
         + cfg.multi_detuning_offset_ghz
     )
 
     return EmissionBlock(
-        sig_exists=sig_exists,
+        sig_pulse=emitters,
         sig_time_ps=sig_time,
         sig_time_exact_ps=sig_exact,
         sig_env_ps=sig_env,
         sig_detuning_ghz=sig_det,
-        comp_exists=comp_exists,
+        comp_pulse=emitters[multi],
         comp_time_ps=comp_time,
         comp_detuning_ghz=comp_det,
     )

@@ -26,18 +26,18 @@ PERIOD = 1e6 / 73.0
 
 GOLDEN = {
     "direct": [
-        "2666392f027573cf9896d76ffd2520051cf06391ec85a3da04e0efcc8458bc8e",
+        "3dcef8c89eb82100f7d2b38700199810743ba1c5d28828e8ce14308689c3e653",
     ],
     "hbt": [
-        "c3fef25b0ecea90028250cde9331906eca336b3610a8b214c7f5b10312648b51",
-        "a376f3b3b64e8dd6ccf5d194c467d8a538f13edd1d6c5e9e91c26b284463b6b5",
+        "2682ece881d0c39d8a6fc4da01b414492c75c88147499920c8fbb834d141b6cd",
+        "d38633c7096ffc4d6e9953f69358b85fcc23d15e96df46bdeb7437ebd24c2a8c",
     ],
     # (setting, detector): co det1, co det2, cross det1, cross det2
     "hom": [
-        "ce4f4b8a7b39ec3208db9e67b8522f337c66fbcb674f1f7067981d08b718f697",
-        "d739e8f8f31dd864903046d9f58da947b2e486ec2367efc506dfc900c9e7c788",
-        "19a0030fdeb0a3a824584c6e2c2baa82e514e413ee3c169a4280d2d5e5590737",
-        "fbc44ee7db1290ed2af0a4a567c5eec1a21578d390504247a4eaf8b17c9d8578",
+        "e97a33864dc547e6f5160dbd98d68183e44e95be31ac77c1a0c73add0f68dfb7",
+        "5f266fa49669d9d03ad1c4f31ac854aee5482e88460f5f24cba105826364c880",
+        "6f207893b59c72647b2d4bf63a8c763352d75870b7e59e58d5ec4d4849c7a888",
+        "c18104512aac4e2214f14ff6c7549fb429e42a11979414d90d2d578579f610fa",
     ],
 }
 
@@ -113,58 +113,58 @@ PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 # each run at n_pulses = 100000 through `photonflow run`
 CLI_GOLDEN = {
     "hbt_1550": {
-        "correlation.csv": "9f94e01afa2b8cae63477b1bb718b3f0078015bab6c7319562b79c9c567b729f",
-        "correlation.svg": "447a424335092d6ed5684c534cff34bfeac7b319a4aefae23e9af1f310f05f9c",
-        "report.txt": "929f899bb3a6af876b60ff34d5fc05c911d0790c726819a8bcb3c4c9d3921840",
-        "tags_ch0.pftg": "2a22cb0c9f52a150cb47324690269823d511f29571814dfb40f30d3115eba447",
-        "tags_ch1.pftg": "0e12a9b83813848f4ef4cff094bda1461badc403ca064efd8e23e9d4108c092a",
+        "correlation.csv": "5fade8f282a3d109e2110b6111c0dd81c767682dab56611e4a09c0d263c0b159",
+        "correlation.svg": "33330ecd4073f9df101cae6b4a3bf4da22fa9b4ab023e7e1188f1da53964ae5f",
+        "report.txt": "52cc8014832e7ab6db74045aa0ae53e551948ba523d4a49d3bddc69400e39852",
+        "tags_ch0.pftg": "c61058701ab2cb74b9c9f2c2014595b370da653de1360f9523f8429bdb76e9ae",
+        "tags_ch1.pftg": "ba6c6685a0f3e2dc703189a0ff53a10c12c6757cc44808cb1f886b0fbdb3b80a",
     },
     "hbt_930": {
-        "correlation.csv": "aabc056e0f73a1fd8425a04a785ee4f12544cfccb9cc30992a39c31c2014befc",
-        "correlation.svg": "7e5f99f73b7c93d9224d97e69260d609dd722acf85caa8f4f6009c6af3ab5885",
-        "report.txt": "72d0df6884ea76fc26fcb9d8d7953608eaa09fce92ea5d1db9c4a8d5c5cc6f39",
-        "tags_ch0.pftg": "ef21c53e784da40d46a7291d53c45c39de45d05a46f86019d9c9a702883c1bbc",
-        "tags_ch1.pftg": "f5f33d00f4e22008ec2dea1ae98db83e5b6573374f963bebb374ca37f5d4b2e0",
+        "correlation.csv": "21b5442400dab709752acc8318d161b73ed6a52f995d079d5df9b25fb54b86a4",
+        "correlation.svg": "0d877b8ccf22692f737a3f2f9734c061ad9198e2c791acaa7704f133affe8e88",
+        "report.txt": "20549a36f107722b194419da6a49e2c9c2559ee68e02d71dc6c456816bbf985c",
+        "tags_ch0.pftg": "473f9475f2ed4d3a7ac4febdae08422f57424483938aaaed0468c6f6be5af466",
+        "tags_ch1.pftg": "6eecb18b084bc6c7f77412302968a12e4b3483c8bfb4e621dc93316b62de895e",
     },
     "hom_1550": {
-        "correlation_co.csv": "44cde7729c5c1f448d70555172a7f21d118a77a45ff86c7a7d274fe835f62a47",
-        "correlation_cross.csv": "366ea3893d14de22c23585e5c713e3033eeb79f73e7926b7bdbefa3437463acb",
-        "hom_central.svg": "1e1a814ea47b7d36e9f4c5b3d76dd1bd1ef50525a4238e2a73b33771655bb217",
-        "report.txt": "c26ca651d7fb665e2dc84327542f210f064f51ca39f025c24ca45777e91820da",
-        "tags_co_ch0.pftg": "8ea97ba53832103e8063ebea798a1483e84ee69f5a151deefb75386d4b7e31d8",
-        "tags_co_ch1.pftg": "7001346f0029d9ed221b291e64353f0022d932ee68dd6cdc89fccfcace823845",
-        "tags_cross_ch0.pftg": "891c57b734e462f6e61919d02210bf0e00bc4eaab73ba671040c1c7ab98ea7a8",
-        "tags_cross_ch1.pftg": "20670d4a502d262f11ed481b50b38caa95a71a24c7b2cca295026b902185c031",
+        "correlation_co.csv": "38210eed85538649af4863b372cd068b7da95146590e2c69b079b533f230225b",
+        "correlation_cross.csv": "8f32d97e52efc8ada756bed648c8c1db52b222cbec14a0e52cb750642cb49d94",
+        "hom_central.svg": "e278548cc19d00b2ecaa389066e29b92febef72e0ba6fcb9a7de95b4b54f0cf6",
+        "report.txt": "865f818cc083472875dbdb5de6104f42b4c3ca2765dc1954c95ee12c7b8bfdc3",
+        "tags_co_ch0.pftg": "65e998876b433f123ac64e2980c36f921e3220f5eb31d2840ac9465fcef200f6",
+        "tags_co_ch1.pftg": "537d6349e474edb987ebcba286b2619fa280428481185e049eb71fc870eca079",
+        "tags_cross_ch0.pftg": "ac4a6bb46d222728844fbd6fb5e9297b2e1b1a238553817230c14d29a1d9b36b",
+        "tags_cross_ch1.pftg": "b3b040ffc5958acacdcd9731016156f568c06d50b914dfca23965f6581d0fcd4",
     },
     "hom_930": {
-        "correlation_co.csv": "48e2b7e5ff4b00a1f9f246ed9911717df9561be4999fa7208cd2220ed0fde533",
-        "correlation_cross.csv": "fc4a39903f3c2f840203ca35473350016f970e159945305e92306e6e3ec3b005",
-        "hom_central.svg": "77d789ca1cfd831bbf1401cbee9e8d8ae3988d16944bf63130c7be95fd0e535a",
-        "report.txt": "445665692eda4b2710bc8b96af232f18414e8e9050f418f9fdb6376d371d16a7",
-        "tags_co_ch0.pftg": "35716d34cb58500745f7ed44e29c7bf41e1b559585592be345b3b8865020f3ec",
-        "tags_co_ch1.pftg": "13da75d04211ac57ccf7929e24c46adee6feacd9d689f9d71d29528187ed22f9",
-        "tags_cross_ch0.pftg": "6357d7ae8c30ddc36dfb7fcf7b82960e19284135f186e70f3d711adddd66a294",
-        "tags_cross_ch1.pftg": "6c59face87648d57044d0a0f76e9db615a34a3f892200990c538afcd752d059b",
+        "correlation_co.csv": "5e3e353dc22152694f2dd5426b978f7fde5e9c00e5ddf0fea1699698480bca87",
+        "correlation_cross.csv": "ed325e8ed846345fee36cc430070f34d17975c372465b75df9abddcec60447cb",
+        "hom_central.svg": "d8d1e2664e6f45e8a3cad17c6ec1757c3ec3738fee6a866314e95337cb6acad9",
+        "report.txt": "b517151d71adcfd90739ca9403b92c15a68f165c4d12840be525fe98a83f3800",
+        "tags_co_ch0.pftg": "5d45e622ac7f0e5bc33aebe088f6f3d6caed6dbaecae07a943a04061abac9e8c",
+        "tags_co_ch1.pftg": "13da6c0fabcef9fd274f55c32e42853964d355fac8ec2c55dd30c1495a3d2f76",
+        "tags_cross_ch0.pftg": "fbb9cfce1e6998c375cb6cbf888dfda144fb35af3c49b0d9daf59f1b75920759",
+        "tags_cross_ch1.pftg": "ded9aabc406ca2a91fa5ea9bc8f6cb427eed212375a3198869637e3a2364922e",
     },
     "lifetime_1550": {
-        "decay_hist.csv": "7e84c750c752ffe6815c56c4ed67fed9afa7f92bf86de1e0a75546d55c84d2be",
-        "irf_hist.csv": "8e6824b37420ab46ed29eabffe9c17744a88a7a7c8112116558779ad064534ff",
-        "irf_tags_ch0.pftg": "cde7723665e38d4c4e89e1990a8a96d506845b2c90dbfbd97d96ec0aeb3bafe5",
-        "lifetime_fit.svg": "b9005409b3b48478dfc8e05d3aa30b36176dd5ccc953ddb935d868a0989acae7",
-        "report.txt": "ea7748687fbfab8d97276aa907dbadf1c35752b346642df16ef493e097e8286b",
-        "tags_ch0.pftg": "d2af95252c3a7824b651bb436723dfe066a8d231b5463697386ca01f097c7732",
+        "decay_hist.csv": "f7e59fe2711613f13b6d15bfc27f306041b039cd83908b9ab04d34856fa1ccb1",
+        "irf_hist.csv": "d7b826dd67203aa7dcbb27cb75da6f7e024e5403bb6b824d95dfa15e5e5f6e87",
+        "irf_tags_ch0.pftg": "336aff8d16ec45e3e6e5341bee911e5191679cb8a2db554172ba19d737ac0767",
+        "lifetime_fit.svg": "e0898ad678c9cc099e9e2184d2415d913b20ac174f77d64c2a80b6ecccffdbad",
+        "report.txt": "20d4430b0c628f472a982d59eae40c30f59ff16b8e0f5e719b12008f33ffdf5f",
+        "tags_ch0.pftg": "72654c076dc55b8149e2a6039508226343a39829df8691efc54104a8ed01b25c",
     },
     "lifetime_930": {
-        "decay_hist.csv": "e8150babc049d3d3c38957ed81877f0ad1e041cff365df813a1bc9e16e85f69d",
-        "irf_hist.csv": "059d243279362b69697ead96ec9b206f535aa09d4906aec097324bb1a84a3ed8",
-        "irf_tags_ch0.pftg": "8cdfef9c5c48154f286e2cbf1d9ffa93f64a0b6f1d64a102fa741ddb0db04527",
-        "lifetime_fit.svg": "03093efb7f34e3e3f0cf9b0d0e95c3bb7fafc1b1570b731f50c0aa37b6c289b2",
-        "report.txt": "d79b2f0aba05106d71307562a57b6edef6a73d6bfe675dbc507baf0857ec5626",
-        "tags_ch0.pftg": "bb7641f0a3fbbfbd488432e393739cced400e0e5b7bec9fbafd9302770de331d",
+        "decay_hist.csv": "fec25bd373638bdd62743f635c6ca727ece9170e7257e10b5aaf7572a329012f",
+        "irf_hist.csv": "603d83225fcbe2c9b270d904d0ccf167ae48a9cbb7310c088416a09750277b3e",
+        "irf_tags_ch0.pftg": "c885704c63ea47eec45e9ca285ac144a98f77c3ffc21409642fba27edf80f650",
+        "lifetime_fit.svg": "de8ea92ea7be8d5a16d7d3d29514d75558ea686b2d9a366ea254bafe46081365",
+        "report.txt": "9d12c8a6da4febd86cba86874a8ea0123a1851717bcec326b3d28a6478e59cbd",
+        "tags_ch0.pftg": "66fb7e3191f7047d8febc7a54355bf9b5790de33376cc4911aa379d0359c626a",
     },
     "rate_1550": {
-        "report.txt": "a115634f60264c7788e272897164b3a8442b86498897ab1068c256ee7bbadd0c",
-        "tags_ch0.pftg": "2f09f8a271d0e1f2f6f66ad65a6769454a297ea77d8c5adf1d0a082df2d0c9a1",
+        "report.txt": "336117c9ade2261d83455926369673bff581a5e8203ab4f3b00814f3a578eb7a",
+        "tags_ch0.pftg": "6849bcb03c9c22c474b52e4bad0cdeb7365229217ba668d8ada831f447869326",
     },
     "saturation": {
         "report.txt": "4e85e7f901a8800a5f152cee0e9a9d676f1e425c01145e7b475b28c2620bf6ca",
@@ -172,18 +172,18 @@ CLI_GOLDEN = {
         "saturation.svg": "ba15c7d5edf4bff82bebae26fb34d3b3165be95ce2a06c7f4c3c9ac29a6cc24b",
     },
     "hom_930_co": {
-        "correlation_co.csv": "48e2b7e5ff4b00a1f9f246ed9911717df9561be4999fa7208cd2220ed0fde533",
-        "correlation_co.svg": "5d0614e026943e03af32529a03c780d00c3e07d8443de116ac3319144f274121",
-        "report.txt": "a2c1eb4bd77f0f46b24a740462c3b655c7a2bd8428332f482d65a82335de0561",
-        "tags_co_ch0.pftg": "35716d34cb58500745f7ed44e29c7bf41e1b559585592be345b3b8865020f3ec",
-        "tags_co_ch1.pftg": "13da75d04211ac57ccf7929e24c46adee6feacd9d689f9d71d29528187ed22f9",
+        "correlation_co.csv": "5e3e353dc22152694f2dd5426b978f7fde5e9c00e5ddf0fea1699698480bca87",
+        "correlation_co.svg": "c7f3751a77d29c8c1094e17e0c90710b9c84a605aa9c077c5a4891fb7dcfde77",
+        "report.txt": "4a291e8d4986beef09323c3cca2bf661d93974b38e4158d4d29e8709564e8085",
+        "tags_co_ch0.pftg": "5d45e622ac7f0e5bc33aebe088f6f3d6caed6dbaecae07a943a04061abac9e8c",
+        "tags_co_ch1.pftg": "13da6c0fabcef9fd274f55c32e42853964d355fac8ec2c55dd30c1495a3d2f76",
     },
     "hom_930_cross": {
-        "correlation_cross.csv": "fc4a39903f3c2f840203ca35473350016f970e159945305e92306e6e3ec3b005",
-        "correlation_cross.svg": "f8642f0e773ba2142c73e326ac3b422bcc31e2c791ead133273868932006af21",
-        "report.txt": "70fde8893a2b509de338441e629006a7679fc72d235ca5617074244f894932e6",
-        "tags_cross_ch0.pftg": "6357d7ae8c30ddc36dfb7fcf7b82960e19284135f186e70f3d711adddd66a294",
-        "tags_cross_ch1.pftg": "6c59face87648d57044d0a0f76e9db615a34a3f892200990c538afcd752d059b",
+        "correlation_cross.csv": "ed325e8ed846345fee36cc430070f34d17975c372465b75df9abddcec60447cb",
+        "correlation_cross.svg": "8aa21f0caf698ec9a5f3399d63360db3e2e62dcb19be729c1dd38a39d4259734",
+        "report.txt": "e99ea903990a35fbba4a9034abacaf482a7da1b36775a9878dcab714bd0f3c63",
+        "tags_cross_ch0.pftg": "fbb9cfce1e6998c375cb6cbf888dfda144fb35af3c49b0d9daf59f1b75920759",
+        "tags_cross_ch1.pftg": "ded9aabc406ca2a91fa5ea9bc8f6cb427eed212375a3198869637e3a2364922e",
     },
 }
 

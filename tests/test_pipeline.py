@@ -1,7 +1,8 @@
 """Block engine: determinism, conservation, and closed-loop physics checks."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 from photonflow import pipeline
 from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, integrate_peaks
 from photonflow.conversion import ConversionConfig
-from photonflow.core import STAGE_ROUTE, ConfigError, PulseTrainConfig, RunSeed, Wavelength
+from photonflow.config import load_config
+from photonflow.core import (
+    STAGE_EMIT,
+    STAGE_ROUTE,
+    ConfigError,
+    PulseTrainConfig,
+    RunSeed,
+    Wavelength,
+    substream,
+)
 from photonflow.correlate import cross_correlate
 from photonflow.enumeration import hbt_expected, visibility_model
 from photonflow.optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
@@ -23,12 +33,15 @@ from photonflow.pipeline import (
     run_hbt,
     run_hom,
 )
-from photonflow.source import EmissionBlock, EmitterConfig
+from photonflow.source import BlinkTable, EmitterConfig
 
 from oracles import calibrate_p_multi
 
 PERIOD = 1e6 / 73.0
+PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 DELAY = round(PERIOD)
+# dense, typical and sparse emission; at 0.02 many 64-pulse blocks hold no emitter
+SPARSE_P_EMIT = [1.0, 0.3, 0.02]
 
 
 def make_pipeline(seed=202, n_pulses=100_000, conversion=False, **emitter_kwargs):
@@ -112,13 +125,34 @@ class TestConservationAndBoundaries:
         assert_conservation(result)
         assert result.stats.routed_lost > 0
 
-    def test_hom_accounting_small_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("p_emit", SPARSE_P_EMIT)
+    def test_hom_accounting_small_blocks(self, monkeypatch, p_emit):
         # shrink blocks so boundary pairs dominate; any ownership bug breaks
         # the exact photon-number balance
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
-        pipe = make_pipeline(n_pulses=5_000, p_emit=1.0, p_multi=0.05)
+        pipe = make_pipeline(n_pulses=5_000, p_emit=p_emit, p_multi=0.05 * p_emit)
         result = run_hom(pipe, interferometer(), ideal_detector(), ideal_detector())
         assert_conservation(result)
+
+    @pytest.mark.parametrize("p_emit", [1.0, 0.3])
+    def test_meeting_pairs_are_consecutive_pulses(self, monkeypatch, p_emit):
+        # photons are compacted, so neighbours in the photon arrays are not
+        # always neighbouring pulses; only consecutive pulses may meet
+        gaps = []
+        overlap = pipeline.pair_overlap
+
+        def recording(tau, det_early, det_late, env_early, env_late, delay):
+            gaps.append(env_late - env_early)
+            return overlap(tau, det_early, det_late, env_early, env_late, delay)
+
+        monkeypatch.setattr(pipeline, "pair_overlap", recording)
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        pipe = make_pipeline(n_pulses=5_000, p_emit=p_emit, conversion=True)
+        run_hom(pipe, interferometer(), ideal_detector(), ideal_detector())
+        gaps = np.concatenate(gaps)
+        assert gaps.size > 20
+        # envelopes start within the 20 ps excitation pulse of their pulse
+        assert np.all(np.abs(gaps - PERIOD) <= 21.0)
 
     def test_block_size_preserves_statistics(self, monkeypatch):
         # central-peak physics must not depend on the block partition
@@ -139,9 +173,10 @@ class TestConservationAndBoundaries:
         for area in areas:
             assert abs(area - expected) < 4 * math.sqrt(expected)
 
-    def test_workers_with_tiny_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("p_emit", SPARSE_P_EMIT)
+    def test_workers_with_tiny_blocks(self, monkeypatch, p_emit):
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 128)
-        pipe = make_pipeline(n_pulses=10_000, p_emit=0.9, p_multi=0.02)
+        pipe = make_pipeline(n_pulses=10_000, p_emit=p_emit, p_multi=0.02 * p_emit)
         det = ideal_detector(irf_sigma_ps=50.0)
         serial = run_hom(pipe, interferometer(), det, det, workers=1)
         parallel = run_hom(pipe, interferometer(), det, det, workers=5)
@@ -165,12 +200,13 @@ class TestSharedSettings:
             HomInterferometer(polarization_config=PolarizationConfig.CROSS, **kwargs),
         )
 
+    @pytest.mark.parametrize("p_emit", SPARSE_P_EMIT)
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_paired_call_equals_single_calls(self, monkeypatch, workers):
+    def test_paired_call_equals_single_calls(self, monkeypatch, workers, p_emit):
         # small blocks put many meeting pairs on block edges; conversion noise,
         # companions, dark counts and dead time exercise every shared path
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
-        pipe = make_pipeline(seed=17, n_pulses=6_000, p_emit=1.0, p_multi=0.05, conversion=True)
+        pipe = make_pipeline(seed=17, n_pulses=6_000, p_emit=p_emit, p_multi=0.05 * p_emit, conversion=True)
         pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
         det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
         det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
@@ -189,8 +225,10 @@ class TestSharedSettings:
             assert part.stats.routed_lost > 0 and part.stats.noise_injected > 0
             assert all(ch.dark > 0 and ch.vetoed > 0 for ch in part.stats.channels)
             assert_conservation(part)
-        # the joint draw differs between the settings, so the streams must too
-        assert not np.array_equal(parts[0].streams[0].tags, parts[1].streams[0].tags)
+        # the joint draw differs between the settings, so the streams must too;
+        # at p_emit 0.02 the run holds about 0.1 meeting pairs, so it has none to differ by
+        if p_emit > SPARSE_P_EMIT[-1]:
+            assert not np.array_equal(parts[0].streams[0].tags, parts[1].streams[0].tags)
 
     def test_settings_must_share_optics(self):
         co, cross = self.settings_pair()
@@ -203,24 +241,53 @@ class TestSharedSettings:
 
 
 class TestHaloRow:
+    """A halo read by counter advance equals the same photon of a full regeneration."""
+
+    @staticmethod
+    def full_chunk(pipe, start, block, blink):
+        rng = substream(pipe.seed, start, STAGE_EMIT)
+        full = pipeline._emission_rows(pipe, start, rng.random(block), blink, rng)
+        k = full.sig_pulse.size
+        full_ok = pipeline._converted(pipe, start, np.concatenate([full.sig_detuning_ghz, full.comp_detuning_ghz]))
+        route = substream(pipe.seed, start, STAGE_ROUTE).random((k, 2))
+        return full, full_ok[:k], route
+
+    @staticmethod
+    def assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route):
+        halo, ok, route = pipeline._signal_at(pipe, start, block, row, blink, 2)
+        rank = int(np.count_nonzero(full.sig_pulse < row))
+        emits = rank < full.sig_pulse.size and full.sig_pulse[rank] == row
+        assert halo.sig_pulse.tolist() == ([0] if emits else [])
+        for name in ("sig_time_ps", "sig_time_exact_ps", "sig_env_ps", "sig_detuning_ghz"):
+            assert np.array_equal(getattr(halo, name), getattr(full, name)[rank : rank + emits]), name
+        companion = full.comp_pulse == row
+        assert halo.comp_pulse.size == np.count_nonzero(companion)
+        for name in ("comp_time_ps", "comp_detuning_ghz"):
+            assert np.array_equal(getattr(halo, name), getattr(full, name)[companion]), name
+        assert np.array_equal(ok, full_ok[rank : rank + emits])
+        assert np.array_equal(route, full_route[rank : rank + emits])
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         block=st.integers(2, 300),
         chunk=st.integers(0, 50),
         conversion=st.booleans(),
+        p_emit=st.sampled_from(SPARSE_P_EMIT),
     )
-    # an even block length puts the last row of the 2-column conversion table
-    # at an odd word offset inside a 4-word Philox step, an odd one on a step
-    @example(seed=5, block=64, chunk=3, conversion=True)
-    @example(seed=5, block=65, chunk=3, conversion=True)
-    def test_counter_advance_matches_full_regeneration(self, seed, block, chunk, conversion):
+    # emitter rows follow the chunk's column of emission uniforms, so a chunk
+    # of 65 or 67 pulses starts them inside a 4-word Philox step; an odd
+    # emitter rank does the same for the conversion uniforms
+    @example(seed=5, block=64, chunk=3, conversion=True, p_emit=1.0)
+    @example(seed=5, block=65, chunk=3, conversion=True, p_emit=0.3)
+    @example(seed=5, block=67, chunk=3, conversion=True, p_emit=0.02)
+    def test_counter_advance_matches_full_regeneration(self, seed, block, chunk, conversion, p_emit):
         pipe = make_pipeline(
             seed=seed,
             n_pulses=(chunk + 1) * block,
             conversion=conversion,
-            p_emit=0.9,
-            p_multi=0.3,
+            p_emit=p_emit,
+            p_multi=0.3 * p_emit,
             dephasing_linewidth_ghz=2.0,
             spectral_diffusion_sigma_ghz=3.0,
             diffusion_block_pulses=7,
@@ -229,20 +296,104 @@ class TestHaloRow:
         )
         blink = pipeline._build_blink_table(pipe)
         start = chunk * block
-        full, full_sig_ok, full_comp_ok = pipeline._emission_rows(pipe, start, block, blink)
-        row, row_sig_ok, row_comp_ok = pipeline._emission_rows(pipe, start, 1, blink, first_row=block - 1)
-        for f in fields(EmissionBlock):
-            assert np.array_equal(getattr(row, f.name), getattr(full, f.name)[-1:]), f.name
-        assert np.array_equal(row_sig_ok, full_sig_ok[-1:])
-        assert np.array_equal(row_comp_ok, full_comp_ok[-1:])
-        # the right halo reads row 0 of the next chunk's detection draws alone
+        full, full_ok, full_route = self.full_chunk(pipe, start, block, blink)
+        # the left halo reads the last pulse, the right halo the first
+        for row in (block - 1, 0):
+            self.assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route)
+        # the right halo reads row 0 of the chunk's detection draws alone
+        n_photons = max(full.sig_pulse.size + full.comp_pulse.size, 1)
         for one, all_rows in zip(
-            pipeline._detection_rows(pipe.seed, start, 1), pipeline._detection_rows(pipe.seed, start, block)
+            pipeline._detection_rows(pipe.seed, start, 1), pipeline._detection_rows(pipe.seed, start, n_photons)
         ):
             assert np.array_equal(one, all_rows[:1])
-        route_row = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, block - 1, 1, 4)
-        route_full = pipeline._uniform_rows(pipe.seed, start, STAGE_ROUTE, 0, block, 4)
-        assert np.array_equal(route_row, route_full[-1:])
+
+    def test_dark_halo_pulse(self):
+        # every bright pulse emits; pulse 10 and the last pulse of the chunk are dark
+        block, start = 64, 3 * 64
+        pipe = make_pipeline(
+            seed=9, n_pulses=4 * block, conversion=True, p_emit=1.0, p_multi=0.3,
+            blink_on_rate_per_us=20.0, blink_off_rate_per_us=20.0,
+        )
+
+        def t(row):
+            return float(pipe.train.pulse_start_ps(start + row))
+
+        blink = BlinkTable(True, np.array([t(10) - 1, t(10) + 1, t(block - 1) - 1]))
+        full, full_ok, full_route = self.full_chunk(pipe, start, block, blink)
+        assert full.sig_pulse.tolist() == [row for row in range(block - 1) if row != 10]
+        for row in (block - 1, block - 2, 11, 10, 0):
+            self.assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route)
+
+    # seeds at which the block before the short last one reads it as its right halo
+    @pytest.mark.parametrize("p_emit,seed", [(1.0, 3), (0.3, 4)])
+    def test_short_last_block(self, monkeypatch, p_emit, seed):
+        # the last block holds 3 pulses, so its emitter rows start inside a Philox
+        # step, and the right halo of the block before reads one of them
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        n_total = 64 * 40 + 3
+        pipe = make_pipeline(seed=seed, n_pulses=n_total, p_emit=p_emit, p_multi=0.05, conversion=True)
+        det = ideal_detector(irf_sigma_ps=50.0)
+        reads = []
+        signal_at = pipeline._signal_at
+        monkeypatch.setattr(pipeline, "_signal_at", lambda *args: reads.append(args[1:3]) or signal_at(*args))
+        serial = run_hom(pipe, interferometer(), det, det, workers=1)
+        # every halo read names the length of the chunk it reads
+        assert (64 * 40, 3) in reads
+        assert all(pulses == min(64, n_total - start) for start, pulses in reads)
+        parallel = run_hom(pipe, interferometer(), det, det, workers=3)
+        assert_conservation(serial)
+        assert serial.stats == parallel.stats
+        for s1, s2 in zip(serial.streams, parallel.streams):
+            assert np.array_equal(s1.tags, s2.tags)
+        full, full_ok, full_route = self.full_chunk(pipe, 64 * 40, 3, None)
+        for row in (0, 2):
+            self.assert_halo_row(pipe, 64 * 40, 3, row, None, full, full_ok, full_route)
+
+
+class TestDrawBudget:
+    """Random draws are made only for photons that exist, at profile parameters."""
+
+    @staticmethod
+    def draws_per_pulse(monkeypatch, run) -> float:
+        drawn = []
+        make = pipeline.substream
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                attr = getattr(self.rng, name)
+                if not callable(attr):
+                    return attr
+
+                def draw(*args, **kwargs):
+                    out = attr(*args, **kwargs)
+                    drawn.append(np.size(out))
+                    return out
+
+                return draw
+
+        monkeypatch.setattr(pipeline, "substream", lambda *key: Counting(make(*key)))
+        result = run()
+        return sum(drawn) / result.stats.pulses
+
+    def test_hom_930_paired(self, monkeypatch):
+        cfg = load_config(PROFILES / "hom_930.cfg")
+        settings = [cfg.interferometer(pol) for pol in PolarizationConfig]
+        pipe = cfg.pipeline()
+        per_pulse = self.draws_per_pulse(
+            monkeypatch, lambda: run_hom(pipe, settings, cfg.det1, cfg.det2, n_pulses=200_000)
+        )
+        assert per_pulse <= 5.0  # 18 with one row per pulse
+
+    def test_hbt_930(self, monkeypatch):
+        cfg = load_config(PROFILES / "hbt_930.cfg")
+        pipe = cfg.pipeline()
+        per_pulse = self.draws_per_pulse(
+            monkeypatch, lambda: run_hbt(pipe, cfg.bs, cfg.det1, cfg.det2, n_pulses=200_000)
+        )
+        assert per_pulse <= 6.0  # 16 with one row per pulse
 
 
 class TestRateExperiment:

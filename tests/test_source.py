@@ -10,9 +10,10 @@ from scipy import stats
 
 from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.source import (
-    EMIT_DRAWS_PER_PULSE,
+    EMIT_DRAWS,
     BlinkTable,
     EmitterConfig,
+    emitting,
     expected_pair_overlap,
     sample_emission,
     temporal_jitter_overlap,
@@ -32,22 +33,23 @@ def emitter(**kwargs):
 
 
 def emission_arrays(cfg, pulse_train, seed=11):
-    """Vectorized emission for the whole train through the fixed-draw layout."""
+    """Vectorized emission for the whole train: one uniform per pulse, one row per emitter."""
     rng = substream(RunSeed(seed), 0, 0)
     n = pulse_train.n_pulses
-    uniforms = rng.random((n, EMIT_DRAWS_PER_PULSE))
+    emits = emitting(cfg, rng.random(n), True)
     wander = (
         rng.normal(0.0, cfg.spectral_diffusion_sigma_ghz, n)
         if cfg.spectral_diffusion_sigma_ghz
         else np.zeros(n)
     )
-    return sample_emission(cfg, pulse_train, 0, uniforms, wander, np.ones(n, dtype=bool))
+    uniforms = rng.random((int(emits.sum()), EMIT_DRAWS))
+    return sample_emission(cfg, pulse_train, 0, emits, wander, uniforms)
 
 
 class TestEmission:
     def test_p_emit_zero_always_empty(self):
         block = emission_arrays(emitter(p_emit=0.0, p_multi=0.0), train(200), seed=1)
-        assert not block.sig_exists.any() and not block.comp_exists.any()
+        assert block.sig_pulse.size == 0 and block.comp_pulse.size == 0
 
     def test_mean_emission_delay(self):
         # tau plus half the excitation pulse width, at a million pulses
@@ -61,7 +63,7 @@ class TestEmission:
         cfg = emitter(p_emit=0.37)
         tr = train(200_000)
         block = emission_arrays(cfg, tr)
-        count = int(block.sig_exists.sum())
+        count = block.sig_pulse.size
         sigma = math.sqrt(tr.n_pulses * 0.37 * 0.63)
         assert abs(count - 0.37 * tr.n_pulses) < 5 * sigma
 
@@ -78,11 +80,11 @@ class TestEmission:
 
     def test_companion_needs_signal_and_carries_origin(self):
         block = emission_arrays(emitter(p_emit=1.0, p_multi=1.0), train(10), seed=3)
-        assert block.sig_exists.all() and block.comp_exists.all()
+        assert block.sig_pulse.size == block.comp_pulse.size == 10
         assert np.all(block.comp_detuning_ghz > 5.0)  # companion sits far off line
         mixed = emission_arrays(emitter(p_emit=0.5, p_multi=0.5), train(10_000), seed=3)
-        assert mixed.comp_exists.any()
-        assert not np.any(mixed.comp_exists & ~mixed.sig_exists)
+        assert mixed.comp_pulse.size
+        assert np.isin(mixed.comp_pulse, mixed.sig_pulse).all()
 
     def test_companion_rate(self):
         cfg = emitter(p_emit=0.5, p_multi=0.1)
@@ -90,14 +92,13 @@ class TestEmission:
         block = emission_arrays(cfg, tr)
         expected = 0.5 * 0.1 * tr.n_pulses
         sigma = math.sqrt(expected)
-        assert abs(block.comp_exists.sum() - expected) < 5 * sigma
+        assert abs(block.comp_pulse.size - expected) < 5 * sigma
 
     def test_emit_time_not_before_pulse_start(self):
         cfg = emitter()
         tr = train(50_000)
         block = emission_arrays(cfg, tr)
-        starts = tr.pulse_start_ps(np.arange(tr.n_pulses))
-        assert np.all(block.sig_time_ps[block.sig_exists] >= starts[block.sig_exists])
+        assert np.all(block.sig_time_ps >= tr.pulse_start_ps(block.sig_pulse))
 
 
 class TestPairwiseOverlap:
@@ -152,9 +153,10 @@ class TestBlinking:
         tr = train(10)
         dark = BlinkTable(initial_bright=False, switch_times_ps=np.empty(0))
         bright = dark.bright_at(tr.pulse_start_ps(np.arange(tr.n_pulses)))
-        uniforms = substream(RunSeed(5), 0, 0).random((tr.n_pulses, EMIT_DRAWS_PER_PULSE))
-        block = sample_emission(cfg, tr, 0, uniforms, np.zeros(tr.n_pulses), bright)
-        assert not block.sig_exists.any() and not block.comp_exists.any()
+        emits = emitting(cfg, substream(RunSeed(5), 0, 0).random(tr.n_pulses), bright)
+        assert not emits.any()
+        block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), np.empty((0, EMIT_DRAWS)))
+        assert block.sig_pulse.size == 0 and block.comp_pulse.size == 0
 
     def test_dwell_times_exponential(self):
         cfg = emitter(blink_on_rate_per_us=0.1, blink_off_rate_per_us=0.1)
