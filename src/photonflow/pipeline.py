@@ -1,17 +1,16 @@
 """End-to-end experiment runners on a block-parallel Monte Carlo engine.
 
 Pulses are processed in fixed-size blocks.  Every random decision is drawn
-from a substream keyed by (master seed, owning chunk, stage).  Only the
-emission decision is drawn for every pulse; every other draw is made only for
-photons that exist, in compacted order: one emission row per emitting pulse,
-and one conversion, route and detection row per photon, signal photons first.
-A signal photon's rows are keyed by its emitter rank (the pulse's position
-among the chunk's emitting pulses).  Consecutive-pulse photon pairs that
-straddle a block boundary are completed by reading the neighbour chunk's
-boundary photon: its rank follows from the chunk's per-pulse emission
-uniforms, and the counter-based streams reach its rows by advancing their
-counter rather than drawing the rows before it.  Results are therefore
-bit-identical for any worker count.
+from a substream keyed by (master seed, owning chunk, stage), and a block
+reads only its own chunk's substreams.  Only the emission decision is drawn
+for every pulse; every other draw is made only for photons that exist, in
+compacted order: one emission row per emitting pulse, and one conversion,
+route and detection row per photon, signal photons first.  A signal photon's
+rows are keyed by its emitter rank (the pulse's position among the chunk's
+emitting pulses).  Interferometer photon pairs can straddle a block edge, so
+a block keeps back the photons at its edge pulses that could meet a
+neighbour's photon; once every block is done, one merge step pairs them with
+the same rule.  Results are therefore bit-identical for any worker count.
 
 All three topologies run through one block driver.  It emits the block's
 photons, sends signal, companion and noise photons alike through the
@@ -163,53 +162,30 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# chunk-keyed draw reconstruction
+# chunk-keyed draws
 
-def _stream(seed: RunSeed, chunk_start: int, stage: int, skip: int = 0) -> np.random.Generator:
-    """A chunk's substream with its first ``skip`` uniforms passed over.
+def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) -> EmissionBlock:
+    """Emission of the chunk of pulses [i0, i0 + n).
 
-    Philox yields four 64-bit words per counter step and each float64 uniform
-    consumes one word, so the skip is a counter advance plus at most three
-    discarded draws.
+    The chunk's emission stream holds one uniform per pulse, then one row of
+    ``EMIT_DRAWS`` uniforms per emitting pulse.
     """
-    rng = substream(seed, chunk_start, stage)
-    if skip:
-        rng.bit_generator.advance(skip // 4)
-        if skip % 4:
-            rng.random(skip % 4)
-    return rng
-
-
-def _pulse_bright(blink: BlinkTable | None, train: PulseTrainConfig, first_pulse: int, n: int):
-    """Blinking state of pulses [first_pulse, first_pulse + n), or True without blinking."""
-    if blink is None:
-        return True
-    return blink.bright_at(train.pulse_start_ps(first_pulse + np.arange(n)).astype(np.float64))
-
-
-def _emission_rows(
-    pipe: Pipeline, first_pulse: int, u_emit: np.ndarray, blink: BlinkTable | None, rng: np.random.Generator
-) -> EmissionBlock:
-    """Emission of pulses [first_pulse, first_pulse + u_emit.size).
-
-    ``u_emit`` holds their emission uniforms, one per pulse.  A chunk's
-    emission stream holds that column for all of its pulses, then one row of
-    ``EMIT_DRAWS`` uniforms per emitting pulse; ``rng`` is the stream at the
-    row of the range's first emitting pulse.
-    """
-    emitter, n = pipe.emitter, u_emit.size
-    emits = emitting(emitter, u_emit, _pulse_bright(blink, pipe.train, first_pulse, n))
+    emitter, rng = pipe.emitter, substream(pipe.seed, i0, STAGE_EMIT)
+    bright = True
+    if blink is not None:
+        bright = blink.bright_at(pipe.train.pulse_start_ps(i0 + np.arange(n)).astype(np.float64))
+    emits = emitting(emitter, rng.random(n), bright)
     uniforms = rng.random((int(np.count_nonzero(emits)), EMIT_DRAWS))
     wander = 0.0
     if emitter.spectral_diffusion_sigma_ghz > 0:
-        dblocks = (first_pulse + np.arange(n)) // emitter.diffusion_block_pulses
+        dblocks = (i0 + np.arange(n)) // emitter.diffusion_block_pulses
         unique, inverse = np.unique(dblocks, return_inverse=True)
         wander = diffusion_offsets_ghz(emitter, pipe.seed, unique)[inverse]
-    return sample_emission(emitter, pipe.train, first_pulse, emits, wander, uniforms)
+    return sample_emission(emitter, pipe.train, i0, emits, wander, uniforms)
 
 
-def _converted(pipe: Pipeline, chunk_start: int, detuning_ghz: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Which photons survive conversion, from the chunk's conversion uniforms at ``first_row`` on.
+def _converted(pipe: Pipeline, i0: int, detuning_ghz: np.ndarray) -> np.ndarray:
+    """Which photons survive conversion, one uniform each from the chunk's conversion stream.
 
     A chunk's conversion uniforms hold one per signal photon, by emitter
     rank, then one per companion.
@@ -217,40 +193,7 @@ def _converted(pipe: Pipeline, chunk_start: int, detuning_ghz: np.ndarray, first
     if pipe.conversion is None:
         return np.ones(detuning_ghz.size, dtype=bool)
     survive = survival_probability(pipe.conversion, detuning_ghz, pipe.filter_center_offset_ghz())
-    return _stream(pipe.seed, chunk_start, STAGE_CONVERT, first_row).random(detuning_ghz.size) < survive
-
-
-def _signal_at(
-    pipe: Pipeline, chunk_start: int, chunk_pulses: int, row: int, blink: BlinkTable | None, n_route: int
-) -> tuple[EmissionBlock, np.ndarray, np.ndarray]:
-    """Row ``row`` of a chunk of ``chunk_pulses`` pulses read alone, for a block halo.
-
-    The pulse's emitter rank is the number of emitting pulses before it,
-    which takes the chunk's emission uniforms up to the row (one per pulse);
-    every other read is a counter advance to that rank.  Returns the
-    emission, the ``sig_ok`` mask of its signal photon (survived conversion)
-    and that photon's route uniforms, an ``(n_signal, n_route)`` table.
-    """
-    seed = pipe.seed
-    u_emit = substream(seed, chunk_start, STAGE_EMIT).random(row + 1)
-    bright = _pulse_bright(blink, pipe.train, chunk_start, row)
-    rank = int(np.count_nonzero(emitting(pipe.emitter, u_emit[:row], bright)))
-    rows = _stream(seed, chunk_start, STAGE_EMIT, chunk_pulses + EMIT_DRAWS * rank)
-    block = _emission_rows(pipe, chunk_start + row, u_emit[row:], blink, rows)
-    ok = _converted(pipe, chunk_start, block.sig_detuning_ghz, rank)
-    return block, ok, _stream(seed, chunk_start, STAGE_ROUTE, n_route * rank).random((ok.size, n_route))
-
-
-def _detection_rows(seed: RunSeed, chunk_start: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``n_rows`` efficiency uniforms and jitter normals of a chunk.
-
-    Row r belongs to the chunk's r-th photon: signal photons by emitter rank,
-    then companions.  The right halo reads row 0 alone; no read starts later,
-    because the normals come from the ziggurat, which consumes a varying
-    number of words per value, so that stream cannot be advanced to a row.
-    """
-    u_eff = substream(seed, chunk_start, STAGE_DETECT).random(n_rows)
-    return u_eff, substream(seed, chunk_start, STAGE_JITTER).standard_normal(n_rows)
+    return substream(pipe.seed, i0, STAGE_CONVERT).random(detuning_ghz.size) < survive
 
 
 def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
@@ -264,18 +207,33 @@ def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
 # the block driver and the three topologies
 
 class _Photons(NamedTuple):
-    """Photons entering a topology, one array entry per photon."""
+    """Photons entering a topology, one row per photon."""
 
     time: np.ndarray  # emission time, integer ps
     u_eff: np.ndarray  # detection efficiency uniform
     z: np.ndarray  # IRF jitter normal
-    u_route: tuple[np.ndarray, ...]  # one array per route uniform the topology reads
+    u_route: np.ndarray  # (photons, route uniforms the topology reads)
 
     def take(self, idx: np.ndarray) -> "_Photons":
         """The photons at ``idx``, an index array or a boolean mask."""
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)  # one pass over the mask, then cheap gathers
-        return _Photons(self.time[idx], self.u_eff[idx], self.z[idx], tuple(u[idx] for u in self.u_route))
+        # take, not indexing: fancy indexing of the 2-D route rows is ten times slower
+        return _Photons(*(column.take(idx, axis=0) for column in self))
+
+    @staticmethod
+    def concat(tables: Sequence["_Photons"]) -> "_Photons":
+        return _Photons(*(np.concatenate(columns) for columns in zip(*tables)))
+
+
+class _Edge(NamedTuple):
+    """Signal photons a block keeps back for the merge step, in pulse order."""
+
+    photons: _Photons
+    pulse: np.ndarray  # pulse index in the run
+    env: np.ndarray  # envelope start, ps
+    det: np.ndarray  # detuning, GHz
+    u_joint: np.ndarray  # (photons, 2): a long-arm photon's reserved joint row
 
 
 def _register(detectors, ports, arrivals, u_eff, z) -> tuple[list[np.ndarray], list[DetectStats]]:
@@ -288,65 +246,19 @@ def _register(detectors, ports, arrivals, u_eff, z) -> tuple[list[np.ndarray], l
     return tags, stats
 
 
-def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs):
-    """One block of any topology: emission, routing, registration, dark counts.
+def _route_and_register(
+    detectors, route, photons: _Photons, pair_tables, dark
+) -> tuple[list[np.ndarray], RunStats]:
+    """Route ``photons`` and register them beside each setting's pair photons and dark counts.
 
-    ``route`` maps photons, through their ``n_route`` route uniforms, to a
-    port each (0/1 detector, negative lost) and an arm delay.  Signal,
-    companion and noise photons all go through it, and a topology that reads
-    no route uniform does not draw any.  Conversion, route and detection
-    draws hold one row per photon that exists: signal photons by emitter
-    rank, then companions.  ``pairs(block, sig_ok, signal)`` is the
-    interferometer's meeting-pair step: given the signal photons that
-    survived conversion, it returns the ones left for routing and, for each
-    setting, the ``(ports, arrivals, u_eff, z)`` of the photons it routed
-    jointly.  Without it (``None``) the block has one setting.  The routed
-    photons form one table that is registered once; each setting's pair
-    photons are registered on their own and join its tags and channel stats,
-    which are ordered (setting, detector).
+    The routed photons are registered once and join every setting's tags and
+    channel stats; each entry of ``pair_tables`` is a setting's jointly
+    routed ``(ports, arrivals, u_eff, z)``, and ``dark`` holds each
+    detector's dark counts.  Returns the unsorted tags per (setting,
+    detector) and a RunStats of the routing losses and channels alone.
     """
-    n, seed = i1 - i0, pipe.seed
-    rng = substream(seed, i0, STAGE_EMIT)
-    block = _emission_rows(pipe, i0, rng.random(n), blink, rng)
-    k = block.sig_pulse.size
-    ok = _converted(pipe, i0, np.concatenate([block.sig_detuning_ghz, block.comp_detuning_ghz]))
-    sig_ok, comp_ok = ok[:k], ok[k:]
-    det_u, det_z = _detection_rows(seed, i0, ok.size)
-    u_route = np.empty((0, 0))
-    if n_route:
-        u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
-    signal = _Photons(block.sig_time_ps, det_u[:k], det_z[:k], tuple(u_route[:k].T))
-    if pairs is None:
-        solo, pair_tables = signal.take(sig_ok), [(np.empty(0),) * 4]
-    else:
-        solo, pair_tables = pairs(block, sig_ok, signal.take(sig_ok))
-    batches = [solo, _Photons(block.comp_time_ps, det_u[k:], det_z[k:], tuple(u_route[k:].T)).take(comp_ok)]
-
-    t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
-    noise = np.empty(0, dtype=np.int64)
-    if pipe.conversion is not None and pipe.conversion.noise_rate_cps > 0:
-        rng = substream(pipe.seed, i0, STAGE_NOISE)
-        noise = sample_noise_times(pipe.conversion, (t0, t1), rng)
-    if noise.size:
-        # one full array per route uniform, then the detection draws
-        u_noise = tuple(rng.random((n_route, noise.size)))
-        batches.append(_Photons(noise, rng.random(noise.size), rng.standard_normal(noise.size), u_noise))
-
-    routes = [route(photons) for photons in batches]
-    ports = np.concatenate([port for port, _ in routes])
-    shared_tags, shared_stats = _register(
-        detectors,
-        ports,
-        np.concatenate([photons.time + delay for photons, (_, delay) in zip(batches, routes)]),
-        np.concatenate([photons.u_eff for photons in batches]),
-        np.concatenate([photons.z for photons in batches]),
-    )
-    if any(det.dark_rate_cps > 0 for det in detectors):
-        rng = substream(pipe.seed, i0, STAGE_DARK)
-        dark = [sample_dark_counts(det, (t0 + PATH_DELAY_PS, t1 + PATH_DELAY_PS), rng) for det in detectors]
-    else:
-        dark = [np.empty(0, dtype=np.int64)] * len(detectors)
-
+    ports, delay = route(photons)
+    shared_tags, shared_stats = _register(detectors, ports, photons.time + delay, photons.u_eff, photons.z)
     tags, channels = [], []
     for table in pair_tables:
         pair_tags, pair_stats = _register(detectors, *table)
@@ -355,15 +267,67 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
             stats.dark = int(dark[ch].size)
             tags.append(np.concatenate([shared_tags[ch], pair_tags[ch], dark[ch]]))
         channels += pair_stats
-    return tags, RunStats(
+    return tags, RunStats(routed_lost=int(np.count_nonzero(ports < 0)), channels=tuple(channels))
+
+
+def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs):
+    """One block of any topology: emission, routing, registration, dark counts.
+
+    ``route`` maps photons, through their ``n_route`` route uniforms, to a
+    port each (0/1 detector, negative lost) and an arm delay.  Signal,
+    companion and noise photons go through it as one table, and a topology
+    that reads no route uniform does not draw any.  Conversion, route and
+    detection draws hold one row per photon that exists: signal photons by
+    emitter rank, then companions.  ``pairs(block, sig_ok, signal)`` is the
+    interferometer's meeting-pair step: given the signal photons that
+    survived conversion, it returns the ones left for routing, each
+    setting's ``(ports, arrivals, u_eff, z)`` of the photons it routed
+    jointly, and the ``_Edge`` photons it kept back.  Without it (``None``)
+    the block has one setting and keeps nothing back.
+
+    Returns the unsorted tags per (setting, detector), the block's RunStats
+    and its kept-back photons.
+    """
+    n, seed = i1 - i0, pipe.seed
+    block = _emission_rows(pipe, i0, n, blink)
+    k = block.sig_pulse.size
+    ok = _converted(pipe, i0, np.concatenate([block.sig_detuning_ghz, block.comp_detuning_ghz]))
+    u_eff = substream(seed, i0, STAGE_DETECT).random(ok.size)
+    z = substream(seed, i0, STAGE_JITTER).standard_normal(ok.size)
+    u_route = np.empty((ok.size, 0))
+    if n_route:
+        u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
+    signal = _Photons(block.sig_time_ps, u_eff[:k], z[:k], u_route[:k]).take(ok[:k])
+    pair_tables, edge = [(np.empty(0),) * 4], None
+    if pairs is not None:
+        signal, pair_tables, edge = pairs(block, ok[:k], signal)
+    batches = [signal, _Photons(block.comp_time_ps, u_eff[k:], z[k:], u_route[k:]).take(ok[k:])]
+
+    t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
+    noise = np.empty(0, dtype=np.int64)
+    if pipe.conversion is not None and pipe.conversion.noise_rate_cps > 0:
+        rng = substream(seed, i0, STAGE_NOISE)
+        noise = sample_noise_times(pipe.conversion, (t0, t1), rng)
+    if noise.size:
+        # one full array per route uniform, then the detection draws
+        u_noise = rng.random((n_route, noise.size)).T
+        batches.append(_Photons(noise, rng.random(noise.size), rng.standard_normal(noise.size), u_noise))
+    if any(det.dark_rate_cps > 0 for det in detectors):
+        rng = substream(seed, i0, STAGE_DARK)
+        dark = [sample_dark_counts(det, (t0 + PATH_DELAY_PS, t1 + PATH_DELAY_PS), rng) for det in detectors]
+    else:
+        dark = [np.empty(0, dtype=np.int64)] * len(detectors)
+
+    tags, stats = _route_and_register(detectors, route, _Photons.concat(batches), pair_tables, dark)
+    stats = replace(
+        stats,
         pulses=n,
         emitted_signal=k,
         emitted_multi=ok.size - k,
         conversion_lost=ok.size - int(np.count_nonzero(ok)),
         noise_injected=int(noise.size),
-        routed_lost=int(np.count_nonzero(ports < 0)),
-        channels=tuple(channels),
     )
+    return tags, stats, edge
 
 
 def _direct_route(photons: _Photons):
@@ -373,7 +337,7 @@ def _direct_route(photons: _Photons):
 
 def _splitter_route(bs: BeamSplitter, photons: _Photons):
     """One splitter with a detector on each output port."""
-    return split_ports(photons.u_route[0], bs.r, bs.t), 0
+    return split_ports(photons.u_route[:, 0], bs.r, bs.t), 0
 
 
 def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
@@ -382,7 +346,7 @@ def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
     A long-arm photon enters the output splitter from the other side, so it
     sees r and t swapped.
     """
-    u_arm, u_port = photons.u_route
+    u_arm, u_port = photons.u_route.T
     arm = split_ports(u_arm, ifo.bs_in.r, ifo.bs_in.t)
     long_arm = arm == 0
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
@@ -391,65 +355,34 @@ def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
     return port, np.where(long_arm, ifo.arm_delay_ps, 0)
 
 
-def _meeting_pairs(
-    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, sig_ok: np.ndarray,
-    signal: _Photons, i0: int, i1: int, blink, n_total: int,
-) -> tuple[_Photons, list[tuple[np.ndarray, ...]]]:
-    """Signal photon pairs that meet at the output splitter, for one block.
+def _meeting(ifo: HomInterferometer, pulse: np.ndarray, signal: _Photons):
+    """The meeting-pair rule, for signal photons in pulse order.
 
-    A long-arm photon meets the next pulse's photon if that one takes the
-    short arm.  When both survive the output splitter, their ports are drawn
-    jointly, once per setting; every other photon routes independently.  The
-    block owns the pairs whose early photon it holds: the next block's
-    photon at its first pulse (right halo) completes its last pair, and its
-    own photon at its first pulse is left out if the previous block's last
-    pair took it (left halo).  Pulses are adjacent by index, not by position
-    in the photon arrays.
+    A photon that takes the long arm at pulse p meets the photon of pulse
+    p + 1 if that one takes the short arm and both survive the output
+    splitter.  Pulses are adjacent by index, not by position in the photon
+    arrays.  Returns the indices of the pairs' early photons and, per photon,
+    whether it can be an early and whether it can be a late photon.
+    """
+    u_arm, u_port = signal.u_route.T
+    arm = split_ports(u_arm, ifo.bs_in.r, ifo.bs_in.t)
+    survives = u_port < ifo.bs_out.r + ifo.bs_out.t
+    can_early, can_late = (arm == 0) & survives, (arm == 1) & survives
+    early = np.flatnonzero(can_early[:-1] & can_late[1:] & (pulse[1:] == pulse[:-1] + 1))
+    return early, can_early, can_late
 
-    Returns the signal photons left for independent routing and, for each
-    setting, the ``(ports, arrivals, u_eff, z)`` of the pair photons, early
-    photons first; the arrivals and draws are the same in every setting.
+
+def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np.ndarray, u_joint: np.ndarray):
+    """Joint port draws of the meeting pairs whose early photons are at ``early``.
+
+    ``u_joint`` holds each pair's two joint uniforms.  Returns a mask of the
+    photons in no pair and, for each setting, the ``(ports, arrivals, u_eff,
+    z)`` of the pair photons, early photons first; the arrivals and draws are
+    the same in every setting.
     """
     ifo = settings[0]
-    r1, t1 = ifo.bs_in.r, ifo.bs_in.t
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
-    n = i1 - i0
-    pulse, env, det = block.sig_pulse[sig_ok], block.sig_env_ps[sig_ok], block.sig_detuning_ghz[sig_ok]
-    has_halo = False
-    if i1 < n_total and pulse.size and pulse[-1] == n - 1 and signal.u_route[0][-1] < r1:
-        halo, halo_ok, u_halo = _signal_at(pipe, i1, min(BLOCK_PULSES, n_total - i1), 0, blink, 2)
-        has_halo = bool(halo_ok.any())
-        if has_halo:
-            halo_u, halo_z = _detection_rows(pipe.seed, i1, 1)
-            signal = _Photons(
-                np.append(signal.time, halo.sig_time_ps),
-                np.append(signal.u_eff, halo_u),
-                np.append(signal.z, halo_z),
-                tuple(np.append(u, h) for u, h in zip(signal.u_route, u_halo[0])),
-            )
-            pulse = np.append(pulse, n)
-            env = np.append(env, halo.sig_env_ps)
-            det = np.append(det, halo.sig_detuning_ghz)
-
-    u_arm, u_port = signal.u_route
-    arm = split_ports(u_arm, r1, t1)
-    long_arm, short_arm = arm == 0, arm == 1
-    survives = u_port < r2 + t2
-    early = np.flatnonzero(long_arm[:-1] & short_arm[1:] & (pulse[1:] == pulse[:-1] + 1))
-    early = early[survives[early] & survives[early + 1]]
     late = early + 1
-
-    solo = np.ones(pulse.size, dtype=bool)
-    solo[early] = solo[late] = False
-    if has_halo:
-        solo[-1] &= short_arm[-1]  # the halo photon is ours only as the late photon of our last pair
-    if i0 > 0 and pulse.size and pulse[0] == 0 and short_arm[0]:
-        _, prev_ok, prev_route = _signal_at(pipe, i0 - BLOCK_PULSES, BLOCK_PULSES, BLOCK_PULSES - 1, blink, 2)
-        solo[0] = not (prev_ok.any() and prev_route[0, 0] < r1)
-
-    u_joint = np.empty((0, 2))
-    if early.size:
-        u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((early.size, 2))
     overlap = pair_overlap(
         pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
     )
@@ -459,7 +392,54 @@ def _meeting_pairs(
     for setting in settings:
         ports = joint_ports(r2, t2, setting.effective_overlap(overlap), u_joint[:, 0], u_joint[:, 1])
         tables.append((np.concatenate(ports), arrivals, met.u_eff, met.z))
-    return signal.take(solo), tables
+    solo = np.ones(signal.time.size, dtype=bool)
+    solo[early] = solo[late] = False
+    return solo, tables
+
+
+def _meeting_pairs(
+    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, sig_ok: np.ndarray,
+    signal: _Photons, i0: int, i1: int,
+) -> tuple[_Photons, list[tuple[np.ndarray, ...]], _Edge]:
+    """The meeting-pair step of one interferometer block.
+
+    Pairs with both photons in the block get their joint ports here, one row
+    of the block's joint draws each.  A photon that could meet a photon of a
+    neighbouring block, short arm at the block's first pulse or long arm at
+    its last, is kept back for ``_merge_edges``; the long-arm one takes along
+    the joint row after the block's own pairs.
+
+    Returns the signal photons left for independent routing, each setting's
+    pair table, and the kept-back photons.
+    """
+    pulse, env, det = block.sig_pulse[sig_ok], block.sig_env_ps[sig_ok], block.sig_detuning_ghz[sig_ok]
+    early, can_early, can_late = _meeting(settings[0], pulse, signal)
+    kept = (pulse == 0) & can_late | (pulse == i1 - i0 - 1) & can_early
+    reserve = int(np.count_nonzero(kept & can_early))  # at most one: the last pulse's photon
+    u_joint = np.empty((0, 2))
+    if early.size + reserve:
+        u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((early.size + reserve, 2))
+    solo, tables = _pair_tables(pipe, settings, signal, env, det, early, u_joint[: early.size])
+    edge_joint = np.concatenate([np.zeros((np.count_nonzero(kept) - reserve, 2)), u_joint[early.size :]])
+    edge = _Edge(signal.take(kept), pulse[kept] + i0, env[kept], det[kept], edge_joint)
+    return signal.take(solo & ~kept), tables, edge
+
+
+def _merge_edges(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], edges: Sequence[_Edge]):
+    """Pair or route the photons that the blocks kept back.
+
+    ``edges`` come in pulse order, so one pass of the meeting-pair rule finds
+    every pair across a block edge, and its early photon brings its joint
+    row.  Returns tags and RunStats of these photons alone, as a block does.
+    """
+    columns = list(zip(*edges))
+    signal = _Photons.concat(columns[0])
+    pulse, env, det, u_joint = map(np.concatenate, columns[1:])
+    early, _, _ = _meeting(settings[0], pulse, signal)
+    solo, tables = _pair_tables(pipe, settings, signal, env, det, early, u_joint[early])
+    route = partial(_interferometer_route, settings[0])
+    no_dark = [np.empty(0, dtype=np.int64)] * len(detectors)
+    return _route_and_register(detectors, route, signal.take(solo), tables, no_dark)
 
 
 def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink):
@@ -470,22 +450,14 @@ def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, bl
     return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs), None)
 
 
-def _block_hom(
-    pipe: Pipeline,
-    detectors,
-    settings: tuple[HomInterferometer, ...],
-    i0: int,
-    i1: int,
-    blink,
-    n_total: int,
-):
+def _block_hom(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], i0: int, i1: int, blink):
     """One interferometer block, simulated once for every setting.
 
     The settings share splitters and arm delay, so only the joint port draw
     of meeting pairs is evaluated per setting.
     """
     def pairs(block, sig_ok, signal):
-        return _meeting_pairs(pipe, settings, block, sig_ok, signal, i0, i1, blink, n_total)
+        return _meeting_pairs(pipe, settings, block, sig_ok, signal, i0, i1)
 
     route = partial(_interferometer_route, settings[0])
     return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, pairs)
@@ -522,12 +494,16 @@ class _TagFold:
         return np.sort(self.buf[: self.size])
 
 
-def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, n_settings: int = 1) -> RunResult:
+def _run_blocks(
+    block_fn, pipe: Pipeline, detectors, workers: int, n_settings: int = 1, merge_fn=None
+) -> RunResult:
     """Run every block and merge its tags per channel.
 
     A block returns tags for each of ``n_settings`` settings of the same
-    detectors, ordered (setting, detector); stream ``channel_id`` is the
-    detector index.
+    detectors, ordered (setting, detector), its RunStats and the photons it
+    kept back; stream ``channel_id`` is the detector index.  Once every block
+    is done, ``merge_fn(pipe, detectors, edges)`` gets the kept-back photons
+    of all blocks in pulse order and returns their tags and RunStats.
     """
     n_pulses = pipe.train.n_pulses
     if n_pulses <= 0:
@@ -537,22 +513,29 @@ def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, n_settings: i
     channels = tuple(detectors) * n_settings
     total = RunStats(channels=tuple(DetectStats() for _ in channels))
     folds = [_TagFold() for _ in channels]
+    edges = []
 
     def job(rng_pair):
         i0, i1 = rng_pair
         return block_fn(pipe, detectors, i0, i1, blink)
 
-    def fold(results) -> None:
-        for tags, stats in results:
-            total.merge(stats)
-            for ch_fold, arr in zip(folds, tags):
-                ch_fold.add(arr)
+    def fold(tags, stats) -> None:
+        total.merge(stats)
+        for ch_fold, arr in zip(folds, tags):
+            ch_fold.add(arr)
+
+    def fold_blocks(results) -> None:
+        for tags, stats, edge in results:
+            fold(tags, stats)
+            edges.append(edge)
 
     if workers <= 1:
-        fold(job(r) for r in ranges)
+        fold_blocks(job(r) for r in ranges)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold(pool.map(job, ranges))
+            fold_blocks(pool.map(job, ranges))
+    if merge_fn is not None:
+        fold(*merge_fn(pipe, detectors, edges))
 
     streams = []
     for ch, det in enumerate(channels):
@@ -563,30 +546,15 @@ def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, n_settings: i
     return RunResult(streams=tuple(streams), stats=total)
 
 
-def _with_pulses(pipe: Pipeline, n_pulses: int | None) -> Pipeline:
-    if n_pulses is None:
-        return pipe
-    return replace(pipe, train=replace(pipe.train, n_pulses=n_pulses))
-
-
-def run_direct(
-    pipe: Pipeline, det: DetectorConfig, n_pulses: int | None = None, workers: int = 1
-) -> RunResult:
+def run_direct(pipe: Pipeline, det: DetectorConfig, workers: int = 1) -> RunResult:
     """Single-detector topology: photon counting and lifetime measurements."""
-    pipe = _with_pulses(pipe, n_pulses)
     return _run_blocks(_block_direct, pipe, (det,), workers)
 
 
 def run_hbt(
-    pipe: Pipeline,
-    bs: BeamSplitter,
-    det1: DetectorConfig,
-    det2: DetectorConfig,
-    n_pulses: int | None = None,
-    workers: int = 1,
+    pipe: Pipeline, bs: BeamSplitter, det1: DetectorConfig, det2: DetectorConfig, workers: int = 1
 ) -> RunResult:
     """Splitter with a detector on each output port (purity measurement)."""
-    pipe = _with_pulses(pipe, n_pulses)
 
     def block(p, dets, i0, i1, blink):
         return _block_hbt(p, dets, bs, i0, i1, blink)
@@ -599,7 +567,6 @@ def run_hom(
     ifo: HomInterferometer | Sequence[HomInterferometer],
     det1: DetectorConfig,
     det2: DetectorConfig,
-    n_pulses: int | None = None,
     workers: int = 1,
 ) -> RunResult:
     """Delay-matched interferometer topology (indistinguishability measurement).
@@ -616,13 +583,14 @@ def run_hom(
     shared = {(s.bs_in, s.bs_out, s.arm_delay_ps) for s in settings}
     if len(shared) > 1:
         raise ConfigError("interferometer settings run together must share bs_in, bs_out and arm_delay_ps")
-    pipe = _with_pulses(pipe, n_pulses)
-    n_total = pipe.train.n_pulses
 
     def block(p, dets, i0, i1, blink):
-        return _block_hom(p, dets, settings, i0, i1, blink, n_total)
+        return _block_hom(p, dets, settings, i0, i1, blink)
 
-    return _run_blocks(block, pipe, (det1, det2), workers, n_settings=len(settings))
+    def merge(p, dets, edges):
+        return _merge_edges(p, dets, settings, edges)
+
+    return _run_blocks(block, pipe, (det1, det2), workers, len(settings), merge)
 
 
 def irf_pipeline(pipe: Pipeline) -> Pipeline:

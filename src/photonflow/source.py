@@ -168,9 +168,8 @@ def sample_emission(
 
     ``emits`` marks the emitting pulses of the range starting at
     ``first_pulse`` (see ``emitting``).  ``uniforms`` has one row of
-    ``EMIT_DRAWS`` columns per emitting pulse, in pulse order, so the row of
-    the emitter of rank r can be regenerated alone.  ``wander_ghz`` is the
-    slow detuning per pulse of the range, or one value for all of it.
+    ``EMIT_DRAWS`` columns per emitting pulse, in pulse order.  ``wander_ghz``
+    is the slow detuning per pulse of the range, or one value for all of it.
     """
     emitters = np.flatnonzero(emits)
     u = uniforms

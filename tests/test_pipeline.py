@@ -1,26 +1,30 @@
 """Block engine: determinism, conservation, and closed-loop physics checks."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from photonflow import pipeline
 from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, integrate_peaks
 from photonflow.conversion import ConversionConfig
 from photonflow.config import load_config
 from photonflow.core import (
+    STAGE_CONVERT,
+    STAGE_DARK,
+    STAGE_DETECT,
     STAGE_EMIT,
+    STAGE_JITTER,
+    STAGE_JOINT,
+    STAGE_NOISE,
     STAGE_ROUTE,
     ConfigError,
     PulseTrainConfig,
     RunSeed,
     Wavelength,
-    substream,
 )
 from photonflow.correlate import cross_correlate
 from photonflow.enumeration import hbt_expected, visibility_model
@@ -33,7 +37,7 @@ from photonflow.pipeline import (
     run_hbt,
     run_hom,
 )
-from photonflow.source import BlinkTable, EmitterConfig
+from photonflow.source import EmitterConfig
 
 from oracles import calibrate_p_multi
 
@@ -138,11 +142,12 @@ class TestConservationAndBoundaries:
     def test_meeting_pairs_are_consecutive_pulses(self, monkeypatch, p_emit):
         # photons are compacted, so neighbours in the photon arrays are not
         # always neighbouring pulses; only consecutive pulses may meet
-        gaps = []
+        gaps, early = [], []
         overlap = pipeline.pair_overlap
 
         def recording(tau, det_early, det_late, env_early, env_late, delay):
             gaps.append(env_late - env_early)
+            early.append(np.rint(env_early / PERIOD).astype(np.int64))
             return overlap(tau, det_early, det_late, env_early, env_late, delay)
 
         monkeypatch.setattr(pipeline, "pair_overlap", recording)
@@ -153,6 +158,10 @@ class TestConservationAndBoundaries:
         assert gaps.size > 20
         # envelopes start within the 20 ps excitation pulse of their pulse
         assert np.all(np.abs(gaps - PERIOD) <= 21.0)
+        # pairs cross block edges: their early photon is at a block's last pulse;
+        # at p_emit 0.3 the run expects only about 0.3 of them
+        if p_emit == 1.0:
+            assert np.any(np.concatenate(early) % 64 == 63)
 
     def test_block_size_preserves_statistics(self, monkeypatch):
         # central-peak physics must not depend on the block partition
@@ -240,114 +249,85 @@ class TestSharedSettings:
             run_hom(make_pipeline(n_pulses=100), (), det, det)
 
 
-class TestHaloRow:
-    """A halo read by counter advance equals the same photon of a full regeneration."""
+class TestBlockEdges:
+    """Photons kept back at block edges are paired or routed once, by the merge step."""
 
     @staticmethod
-    def full_chunk(pipe, start, block, blink):
-        rng = substream(pipe.seed, start, STAGE_EMIT)
-        full = pipeline._emission_rows(pipe, start, rng.random(block), blink, rng)
-        k = full.sig_pulse.size
-        full_ok = pipeline._converted(pipe, start, np.concatenate([full.sig_detuning_ghz, full.comp_detuning_ghz]))
-        route = substream(pipe.seed, start, STAGE_ROUTE).random((k, 2))
-        return full, full_ok[:k], route
+    def run_recorded(monkeypatch, seed, n_total, p_emit=1.0):
+        """Serial and parallel runs on 64-pulse blocks, which must agree and conserve.
 
-    @staticmethod
-    def assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route):
-        halo, ok, route = pipeline._signal_at(pipe, start, block, row, blink, 2)
-        rank = int(np.count_nonzero(full.sig_pulse < row))
-        emits = rank < full.sig_pulse.size and full.sig_pulse[rank] == row
-        assert halo.sig_pulse.tolist() == ([0] if emits else [])
-        for name in ("sig_time_ps", "sig_time_exact_ps", "sig_env_ps", "sig_detuning_ghz"):
-            assert np.array_equal(getattr(halo, name), getattr(full, name)[rank : rank + emits]), name
-        companion = full.comp_pulse == row
-        assert halo.comp_pulse.size == np.count_nonzero(companion)
-        for name in ("comp_time_ps", "comp_detuning_ghz"):
-            assert np.array_equal(getattr(halo, name), getattr(full, name)[companion]), name
-        assert np.array_equal(ok, full_ok[rank : rank + emits])
-        assert np.array_equal(route, full_route[rank : rank + emits])
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        block=st.integers(2, 300),
-        chunk=st.integers(0, 50),
-        conversion=st.booleans(),
-        p_emit=st.sampled_from(SPARSE_P_EMIT),
-    )
-    # emitter rows follow the chunk's column of emission uniforms, so a chunk
-    # of 65 or 67 pulses starts them inside a 4-word Philox step; an odd
-    # emitter rank does the same for the conversion uniforms
-    @example(seed=5, block=64, chunk=3, conversion=True, p_emit=1.0)
-    @example(seed=5, block=65, chunk=3, conversion=True, p_emit=0.3)
-    @example(seed=5, block=67, chunk=3, conversion=True, p_emit=0.02)
-    def test_counter_advance_matches_full_regeneration(self, seed, block, chunk, conversion, p_emit):
-        pipe = make_pipeline(
-            seed=seed,
-            n_pulses=(chunk + 1) * block,
-            conversion=conversion,
-            p_emit=p_emit,
-            p_multi=0.3 * p_emit,
-            dephasing_linewidth_ghz=2.0,
-            spectral_diffusion_sigma_ghz=3.0,
-            diffusion_block_pulses=7,
-            blink_on_rate_per_us=20.0,
-            blink_off_rate_per_us=20.0,
-        )
-        blink = pipeline._build_blink_table(pipe)
-        start = chunk * block
-        full, full_ok, full_route = self.full_chunk(pipe, start, block, blink)
-        # the left halo reads the last pulse, the right halo the first
-        for row in (block - 1, 0):
-            self.assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route)
-        # the right halo reads row 0 of the chunk's detection draws alone
-        n_photons = max(full.sig_pulse.size + full.comp_pulse.size, 1)
-        for one, all_rows in zip(
-            pipeline._detection_rows(pipe.seed, start, 1), pipeline._detection_rows(pipe.seed, start, n_photons)
-        ):
-            assert np.array_equal(one, all_rows[:1])
-
-    def test_dark_halo_pulse(self):
-        # every bright pulse emits; pulse 10 and the last pulse of the chunk are dark
-        block, start = 64, 3 * 64
-        pipe = make_pipeline(
-            seed=9, n_pulses=4 * block, conversion=True, p_emit=1.0, p_multi=0.3,
-            blink_on_rate_per_us=20.0, blink_off_rate_per_us=20.0,
-        )
-
-        def t(row):
-            return float(pipe.train.pulse_start_ps(start + row))
-
-        blink = BlinkTable(True, np.array([t(10) - 1, t(10) + 1, t(block - 1) - 1]))
-        full, full_ok, full_route = self.full_chunk(pipe, start, block, blink)
-        assert full.sig_pulse.tolist() == [row for row in range(block - 1) if row != 10]
-        for row in (block - 1, block - 2, 11, 10, 0):
-            self.assert_halo_row(pipe, start, block, row, blink, full, full_ok, full_route)
-
-    # seeds at which the block before the short last one reads it as its right halo
-    @pytest.mark.parametrize("p_emit,seed", [(1.0, 3), (0.3, 4)])
-    def test_short_last_block(self, monkeypatch, p_emit, seed):
-        # the last block holds 3 pulses, so its emitter rows start inside a Philox
-        # step, and the right halo of the block before reads one of them
+        Returns the pulses of the kept-back photons and of the meeting pairs'
+        early photons.
+        """
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
-        n_total = 64 * 40 + 3
+        kept, early = [], []
+        merge, overlap = pipeline._merge_edges, pipeline.pair_overlap
+
+        def recording_merge(pipe, detectors, settings, edges):
+            kept.append(np.concatenate([edge.pulse for edge in edges]))
+            return merge(pipe, detectors, settings, edges)
+
+        def recording_overlap(tau, det_early, det_late, env_early, env_late, delay):
+            early.append(np.rint(env_early / PERIOD).astype(np.int64))
+            return overlap(tau, det_early, det_late, env_early, env_late, delay)
+
+        monkeypatch.setattr(pipeline, "_merge_edges", recording_merge)
+        monkeypatch.setattr(pipeline, "pair_overlap", recording_overlap)
         pipe = make_pipeline(seed=seed, n_pulses=n_total, p_emit=p_emit, p_multi=0.05, conversion=True)
         det = ideal_detector(irf_sigma_ps=50.0)
-        reads = []
-        signal_at = pipeline._signal_at
-        monkeypatch.setattr(pipeline, "_signal_at", lambda *args: reads.append(args[1:3]) or signal_at(*args))
         serial = run_hom(pipe, interferometer(), det, det, workers=1)
-        # every halo read names the length of the chunk it reads
-        assert (64 * 40, 3) in reads
-        assert all(pulses == min(64, n_total - start) for start, pulses in reads)
         parallel = run_hom(pipe, interferometer(), det, det, workers=3)
         assert_conservation(serial)
         assert serial.stats == parallel.stats
         for s1, s2 in zip(serial.streams, parallel.streams):
             assert np.array_equal(s1.tags, s2.tags)
-        full, full_ok, full_route = self.full_chunk(pipe, 64 * 40, 3, None)
-        for row in (0, 2):
-            self.assert_halo_row(pipe, 64 * 40, 3, row, None, full, full_ok, full_route)
+        return kept[0], np.concatenate(early)
+
+    @pytest.mark.parametrize("p_emit,seed", [(1.0, 3), (0.3, 4)])
+    def test_short_last_block(self, monkeypatch, p_emit, seed):
+        # a 3-pulse last block, whose first pulse the block before may pair with
+        self.run_recorded(monkeypatch, seed, 64 * 40 + 3, p_emit)
+
+    def test_kept_back_at_run_ends(self, monkeypatch):
+        # seed 5 keeps photons back at the run's first pulse and at its last,
+        # the only pulse of a 1-pulse last block; no pulse lies beyond either
+        n_total = 64 * 40 + 1
+        kept, early = self.run_recorded(monkeypatch, 5, n_total)
+        assert kept[0] == 0 and kept[-1] == n_total - 1
+        assert not np.isin([n_total - 2, n_total - 1], early).any()
+
+    def test_pair_into_one_pulse_last_block(self, monkeypatch):
+        # at seed 11 the photon of a 1-pulse last block meets the photon of the pulse before
+        n_total = 64 * 40 + 1
+        kept, early = self.run_recorded(monkeypatch, 11, n_total)
+        assert kept[-2:].tolist() == [n_total - 2, n_total - 1]
+        assert n_total - 2 in early
+
+
+class TestOwnStreams:
+    def test_no_substream_key_opened_twice(self, monkeypatch):
+        # each block opens each of its own chunk's streams once and no other
+        # chunk's; diffusion substreams come through source.substream instead
+        keys = []
+        make = pipeline.substream
+
+        def recording(seed, pulse_index, stage_id):
+            keys.append((pulse_index, stage_id))
+            return make(seed, pulse_index, stage_id)
+
+        monkeypatch.setattr(pipeline, "substream", recording)
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        pipe = make_pipeline(seed=17, n_pulses=6_000, p_emit=0.3, p_multi=0.015, conversion=True)
+        pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
+        det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
+        det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
+        run_hom(pipe, TestSharedSettings.settings_pair(), det1, det2)
+        opened = Counter(keys)
+        assert [key for key, count in opened.items() if count > 1] == []
+        stages = {stage for _, stage in opened}
+        assert stages == {
+            STAGE_EMIT, STAGE_CONVERT, STAGE_DETECT, STAGE_JITTER, STAGE_ROUTE, STAGE_JOINT, STAGE_NOISE, STAGE_DARK
+        }
 
 
 class TestDrawBudget:
@@ -382,17 +362,15 @@ class TestDrawBudget:
         cfg = load_config(PROFILES / "hom_930.cfg")
         settings = [cfg.interferometer(pol) for pol in PolarizationConfig]
         pipe = cfg.pipeline()
-        per_pulse = self.draws_per_pulse(
-            monkeypatch, lambda: run_hom(pipe, settings, cfg.det1, cfg.det2, n_pulses=200_000)
-        )
+        pipe = replace(pipe, train=replace(pipe.train, n_pulses=200_000))
+        per_pulse = self.draws_per_pulse(monkeypatch, lambda: run_hom(pipe, settings, cfg.det1, cfg.det2))
         assert per_pulse <= 5.0  # 18 with one row per pulse
 
     def test_hbt_930(self, monkeypatch):
         cfg = load_config(PROFILES / "hbt_930.cfg")
         pipe = cfg.pipeline()
-        per_pulse = self.draws_per_pulse(
-            monkeypatch, lambda: run_hbt(pipe, cfg.bs, cfg.det1, cfg.det2, n_pulses=200_000)
-        )
+        pipe = replace(pipe, train=replace(pipe.train, n_pulses=200_000))
+        per_pulse = self.draws_per_pulse(monkeypatch, lambda: run_hbt(pipe, cfg.bs, cfg.det1, cfg.det2))
         assert per_pulse <= 6.0  # 16 with one row per pulse
 
 

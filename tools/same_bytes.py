@@ -1,0 +1,117 @@
+"""Check that two checkouts produce the same bytes for every shipped profile.
+
+    python3 tools/same_bytes.py PARENT_DIR CHANGE_DIR [--pulses N]
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
+``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
+as ``hom_cross``, runs through ``photonflow run`` with ``--workers 1`` and
+``--workers 2`` in both checkouts, each with its own ``src`` on the import
+path.  ``--pulses N`` caps every profile's ``n_pulses`` at N for a quick check.
+
+The two sides must agree on the exit code, stdout and every artifact byte for
+byte, and on ``manifest.json`` apart from its ``created_utc``.  Exits 0 when
+nothing differs, and 1 after naming the first run and file that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKERS = (1, 2)
+VOLATILE_MANIFEST_KEYS = ("created_utc",)
+
+
+def configs(change: Path, pulses: int | None) -> dict[str, str]:
+    """Name -> config text of every profile, plus the single-setting halves of hom_930."""
+    texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
+    for experiment in ("hom_co", "hom_cross"):
+        texts[f"hom_930_{experiment}"] = re.sub(
+            r"(?m)^experiment\s*=.*$", f"experiment = {experiment}", texts["hom_930"]
+        )
+    if pulses is not None:
+        def cap(match):
+            return f"n_pulses = {min(int(match.group(1)), pulses)}"
+
+        texts = {name: re.sub(r"(?m)^n_pulses\s*=\s*(\d+)\s*$", cap, text) for name, text in texts.items()}
+    return texts
+
+
+def run(checkout: Path, workdir: Path, name: str, text: str, workers: int) -> tuple[int, bytes, Path]:
+    """One CLI run inside ``workdir``; paths on the command line are relative, so stdout can match."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    (workdir / f"{name}.cfg").write_text(text)
+    out = f"{name}_w{workers}"
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env.pop("PHOTONFLOW_OUTPUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonflow.cli", "run", f"{name}.cfg", "--workers", str(workers), "--output", out],
+        cwd=workdir, env=env, capture_output=True, timeout=1800,
+    )
+    return proc.returncode, proc.stdout, workdir / out
+
+
+def manifest_bytes(path: Path) -> bytes:
+    manifest = json.loads(path.read_text())
+    for key in VOLATILE_MANIFEST_KEYS:
+        manifest.pop(key, None)
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
+def first_difference(parent_out: Path, change_out: Path) -> str | None:
+    """The first artifact (by name) whose bytes differ, or that only one side wrote."""
+    names = sorted({p.name for p in parent_out.iterdir()} | {p.name for p in change_out.iterdir()})
+    for name in names:
+        a, b = parent_out / name, change_out / name
+        if not (a.exists() and b.exists()):
+            return f"{name} (written by one side only)"
+        read = manifest_bytes if name == "manifest.json" else Path.read_bytes
+        if read(a) != read(b):
+            return name
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pulses", type=int, default=None, help="cap every profile's n_pulses")
+    args = parser.parse_args(argv)
+
+    texts = configs(args.change, args.pulses)
+    n_files = 0
+    with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
+        for name, text in texts.items():
+            for workers in WORKERS:
+                label = f"{name} --workers {workers}"
+                sides = [run(checkout, Path(tmp) / side, name, text, workers)
+                         for checkout, side in ((args.parent, "parent"), (args.change, "change"))]
+                (code_a, stdout_a, out_a), (code_b, stdout_b, out_b) = sides
+                if code_a != code_b:
+                    print(f"{label}: exit code {code_a} -> {code_b}")
+                    return 1
+                if stdout_a != stdout_b:
+                    print(f"{label}: stdout differs")
+                    return 1
+                if out_a.is_dir() or out_b.is_dir():
+                    if not (out_a.is_dir() and out_b.is_dir()):
+                        print(f"{label}: output directory written by one side only")
+                        return 1
+                    differing = first_difference(out_a, out_b)
+                    if differing is not None:
+                        print(f"{label}: {differing} differs")
+                        return 1
+                    n_files += sum(1 for _ in out_a.iterdir())
+                print(f"{label}: same bytes (exit {code_a})", flush=True)
+    print(f"0 differing files: {n_files} files and {len(texts) * len(WORKERS)} stdouts compared")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
