@@ -34,14 +34,12 @@ from .conversion import (
     internal_efficiency_bounds,
     saturation_curve,
     saturation_efficiency,
-    survival_probability,
 )
 from .core import STAGE_SCAN, ConfigError, substream
 from .correlate import cross_correlate
-from .enumeration import hbt_expected
+from .enumeration import expected_source_g2
 from .optics import PolarizationConfig
 from .pipeline import (
-    Pipeline,
     RunResult,
     fold_decay,
     irf_pipeline,
@@ -55,27 +53,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FLAGGED = 3
-
-
-def expected_source_g2(pipe: Pipeline) -> float:
-    """Central-peak ratio this pipeline's source should show in a splitter setup.
-
-    Used as the calibration input of the visibility correction; mirrors an
-    independently measured purity value.  The ratio does not depend on the
-    splitter, so a balanced one is assumed.
-    """
-    surv_signal = surv_multi = 1.0
-    if pipe.conversion is not None:
-        offset = pipe.filter_center_offset_ghz()
-        surv_signal = float(survival_probability(pipe.conversion, 0.0, offset))
-        surv_multi = float(
-            survival_probability(pipe.conversion, pipe.emitter.multi_detuning_offset_ghz, offset)
-        )
-    if pipe.emitter.p_multi == 0:
-        return 0.0
-    return hbt_expected(
-        pipe.emitter.p_emit, pipe.emitter.p_multi, 0.5, 0.5, surv_signal, surv_multi
-    ).g2
 
 
 def _sha256(path: Path) -> str:

@@ -266,6 +266,8 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
     for key in ("bin_width_ps", "lifetime_bin_width_ps"):
         if analysis[key] < 1:
             raise ConfigError(f"{path}: [analysis] {key} must be >= 1")
+    if "saturation_scan" in table and table["saturation_scan"]["n_points"] < 4:
+        raise ConfigError(f"{path}: [saturation_scan] n_points must be >= 4")
     train = PulseTrainConfig(n_pulses=run["n_pulses"], **table["pulse_train"])
 
     emitter = conversion = None

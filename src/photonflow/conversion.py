@@ -126,9 +126,15 @@ def saturation_curve(p_mw, eta_max: float, p_sat_mw: float):
 
 
 def fit_saturation(points: list[tuple[float, float]]) -> SaturationFit:
-    """Least-squares fit of the sin^2 saturation model to (power, efficiency) points."""
-    from scipy.optimize import curve_fit  # only the saturation scan needs scipy
+    """Least-squares fit of the sin^2 saturation model to (power, efficiency) points.
 
+    The model is linear in eta_max (a separable least-squares problem): for a
+    given P_sat the best eta_max is the projection of the data onto the
+    unit-amplitude curve, clipped to the bounds [1e-9, 1].  The fit is then a
+    search over P_sat in [1e-9, 100 max P] on a log grid zoomed onto its
+    minimum, so no starting guess can fall outside the bounds.  The errors are
+    curve_fit's defaults: (J^T J)^-1 scaled by the residual variance.
+    """
     if len(points) < 4:
         raise FitError(f"need at least 4 scan points, got {len(points)}")
     p = np.asarray([pt[0] for pt in points], dtype=float)
@@ -140,23 +146,25 @@ def fit_saturation(points: list[tuple[float, float]]) -> SaturationFit:
     if imax in (0, len(points) - 1):
         raise FitError("scan does not span the efficiency maximum")
 
-    p0 = [float(np.max(eta)), float(p[order][imax])]
-    try:
-        popt, pcov = curve_fit(
-            saturation_curve, p, eta, p0=p0,
-            bounds=([1e-9, 1e-9], [1.0, 100.0 * float(np.max(p))]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"saturation fit did not converge: {exc}") from exc
-    residuals = eta - saturation_curve(p, *popt)
-    perr = np.sqrt(np.diag(pcov))
+    lo, hi = math.log(1e-9), math.log(100.0 * p.max())
+    for _ in range(8):  # each pass narrows the bracket 50-fold, to ~1e-12 in log P_sat
+        log_grid = np.linspace(lo, hi, 101)
+        shape = saturation_curve(p, 1.0, np.exp(log_grid)[:, None])
+        amplitude = np.clip(shape @ eta / np.sum(shape**2, axis=1), 1e-9, 1.0)
+        best = int(np.argmin(np.sum((eta - amplitude[:, None] * shape) ** 2, axis=1)))
+        lo, hi = log_grid[max(best - 1, 0)], log_grid[min(best + 1, 100)]
+    eta_max, p_sat = float(amplitude[best]), float(np.exp(log_grid[best]))
+
+    theta = 0.5 * np.pi * np.sqrt(p / p_sat)
+    jac = np.column_stack([np.sin(theta) ** 2, -eta_max * np.sin(2 * theta) * theta / (2 * p_sat)])
+    residuals = eta - eta_max * jac[:, 0]
+    cov = np.linalg.pinv(jac.T @ jac) * np.sum(residuals**2) / (len(points) - 2)
     return SaturationFit(
-        eta_max=float(popt[0]),
-        p_sat_mw=float(popt[1]),
+        eta_max=eta_max,
+        p_sat_mw=p_sat,
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
-        eta_max_err=float(perr[0]),
-        p_sat_err_mw=float(perr[1]),
+        eta_max_err=float(np.sqrt(cov[0, 0])),
+        p_sat_err_mw=float(np.sqrt(cov[1, 1])),
     )
 
 

@@ -12,8 +12,13 @@ ratios but are accepted for completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .conversion import survival_probability
 from .core import ConfigError
+
+if TYPE_CHECKING:
+    from .pipeline import Pipeline
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,27 @@ def hbt_expected(
     click1 = p_emit * a1 + q2 * b1
     click2 = p_emit * a2 + q2 * b2
     return HbtExpectation(central=central, side=click1 * click2, click1=click1, click2=click2)
+
+
+def expected_source_g2(pipe: Pipeline) -> float:
+    """Central-peak ratio this pipeline's source should show in a splitter setup.
+
+    Used as the calibration input of the visibility correction; mirrors an
+    independently measured purity value.  The ratio does not depend on the
+    splitter, so a balanced one is assumed.
+    """
+    surv_signal = surv_multi = 1.0
+    if pipe.conversion is not None:
+        offset = pipe.filter_center_offset_ghz()
+        surv_signal = float(survival_probability(pipe.conversion, 0.0, offset))
+        surv_multi = float(
+            survival_probability(pipe.conversion, pipe.emitter.multi_detuning_offset_ghz, offset)
+        )
+    if pipe.emitter.p_multi == 0:
+        return 0.0
+    return hbt_expected(
+        pipe.emitter.p_emit, pipe.emitter.p_multi, 0.5, 0.5, surv_signal, surv_multi
+    ).g2
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,15 @@ class TestConfigValidation:
         body = HBT_CONFIG.replace("n_pulses = 40000", "n_pulses = 4e4")
         assert load_config(write_config(tmp_path, body, outdir=tmp_path / "out")).n_pulses == 40000
 
+    @pytest.mark.parametrize("n_points", [-1, 0, 3])
+    def test_saturation_scan_needs_four_points(self, tmp_path, capsys, n_points):
+        # the fit needs four points; fewer is a config error, caught before the run
+        body = SATURATION_CONFIG.replace("n_points = 15", f"n_points = {n_points}")
+        path = write_config(tmp_path, body, outdir=tmp_path / "out")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_and_workers_override(self, tmp_path):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
         cfg = load_config(path, seed_override=999, workers_override=4)
@@ -314,6 +323,14 @@ class TestRunArtifacts:
         assert abs(report["eta_max"] - 0.417) < 0.01
         assert abs(report["p_sat_mw"] - 327.0) / 327.0 < 0.05
 
+    def test_saturation_run_at_full_noise(self, tmp_path, capsys):
+        # measured efficiencies above 1 must not stop the fit with a traceback
+        text = (PROFILE_DIR / "saturation.cfg").read_text()
+        path = write_config(tmp_path, text.replace("noise_fraction = 0.01", "noise_fraction = 1.0"))
+        code = cli.main(["run", str(path), "--seed", "1", "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_OK or (code == cli.EXIT_RUNTIME and err.startswith("analysis error:"))
+
     def test_flagged_result_exits_3(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
 
@@ -396,7 +413,7 @@ class TestProfiles:
 
 
 # Runs in a fresh interpreter: imports the CLI, runs each profile and lists the
-# scipy modules loaded after each step.
+# scipy modules loaded after each step, then imports scipy as a control.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from photonflow import cli
@@ -409,14 +426,16 @@ for name, config, outdir in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["run", config, "--output", outdir])
     steps[name] = [code, scipy_modules()]
+import scipy.optimize  # the control: a scipy import does show in the list
+steps["control"] = [0, scipy_modules()]
 print(json.dumps(steps))
 """
 
 
 class TestColdStart:
     def test_scipy_stays_off_the_run_path(self, tmp_path):
-        # only the saturation scan's curve fit needs scipy; it runs last, and
-        # its scipy import shows that the probe sees one when it happens
+        # the package runs on numpy alone: importing the CLI and running any
+        # profile loads no scipy module
         runs = []
         for name in ("hbt_930", "hom_930", "lifetime_1550", "rate_1550", "saturation"):
             config = tmp_path / f"{name}.cfg"
@@ -431,7 +450,5 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout)
-        saturation = steps.pop("saturation")
-        assert steps == {step: [cli.EXIT_OK, []] for step in steps}
-        assert set(steps) == {"import", "hbt_930", "hom_930", "lifetime_1550", "rate_1550"}
-        assert saturation[0] == cli.EXIT_OK and "scipy.optimize" in saturation[1]
+        assert "scipy.optimize" in steps.pop("control")[1]
+        assert steps == {step: [cli.EXIT_OK, []] for step in ("import", *(run[0] for run in runs))}

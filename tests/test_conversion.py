@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.optimize import curve_fit
 
 from photonflow.conversion import (
     BoundsMeasurement,
@@ -20,6 +21,7 @@ from photonflow.conversion import (
     fit_saturation,
     internal_efficiency_bounds,
     sample_noise_times,
+    saturation_curve,
     saturation_efficiency,
     survival_probability,
 )
@@ -118,6 +120,37 @@ class TestFitSaturation:
             noisy = eta * (1.0 + 0.01 * rng.standard_normal(eta.size))
             fit = fit_saturation(list(zip(powers, noisy)))
             assert abs(fit.eta_max - 0.417) < 0.01
+
+    def test_matches_curve_fit_oracle(self):
+        # the grid search over P_sat finds the optimum of scipy's bounded
+        # least squares, and the errors follow its absolute_sigma=False default
+        cfg = conversion()
+        powers = np.linspace(20, 500, 15)
+        eta = np.array([saturation_efficiency(cfg, p) for p in powers])
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            noisy = eta * (1.0 + 0.01 * rng.standard_normal(eta.size))
+            fit = fit_saturation(list(zip(powers, noisy)))
+            popt, pcov = curve_fit(
+                saturation_curve, powers, noisy,
+                p0=[noisy.max(), powers[np.argmax(noisy)]],
+                bounds=([1e-9, 1e-9], [1.0, 100.0 * powers.max()]),
+            )
+            expected = [*popt, *np.sqrt(np.diag(pcov))]
+            got = [fit.eta_max, fit.p_sat_mw, fit.eta_max_err, fit.p_sat_err_mw]
+            assert got == pytest.approx(expected, rel=1e-6)
+
+    def test_measured_efficiency_above_one(self):
+        # a noisy point above the bound eta_max <= 1 once made the starting
+        # guess of the fit invalid and raised a bare ValueError
+        cfg = conversion()
+        points = [(p, saturation_efficiency(cfg, p)) for p in np.linspace(20, 500, 15)]
+        points[7] = (points[7][0], 1.5)
+        try:
+            fit = fit_saturation(points)
+        except FitError:
+            return
+        assert 0.0 < fit.eta_max <= 1.0
 
     def test_two_points_rejected(self):
         with pytest.raises(FitError):

@@ -1,14 +1,16 @@
 """Analytic path-enumeration oracle: internal consistency and calibrations."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonflow.config import load_config
 from photonflow.core import ConfigError
-from photonflow.enumeration import hbt_expected, visibility_model
+from photonflow.enumeration import expected_source_g2, hbt_expected, visibility_model
 
 from oracles import (
     calibrate_p_multi,
@@ -48,6 +50,18 @@ class TestHbtExpected:
         # a bright source cannot exceed the ratio 2 p_multi/(1 + p_multi)^2
         with pytest.raises(ConfigError):
             calibrate_p_multi(0.9, 1.0)
+
+
+class TestExpectedSourceG2:
+    # the calibration g2 that the visibility correction takes for each shipped
+    # correlation profile; conversion filters the spectrally offset companion
+    @pytest.mark.parametrize(
+        "name, g2",
+        [("hbt_930", 0.01994004), ("hbt_1550", 0.02396391), ("hom_930", 0.01995003), ("hom_1550", 0.02396993)],
+    )
+    def test_shipped_profiles(self, name, g2):
+        profile = Path(__file__).resolve().parent.parent / "profiles" / f"{name}.cfg"
+        assert expected_source_g2(load_config(profile).pipeline()) == pytest.approx(g2, rel=1e-6)
 
 
 class TestHomCluster:

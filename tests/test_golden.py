@@ -167,7 +167,7 @@ CLI_GOLDEN = {
         "tags_ch0.pftg": "6849bcb03c9c22c474b52e4bad0cdeb7365229217ba668d8ada831f447869326",
     },
     "saturation": {
-        "report.txt": "4e85e7f901a8800a5f152cee0e9a9d676f1e425c01145e7b475b28c2620bf6ca",
+        "report.txt": "0f1211f95945964285250913a348a02dc31941b91d250b29b84f0b583b5ea63f",
         "saturation.csv": "f7e9a68d1c75b57135fa3499d89cb0b615c256b3c42bf4c792022bc11ea4abb6",
         "saturation.svg": "ba15c7d5edf4bff82bebae26fb34d3b3165be95ce2a06c7f4c3c9ac29a6cc24b",
     },

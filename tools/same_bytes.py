@@ -10,7 +10,7 @@ path.  ``--pulses N`` caps every profile's ``n_pulses`` at N for a quick check.
 
 The two sides must agree on the exit code, stdout and every artifact byte for
 byte, and on ``manifest.json`` apart from its ``created_utc``.  Exits 0 when
-nothing differs, and 1 after naming the first run and file that differ.
+nothing differs, and 1 after naming every run and file that differ.
 """
 
 from __future__ import annotations
@@ -64,17 +64,32 @@ def manifest_bytes(path: Path) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode()
 
 
-def first_difference(parent_out: Path, change_out: Path) -> str | None:
-    """The first artifact (by name) whose bytes differ, or that only one side wrote."""
+def differing_files(parent_out: Path, change_out: Path) -> list[str]:
+    """Every artifact (by name) whose bytes differ, or that only one side wrote."""
     names = sorted({p.name for p in parent_out.iterdir()} | {p.name for p in change_out.iterdir()})
+    differing = []
     for name in names:
         a, b = parent_out / name, change_out / name
         if not (a.exists() and b.exists()):
-            return f"{name} (written by one side only)"
+            differing.append(f"{name} (written by one side only)")
+            continue
         read = manifest_bytes if name == "manifest.json" else Path.read_bytes
         if read(a) != read(b):
-            return name
-    return None
+            differing.append(name)
+    return differing
+
+
+def compare(sides) -> tuple[list[str], int]:
+    """What differs between two runs' results, and the number of artifacts compared."""
+    (code_a, stdout_a, out_a), (code_b, stdout_b, out_b) = sides
+    differing = [] if code_a == code_b else [f"exit code ({code_a} -> {code_b})"]
+    if stdout_a != stdout_b:
+        differing.append("stdout")
+    if out_a.is_dir() != out_b.is_dir():
+        return differing + ["output directory (written by one side only)"], 0
+    if not out_a.is_dir():
+        return differing, 0
+    return differing + differing_files(out_a, out_b), sum(1 for _ in out_a.iterdir())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,32 +100,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     texts = configs(args.change, args.pulses)
-    n_files = 0
+    n_files, n_differing = 0, 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         for name, text in texts.items():
             for workers in WORKERS:
                 label = f"{name} --workers {workers}"
                 sides = [run(checkout, Path(tmp) / side, name, text, workers)
                          for checkout, side in ((args.parent, "parent"), (args.change, "change"))]
-                (code_a, stdout_a, out_a), (code_b, stdout_b, out_b) = sides
-                if code_a != code_b:
-                    print(f"{label}: exit code {code_a} -> {code_b}")
-                    return 1
-                if stdout_a != stdout_b:
-                    print(f"{label}: stdout differs")
-                    return 1
-                if out_a.is_dir() or out_b.is_dir():
-                    if not (out_a.is_dir() and out_b.is_dir()):
-                        print(f"{label}: output directory written by one side only")
-                        return 1
-                    differing = first_difference(out_a, out_b)
-                    if differing is not None:
-                        print(f"{label}: {differing} differs")
-                        return 1
-                    n_files += sum(1 for _ in out_a.iterdir())
-                print(f"{label}: same bytes (exit {code_a})", flush=True)
-    print(f"0 differing files: {n_files} files and {len(texts) * len(WORKERS)} stdouts compared")
-    return 0
+                differing, compared = compare(sides)
+                n_files += compared
+                n_differing += len(differing)
+                for what in differing:
+                    print(f"{label}: {what} differs", flush=True)
+                if not differing:
+                    print(f"{label}: same bytes (exit {sides[0][0]})", flush=True)
+    print(f"{n_differing} differences: {n_files} files and {len(texts) * len(WORKERS)} stdouts compared")
+    return 1 if n_differing else 0
 
 
 if __name__ == "__main__":
