@@ -144,8 +144,10 @@ def fit_lifetime(h: CoincidenceHistogram, irf: CoincidenceHistogram) -> Lifetime
     The fit minimises the Poisson deviance 2 sum[m - n + n ln(n/m)] of the
     model m against the counts n (Laurence & Chromy, Nature Methods 7, 338
     (2010)) by damped Fisher scoring; unlike chi-square weights taken from
-    the counts, this stays unbiased in sparse tail bins.  ``tau_err_ps``
-    comes from the Fisher information J^T diag(1/m) J at the optimum.
+    the counts, this stays unbiased in sparse tail bins.  A baseline that
+    runs into its bound at 0 is held there while the other three parameters
+    converge (an active set).  ``tau_err_ps`` comes from the Fisher
+    information J^T diag(1/m) J of the free parameters at the optimum.
     """
     if h.bin_width_ps != irf.bin_width_ps or h.n_bins != irf.n_bins or h.offset_ps != irf.offset_ps:
         raise ConfigError("decay and IRF histograms must share binning")
@@ -160,6 +162,7 @@ def fit_lifetime(h: CoincidenceHistogram, irf: CoincidenceHistogram) -> Lifetime
     seen = counts > 0
     n_seen = counts[seen]
     deviance_offset = float(n_seen @ np.log(n_seen) - counts.sum())
+    floor = 1e-9 * float(counts.max())
 
     # at least one count of baseline keeps the starting model positive on empty bins
     baseline0 = max(float(np.percentile(counts, 10)), 1.0)
@@ -170,10 +173,19 @@ def fit_lifetime(h: CoincidenceHistogram, irf: CoincidenceHistogram) -> Lifetime
     def model(params: np.ndarray) -> np.ndarray:
         return _eval_lifetime_model(irf_spectrum, grid, period, bw, params)
 
-    def deviance(m: np.ndarray) -> float:
-        if not np.all(m > 0):
+    def deviance(m: np.ndarray, fixed: bool = False) -> float:
+        # at zero baseline only the bins with counts need a positive model
+        if not np.all((m[seen] if fixed else m) > 0):
             return math.inf
         return 2.0 * (float(m.sum()) - float(n_seen @ np.log(m[seen])) + deviance_offset)
+
+    def weighted(m: np.ndarray, fixed: bool) -> np.ndarray:
+        """The model the Fisher weights divide by.
+
+        At zero baseline an empty bin far from the decay holds a model that
+        rounds to zero or below; it carries no information, so it is floored.
+        """
+        return np.where(seen, m, np.maximum(m, floor)) if fixed else m
 
     def jacobian(params: np.ndarray, base: np.ndarray) -> np.ndarray:
         amplitude, tau, t0, baseline = params
@@ -188,53 +200,84 @@ def fit_lifetime(h: CoincidenceHistogram, irf: CoincidenceHistogram) -> Lifetime
             jac[:, column] = (model(bumped) - model(dipped)) / (2 * step)
         return jac
 
+    def scoring(state, fixed=False, stop_at_bound=False):
+        """Fisher scoring (Gauss-Newton with weights 1/m) with Levenberg damping.
+
+        ``state`` is (params, model, deviance, damping, iterations left).  A
+        step is taken only if the model stays positive and the deviance does
+        not rise.  It ends when a step lowers the deviance by less than 1e-6
+        (moving one parameter by one standard error changes it by 1), or when
+        no step, however damped, lowers it.  With ``fixed`` the baseline stays
+        at 0.  With ``stop_at_bound`` it returns the state at the start of the
+        first iteration whose step is cut short by the baseline's bound, and
+        True.
+        """
+        params, m, dev, damping, left = state
+        free = slice(0, 3 if fixed else 4)
+        while left:
+            start = (params, m, dev, damping, left)
+            left -= 1
+            jac = jacobian(params, m)[:, free]
+            m_w = weighted(m, fixed)
+            fisher = jac.T @ (jac / m_w[:, None])
+            score = jac.T @ (1.0 - counts / m_w)
+            scale = np.diag(np.diag(fisher))
+            while damping < 1e12:
+                try:
+                    step = np.linalg.solve(fisher + damping * scale, -score)
+                except np.linalg.LinAlgError as exc:
+                    raise FitError(f"lifetime fit is degenerate: {exc}") from exc
+                # go at most 90 % of the way to m = 0 on the linearized model
+                dm = jac @ step
+                falling = (dm < 0) & seen if fixed else dm < 0
+                if falling.any():
+                    reach = 0.9 * float(np.min(m[falling] / -dm[falling]))
+                    if stop_at_bound and reach < 1.0 and params[3] + step[3] < 0:
+                        return start, True
+                    step *= min(1.0, reach)
+                trial = params.copy()
+                trial[free] += step
+                m_trial = model(trial)
+                dev_trial = deviance(m_trial, fixed)
+                if dev_trial <= dev:
+                    break
+                damping = max(10.0 * damping, 1e-3)
+            else:
+                return (params, m, dev, damping, left), False
+            params, m, dev, drop = trial, m_trial, dev_trial, dev - dev_trial
+            damping *= 0.1
+            if drop < 1e-6:
+                return (params, m, dev, damping, left), False
+        raise FitError("lifetime fit did not converge in 200 iterations")
+
     # coarse lifetime scan for a solid starting point (amplitude is linear)
     starts = [np.array([area0, tau0, 0.0, baseline0]) for tau0 in np.geomspace(bw, period / 4.0, 12)]
     params = min(starts, key=lambda p: deviance(model(p)))
     m = model(params)
-    dev = deviance(m)
-
-    # Fisher scoring (Gauss-Newton with weights 1/m) with Levenberg damping: a
-    # step is taken only if the model stays positive and the deviance does not
-    # rise.  It ends when a step lowers the deviance by less than 1e-6 (moving
-    # one parameter by one standard error changes it by 1), or when no step,
-    # however damped, lowers it.
-    damping = 0.0
-    for _ in range(200):
-        jac = jacobian(params, m)
-        fisher = jac.T @ (jac / m[:, None])
-        score = jac.T @ (1.0 - counts / m)
-        scale = np.diag(np.diag(fisher))
-        while damping < 1e12:
-            try:
-                step = np.linalg.solve(fisher + damping * scale, -score)
-            except np.linalg.LinAlgError as exc:
-                raise FitError(f"lifetime fit is degenerate: {exc}") from exc
-            # go at most 90 % of the way to m = 0 on the linearized model, so an
-            # optimum on the boundary (no baseline) is approached geometrically
-            dm = jac @ step
-            falling = dm < 0
-            if falling.any():
-                step *= min(1.0, 0.9 * float(np.min(m[falling] / -dm[falling])))
-            m_trial = model(params + step)
-            dev_trial = deviance(m_trial)
-            if dev_trial <= dev:
-                break
-            damping = max(10.0 * damping, 1e-3)
-        else:
-            break
-        params, m, dev, drop = params + step, m_trial, dev_trial, dev - dev_trial
-        damping *= 0.1
-        if drop < 1e-6:
-            break
-    else:
-        raise FitError("lifetime fit did not converge in 200 iterations")
+    state, at_bound = scoring((params, m, deviance(m), 0.0, 200), stop_at_bound=True)
+    fixed = False
+    if at_bound:
+        # A step toward a negative baseline was cut short, and 90 % steps
+        # would only shrink the baseline geometrically.  Fix it at 0 (an
+        # active set) and keep that optimum if the deviance does not fall as
+        # the baseline rises from it; else go on from where the step was cut.
+        params = state[0].copy()
+        params[3] = 0.0
+        m = model(params)
+        try:
+            bound, _ = scoring((params, m, deviance(m, fixed=True), 0.0, 200), fixed=True)
+            fixed = counts.size >= float(n_seen @ (1.0 / bound[1][seen]))  # d deviance / d baseline >= 0
+        except FitError:
+            pass
+        state = bound if fixed else scoring(state)[0]
+    params, m = state[0], state[1]
     amplitude, tau, t0, baseline = params
     if tau <= 0 or amplitude <= 0:
         raise FitError(f"lifetime fit ended in an unphysical state: tau={tau}, amplitude={amplitude}")
 
-    # covariance from the Fisher information, whitened by sqrt(m)
-    _, s, vt = np.linalg.svd(jacobian(params, m) / np.sqrt(m)[:, None], full_matrices=False)
+    # covariance from the Fisher information of the free parameters, whitened by sqrt(m)
+    jac = jacobian(params, m)[:, : 3 if fixed else 4]
+    _, s, vt = np.linalg.svd(jac / np.sqrt(weighted(m, fixed))[:, None], full_matrices=False)
     s = np.where(s > s[0] * 1e-12, s, np.inf)
     cov = (vt.T / s**2) @ vt
     tau_err = float(np.sqrt(cov[1, 1]))

@@ -111,7 +111,7 @@ def _write_streams(art: _Artifacts, result: RunResult, prefix: str = "tags") -> 
         io.write_tagstream(art.path(f"{prefix}_ch{stream.channel_id}.pftg"), stream)
 
 
-def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
+def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     pipe = cfg.pipeline()
     result = run_direct(pipe, cfg.det1, workers=cfg.workers)
     irf_result = run_direct(irf_pipeline(pipe), cfg.det1, workers=cfg.workers)
@@ -150,10 +150,10 @@ def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
             "irf_sigma_used_ps": fit.irf_sigma_used_ps,
         }
     )
-    return report, False
+    return report, ""
 
 
-def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
+def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     result = run_hbt(cfg.pipeline(), cfg.bs, cfg.det1, cfg.det2, workers=cfg.workers)
     _write_streams(art, result)
     hist = cross_correlate(
@@ -181,10 +181,10 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
             "reference_delay_ps": g2.reference_delay_ps,
         }
     )
-    return report, False
+    return report, ""
 
 
-def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
+def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     pipe = cfg.pipeline()
     polarizations = {
         "hom_co": (PolarizationConfig.CO,),
@@ -214,7 +214,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         report[f"central_area_{tag}"] = central
         report[f"norm_area_{tag}"] = norm
 
-    flagged = False
+    flag = ""
     if cfg.experiment == "hom_paired":
         calib = VisibilityCalib(
             r2=cfg.bs2.r,
@@ -227,7 +227,8 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         vis = estimate_visibility(
             peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, calib, cfg.train.period_ps
         )
-        flagged = vis.flagged
+        if vis.flagged:
+            flag = "corrected value outside [0, 1.05]"
         report.update(
             {
                 "a_par": vis.a_par,
@@ -268,10 +269,10 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
 
     full = _base_report(cfg, result)
     full.update(report)
-    return full, flagged
+    return full, flag
 
 
-def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
+def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     result = run_direct(cfg.pipeline(), cfg.det1, workers=cfg.workers)
     _write_streams(art, result)
     st = result.stats
@@ -291,10 +292,10 @@ def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
             "rate_out_cps": n_out / duration_s,
         }
     )
-    return report, False
+    return report, ""
 
 
-def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
+def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     scan = cfg.resolved["saturation_scan"]
     conv = cfg.conversion
     rng = substream(cfg.seed, 0, STAGE_SCAN)
@@ -342,7 +343,11 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, bool]:
         bounds = internal_efficiency_bounds(measurement)
         report["eta_int_lower"] = bounds.eta_int_lower
         report["eta_int_upper"] = bounds.eta_int_upper
-    return report, False
+    flag = ""
+    if fit.p_sat_mw < powers[0]:
+        # the sin^2 then turns over between scan points: the fit is an alias
+        flag = f"p_sat_mw {fit.p_sat_mw:.3g} is below the smallest scan power, {powers[0]:g} mW: an unresolved alias"
+    return report, flag
 
 
 _RUNNERS = {
@@ -380,7 +385,7 @@ def cmd_run(args) -> int:
     outdir = _resolve_output_dir(cfg, args.output)
     try:
         art = _Artifacts(outdir, args.format)
-        report, flagged = _RUNNERS[cfg.experiment](cfg, art)
+        report, flag = _RUNNERS[cfg.experiment](cfg, art)
         io.write_report(outdir / "report.txt", report)
         art.files.append("report.txt")
         art.write_manifest(cfg)
@@ -396,8 +401,8 @@ def cmd_run(args) -> int:
 
     for key, value in report.items():
         print(f"{key} = {value}")
-    if flagged:
-        print("result flagged: corrected value outside [0, 1.05]", file=sys.stderr)
+    if flag:
+        print(f"result flagged: {flag}", file=sys.stderr)
         return EXIT_FLAGGED
     return EXIT_OK
 

@@ -10,7 +10,10 @@ rows are keyed by its emitter rank (the pulse's position among the chunk's
 emitting pulses).  Interferometer photon pairs can straddle a block edge, so
 a block keeps back the photons at its edge pulses that could meet a
 neighbour's photon; once every block is done, one merge step pairs them with
-the same rule.  Results are therefore bit-identical for any worker count.
+the same rule.  A realization is therefore fixed by the seed, the
+configuration and ``BLOCK_PULSES``: the worker count never changes a bit of
+it, while another block size keys the draws by other chunks and gives another
+realization of the same physics.
 
 All three topologies run through one block driver.  It emits the block's
 photons, sends signal, companion and noise photons alike through the
@@ -86,7 +89,7 @@ from .source import (
     sample_emission,
 )
 
-BLOCK_PULSES = 16384
+BLOCK_PULSES = 65536
 PATH_DELAY_PS = 1_000_000
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
+from photonflow import analysis
 from photonflow.analysis import (
     AnalysisError,
     VisibilityCalib,
@@ -134,7 +135,7 @@ def synthetic_decay(tau, irf_sigma, n_counts, bin_width=8, baseline=2.0, seed=17
     kernel /= kernel.sum()
     model = np.real(np.fft.ifft(np.fft.fft(irf_cell / irf_cell.sum()) * np.fft.fft(kernel)))
     rng = np.random.default_rng(seed)
-    data = rng.poisson(model * n_counts + baseline)
+    data = rng.poisson(np.maximum(model * n_counts + baseline, 0.0))  # FFT round-off can dip below 0
     offset = -span / 2 + bin_width / 2
     return (
         CoincidenceHistogram(bin_width, offset, data),
@@ -199,6 +200,43 @@ class TestFitLifetime:
         assert abs(taus.mean() - 271.0) <= 3 * standard_error
         pulls = (taus - 271.0) / np.array(errs)
         assert 0.8 <= pulls.std(ddof=1) <= 1.25
+
+    def test_zero_baseline_optimum_in_few_evaluations(self, monkeypatch):
+        # No baseline and one count 17 lifetimes into the tail, where the
+        # model holds about 1e-3: the best baseline is 0.  Steps that go 90 %
+        # of the way to that bound shrink it geometrically (about 400 model
+        # evaluations); fixing it at 0 takes about 40.
+        decay, irf = synthetic_decay(tau=271.0, irf_sigma=40.0, n_counts=1_000_000, baseline=0.0, seed=1)
+        counts = decay.counts.copy()
+        counts[np.argmin(np.abs(decay.bin_centers() - 4700.0))] += 1
+        decay = CoincidenceHistogram(decay.bin_width_ps, decay.offset_ps, counts)
+        model = analysis._eval_lifetime_model
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(1)
+            return model(*args)
+
+        monkeypatch.setattr(analysis, "_eval_lifetime_model", counted)
+        fit = fit_lifetime(decay, irf)
+        assert len(evaluations) <= 100
+        assert fit.baseline == 0.0
+
+        # the optimum at zero baseline, with the amplitude profiled out
+        data = counts.astype(float)
+        seen = data > 0
+        spectrum = np.fft.rfft(irf.counts / irf.total())
+        bw = float(decay.bin_width_ps)
+
+        def deviance(x):
+            shape = model(spectrum, decay.bin_centers(), bw * decay.n_bins, bw, np.array([1.0, *x, 0.0]))
+            m = shape * data.sum() / shape.sum()
+            return 2 * (m.sum() - data[seen] @ np.log(m[seen])) if np.all(m[seen] > 0) else np.inf
+
+        best = optimize.minimize(
+            deviance, [271.0, 0.0], method="Nelder-Mead", options=dict(xatol=1e-9, fatol=1e-12, maxiter=5000)
+        )
+        assert fit.tau_ps == pytest.approx(best.x[0], rel=1e-6)
 
     def test_degenerate_histograms_raise_fit_error(self):
         # a flat decay over a flat IRF fixes neither tau nor t0

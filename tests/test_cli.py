@@ -324,21 +324,27 @@ class TestRunArtifacts:
         assert abs(report["p_sat_mw"] - 327.0) / 327.0 < 0.05
 
     def test_saturation_run_at_full_noise(self, tmp_path, capsys):
-        # measured efficiencies above 1 must not stop the fit with a traceback
+        # measured efficiencies above 1 must not stop the fit with a traceback;
+        # this seed's best fit is a sin^2 with P_sat far below the 20 mW first
+        # scan point, oscillating between the scan points, so it is flagged
         text = (PROFILE_DIR / "saturation.cfg").read_text()
         path = write_config(tmp_path, text.replace("noise_fraction = 0.01", "noise_fraction = 1.0"))
-        code = cli.main(["run", str(path), "--seed", "1", "--output", str(tmp_path / "out")])
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(path), "--seed", "1", "--output", str(outdir)]) == cli.EXIT_FLAGGED
         err = capsys.readouterr().err
-        assert code == cli.EXIT_OK or (code == cli.EXIT_RUNTIME and err.startswith("analysis error:"))
+        assert "below the smallest scan power, 20 mW" in err
+        assert "corrected value" not in err
+        assert io.read_report(outdir / "report.txt")["p_sat_mw"] < 20.0
 
-    def test_flagged_result_exits_3(self, tmp_path, monkeypatch):
+    def test_flagged_result_exits_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
 
         def fake_runner(cfg, art):
-            return {"experiment": "hbt", "seed": 0, "n_pulses": 0}, True
+            return {"experiment": "hbt", "seed": 0, "n_pulses": 0}, "a fake reason"
 
         monkeypatch.setitem(cli._RUNNERS, "hbt", fake_runner)
         assert cli.main(["run", str(path)]) == cli.EXIT_FLAGGED
+        assert "result flagged: a fake reason" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -113,58 +113,58 @@ PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 # each run at n_pulses = 100000 through `photonflow run`
 CLI_GOLDEN = {
     "hbt_1550": {
-        "correlation.csv": "5fade8f282a3d109e2110b6111c0dd81c767682dab56611e4a09c0d263c0b159",
-        "correlation.svg": "33330ecd4073f9df101cae6b4a3bf4da22fa9b4ab023e7e1188f1da53964ae5f",
-        "report.txt": "52cc8014832e7ab6db74045aa0ae53e551948ba523d4a49d3bddc69400e39852",
-        "tags_ch0.pftg": "c61058701ab2cb74b9c9f2c2014595b370da653de1360f9523f8429bdb76e9ae",
-        "tags_ch1.pftg": "ba6c6685a0f3e2dc703189a0ff53a10c12c6757cc44808cb1f886b0fbdb3b80a",
+        "correlation.csv": "b0ec6c26b01481dd3aff6fc82e00d3a1d00b9a6b8a90499197ff25f3daca4c5e",
+        "correlation.svg": "29345b276a96cd987362a911a680ee42d711320b7a776b112eaf68b3281c1282",
+        "report.txt": "955c7b67cddc14ffc58461c8a8715905348a57adefd0f67e1953a50c5f0f0190",
+        "tags_ch0.pftg": "45a783a8eb1d10e7a5ec1480325c9a48278f0518c2780d50b8ee5cdecfa339e5",
+        "tags_ch1.pftg": "6ad9d42aef75969d08a49d8f3b0a6a933b30a7005b669ba41e94452c7cf00967",
     },
     "hbt_930": {
-        "correlation.csv": "21b5442400dab709752acc8318d161b73ed6a52f995d079d5df9b25fb54b86a4",
-        "correlation.svg": "0d877b8ccf22692f737a3f2f9734c061ad9198e2c791acaa7704f133affe8e88",
-        "report.txt": "20549a36f107722b194419da6a49e2c9c2559ee68e02d71dc6c456816bbf985c",
-        "tags_ch0.pftg": "473f9475f2ed4d3a7ac4febdae08422f57424483938aaaed0468c6f6be5af466",
-        "tags_ch1.pftg": "6eecb18b084bc6c7f77412302968a12e4b3483c8bfb4e621dc93316b62de895e",
+        "correlation.csv": "a22377c1c1f6486ec09184130c2f0de06bb8bb57cca64fadd63c790f13626a62",
+        "correlation.svg": "3f89ee7b5c4e0b3705e2e630af8f5f74e3987c459aa265e0957652598629aa94",
+        "report.txt": "b94d6403e48827dc635cd674f20da93fb314bd2e0d6661568b54ac3d030607e8",
+        "tags_ch0.pftg": "d829e66e6c595a78c1498552fd3cff41b4c91131e6f7d72566851096d6893f9c",
+        "tags_ch1.pftg": "2f13e90edcdd8036dec957aa115bb60b1c2c5dfa0fd7960d7f1be5d546b49ac3",
     },
     "hom_1550": {
-        "correlation_co.csv": "38210eed85538649af4863b372cd068b7da95146590e2c69b079b533f230225b",
-        "correlation_cross.csv": "8f32d97e52efc8ada756bed648c8c1db52b222cbec14a0e52cb750642cb49d94",
-        "hom_central.svg": "e278548cc19d00b2ecaa389066e29b92febef72e0ba6fcb9a7de95b4b54f0cf6",
-        "report.txt": "865f818cc083472875dbdb5de6104f42b4c3ca2765dc1954c95ee12c7b8bfdc3",
-        "tags_co_ch0.pftg": "65e998876b433f123ac64e2980c36f921e3220f5eb31d2840ac9465fcef200f6",
-        "tags_co_ch1.pftg": "537d6349e474edb987ebcba286b2619fa280428481185e049eb71fc870eca079",
-        "tags_cross_ch0.pftg": "ac4a6bb46d222728844fbd6fb5e9297b2e1b1a238553817230c14d29a1d9b36b",
-        "tags_cross_ch1.pftg": "b3b040ffc5958acacdcd9731016156f568c06d50b914dfca23965f6581d0fcd4",
+        "correlation_co.csv": "d5198d9e868bf192ad56531d101a4590632fab0c58a53ff47a8d5059eb383669",
+        "correlation_cross.csv": "7ea74b30259b3adc8d893b8b8d05c99a31ab08701a009ab8e4016619136bf62d",
+        "hom_central.svg": "430774742fee386989e1544dc7d4ab7315cbe34b1f9e43c2da4d206cef6c4386",
+        "report.txt": "6e01a1e7a5c92efa79cead19d8f3d3950ca426bb9d7bc7e7ed297f3a1dbcae8c",
+        "tags_co_ch0.pftg": "6a3be01bba56f4d222dc4f1fe45289b883f12d596ccdd8b43dd8aa7ad109b21f",
+        "tags_co_ch1.pftg": "c225e89d7486a399f372f75694cad7d3e9cd8b687d6be9eb95446060eaf0f392",
+        "tags_cross_ch0.pftg": "579a469dd0f4c3d264dd4f0c3ddc42bba7fc502d537cb010c54eaa8a859cac58",
+        "tags_cross_ch1.pftg": "bfe4b79dc9ee8bc22bdf8dfc0e167d5b11f6fa360512c0bfd3db5c3c7dcc1dff",
     },
     "hom_930": {
-        "correlation_co.csv": "5e3e353dc22152694f2dd5426b978f7fde5e9c00e5ddf0fea1699698480bca87",
-        "correlation_cross.csv": "ed325e8ed846345fee36cc430070f34d17975c372465b75df9abddcec60447cb",
-        "hom_central.svg": "d8d1e2664e6f45e8a3cad17c6ec1757c3ec3738fee6a866314e95337cb6acad9",
-        "report.txt": "b517151d71adcfd90739ca9403b92c15a68f165c4d12840be525fe98a83f3800",
-        "tags_co_ch0.pftg": "5d45e622ac7f0e5bc33aebe088f6f3d6caed6dbaecae07a943a04061abac9e8c",
-        "tags_co_ch1.pftg": "13da6c0fabcef9fd274f55c32e42853964d355fac8ec2c55dd30c1495a3d2f76",
-        "tags_cross_ch0.pftg": "fbb9cfce1e6998c375cb6cbf888dfda144fb35af3c49b0d9daf59f1b75920759",
-        "tags_cross_ch1.pftg": "ded9aabc406ca2a91fa5ea9bc8f6cb427eed212375a3198869637e3a2364922e",
+        "correlation_co.csv": "af68b76a988e8cd096eaf7dbc2e76628d21248c51801c16c7d22b04b06875762",
+        "correlation_cross.csv": "8e3ce29062721cdc8ddc7b74fed5ec4b049c50c80fe2cd09859f810f39aee642",
+        "hom_central.svg": "9d50df96d91d08c828f8d9ab95fc02f2ec935198a23ec4eb29f606373666f6af",
+        "report.txt": "036da0da6bd7d666c5b3dc3a4a056b86716383d9d481f01e64596d29ff5111e7",
+        "tags_co_ch0.pftg": "8dd950cbc079e0d397112b57c3baffabacee80c51dcdf3471bd17ec2759372d4",
+        "tags_co_ch1.pftg": "455fbfcf5efb9e8ada3537e1b3520f1a2220bde033a6d6b80f2c31138e115054",
+        "tags_cross_ch0.pftg": "ae82c9f67f518d9a52ba5a1f9cade477209d0f29da97565ce2ab52be57efa322",
+        "tags_cross_ch1.pftg": "686c6c0fdda9376ba665b6c2bb32f3262538ead9100db28cc96bdf4e4e260e9b",
     },
     "lifetime_1550": {
-        "decay_hist.csv": "f7e59fe2711613f13b6d15bfc27f306041b039cd83908b9ab04d34856fa1ccb1",
-        "irf_hist.csv": "d7b826dd67203aa7dcbb27cb75da6f7e024e5403bb6b824d95dfa15e5e5f6e87",
-        "irf_tags_ch0.pftg": "336aff8d16ec45e3e6e5341bee911e5191679cb8a2db554172ba19d737ac0767",
-        "lifetime_fit.svg": "e0898ad678c9cc099e9e2184d2415d913b20ac174f77d64c2a80b6ecccffdbad",
-        "report.txt": "20d4430b0c628f472a982d59eae40c30f59ff16b8e0f5e719b12008f33ffdf5f",
-        "tags_ch0.pftg": "72654c076dc55b8149e2a6039508226343a39829df8691efc54104a8ed01b25c",
+        "decay_hist.csv": "b9eb9cd995d1e7372915b6357e8b42529f6ce19bd38fb9f8f24f1e9feca4a964",
+        "irf_hist.csv": "0fe52cbd93bd5f3118b2f12db52aed40fa794c3fb12b033411aaf23fbdbd6ed7",
+        "irf_tags_ch0.pftg": "26c0fdcb91e573ebdc0187fc09d4dacdc69b13127d3b168d43cdf05ae4d27808",
+        "lifetime_fit.svg": "64394a1c05260abcbedd13f59dca2dfe84ae346ec5dc344f10bff25576772088",
+        "report.txt": "d5a0dfcbe7e63790f2ae3b327e6118e56521262b2945c5e931021a3bf10dcda8",
+        "tags_ch0.pftg": "463b8c42a669ced97d14a47de75aa955177a34da92acfd049cf6c99aad556db3",
     },
     "lifetime_930": {
-        "decay_hist.csv": "fec25bd373638bdd62743f635c6ca727ece9170e7257e10b5aaf7572a329012f",
-        "irf_hist.csv": "603d83225fcbe2c9b270d904d0ccf167ae48a9cbb7310c088416a09750277b3e",
-        "irf_tags_ch0.pftg": "c885704c63ea47eec45e9ca285ac144a98f77c3ffc21409642fba27edf80f650",
-        "lifetime_fit.svg": "de8ea92ea7be8d5a16d7d3d29514d75558ea686b2d9a366ea254bafe46081365",
-        "report.txt": "9d12c8a6da4febd86cba86874a8ea0123a1851717bcec326b3d28a6478e59cbd",
-        "tags_ch0.pftg": "66fb7e3191f7047d8febc7a54355bf9b5790de33376cc4911aa379d0359c626a",
+        "decay_hist.csv": "dfee7399de825da713a027e258ed5a15d33dfb53f3013933589d3fdfe2279c27",
+        "irf_hist.csv": "2b3c37560e4b22377dd3f490bbc253f5e4d649eda141c73e2f578be2ec0da1a8",
+        "irf_tags_ch0.pftg": "6029d109e7fff63d5e2fa244c94ac7fa926b7507fc9bac1b9fed61e864013ab2",
+        "lifetime_fit.svg": "71bef4406f890cfeb5b18cd06899f71e3bf973324b450e838a06a4eacc408ced",
+        "report.txt": "e4d8efb94a1ad51604cc33177eacc1c3dfc576d088d8982ede8afa4b44af32d9",
+        "tags_ch0.pftg": "f8d88edbfaaae52fa27a7468c1ea1e8907a18ea3ac253face12fb8b6d8f0fe00",
     },
     "rate_1550": {
-        "report.txt": "336117c9ade2261d83455926369673bff581a5e8203ab4f3b00814f3a578eb7a",
-        "tags_ch0.pftg": "6849bcb03c9c22c474b52e4bad0cdeb7365229217ba668d8ada831f447869326",
+        "report.txt": "05dab1986befd759d8d1a27ebe7df654b068fc967de5a4171e5692d24e76f527",
+        "tags_ch0.pftg": "49ffb202bdb9181a2f989b317df96385fdde19baecb298d3e0b6ec2f4e8502db",
     },
     "saturation": {
         "report.txt": "0f1211f95945964285250913a348a02dc31941b91d250b29b84f0b583b5ea63f",
@@ -172,18 +172,18 @@ CLI_GOLDEN = {
         "saturation.svg": "ba15c7d5edf4bff82bebae26fb34d3b3165be95ce2a06c7f4c3c9ac29a6cc24b",
     },
     "hom_930_co": {
-        "correlation_co.csv": "5e3e353dc22152694f2dd5426b978f7fde5e9c00e5ddf0fea1699698480bca87",
-        "correlation_co.svg": "c7f3751a77d29c8c1094e17e0c90710b9c84a605aa9c077c5a4891fb7dcfde77",
-        "report.txt": "4a291e8d4986beef09323c3cca2bf661d93974b38e4158d4d29e8709564e8085",
-        "tags_co_ch0.pftg": "5d45e622ac7f0e5bc33aebe088f6f3d6caed6dbaecae07a943a04061abac9e8c",
-        "tags_co_ch1.pftg": "13da6c0fabcef9fd274f55c32e42853964d355fac8ec2c55dd30c1495a3d2f76",
+        "correlation_co.csv": "af68b76a988e8cd096eaf7dbc2e76628d21248c51801c16c7d22b04b06875762",
+        "correlation_co.svg": "0f165d35ed441a5d42ca869b93d86dc9f0365dcf6f91efc328f6b51075e68e67",
+        "report.txt": "67ac595288522d2a63470e7b7cec7b63fb68f609ad18d3b3e66e6a5414225f01",
+        "tags_co_ch0.pftg": "8dd950cbc079e0d397112b57c3baffabacee80c51dcdf3471bd17ec2759372d4",
+        "tags_co_ch1.pftg": "455fbfcf5efb9e8ada3537e1b3520f1a2220bde033a6d6b80f2c31138e115054",
     },
     "hom_930_cross": {
-        "correlation_cross.csv": "ed325e8ed846345fee36cc430070f34d17975c372465b75df9abddcec60447cb",
-        "correlation_cross.svg": "8aa21f0caf698ec9a5f3399d63360db3e2e62dcb19be729c1dd38a39d4259734",
-        "report.txt": "e99ea903990a35fbba4a9034abacaf482a7da1b36775a9878dcab714bd0f3c63",
-        "tags_cross_ch0.pftg": "fbb9cfce1e6998c375cb6cbf888dfda144fb35af3c49b0d9daf59f1b75920759",
-        "tags_cross_ch1.pftg": "ded9aabc406ca2a91fa5ea9bc8f6cb427eed212375a3198869637e3a2364922e",
+        "correlation_cross.csv": "8e3ce29062721cdc8ddc7b74fed5ec4b049c50c80fe2cd09859f810f39aee642",
+        "correlation_cross.svg": "3fa4d47cb11aeb38456cbbee27ee46c38c938fabb2a78078de22c5cfbb4e95ab",
+        "report.txt": "f4c998a4a332405fb666021d015d8fa3aea4e27ee2f64c87015a1989ae21564c",
+        "tags_cross_ch0.pftg": "ae82c9f67f518d9a52ba5a1f9cade477209d0f29da97565ce2ab52be57efa322",
+        "tags_cross_ch1.pftg": "686c6c0fdda9376ba665b6c2bb32f3262538ead9100db28cc96bdf4e4e260e9b",
     },
 }
 

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +91,26 @@ def assert_conservation(result):
 
 class TestDeterminism:
     def test_workers_do_not_change_results(self):
-        pipe = make_pipeline(n_pulses=60_000, p_multi=0.01, conversion=True)
-        det = DetectorConfig(efficiency=0.8, irf_sigma_ps=40.0, dead_time_ps=25_000, dark_rate_cps=100.0)
-        for runner, extra in (
-            (run_hbt, (BeamSplitter(),)),
-            (run_hom, (interferometer(),)),
+        # three blocks of the shipped size, the last one 3 pulses long, with
+        # conversion noise, dark counts and dead time on both detectors
+        pipe = make_pipeline(n_pulses=2 * pipeline.BLOCK_PULSES + 3, p_multi=0.01, conversion=True)
+        pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
+        det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
+        det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
+        for run in (
+            partial(run_direct, pipe, det1),
+            partial(run_hbt, pipe, BeamSplitter(0.45, 0.45), det1, det2),
+            partial(run_hom, pipe, TestSharedSettings.settings_pair(), det1, det2),
         ):
-            serial = runner(pipe, *extra, det, det, workers=1)
-            parallel = runner(pipe, *extra, det, det, workers=8)
+            serial, parallel = run(workers=1), run(workers=3)
+            assert serial.stats == parallel.stats
+            assert len(serial.streams) == len(parallel.streams)
             for s1, s2 in zip(serial.streams, parallel.streams):
                 assert np.array_equal(s1.tags, s2.tags)
-            assert serial.stats == parallel.stats
+            assert serial.stats.noise_injected > 0
+            assert all(ch.dark > 0 and ch.vetoed > 0 for ch in serial.stats.channels)
+            for part in serial.by_setting():
+                assert_conservation(part)
 
     def test_rerun_identical(self):
         pipe = make_pipeline(n_pulses=30_000)

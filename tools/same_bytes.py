@@ -1,12 +1,17 @@
-"""Check that two checkouts produce the same bytes for every shipped profile.
+"""Check that two checkouts, or two worker counts, produce the same bytes for every shipped profile.
 
     python3 tools/same_bytes.py PARENT_DIR CHANGE_DIR [--pulses N]
+    python3 tools/same_bytes.py --workers-only DIR [--pulses N]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
 as ``hom_cross``, runs through ``photonflow run`` with ``--workers 1`` and
 ``--workers 2`` in both checkouts, each with its own ``src`` on the import
-path.  ``--pulses N`` caps every profile's ``n_pulses`` at N for a quick check.
+path.  With ``--workers-only`` the same profiles of the one checkout DIR run
+with ``--workers 1`` and with ``--workers 2``, and the two runs are compared:
+the determinism check for a change that alters the realization on purpose,
+which the parent cannot check.  ``--pulses N`` caps every profile's
+``n_pulses`` at N for a quick check.
 
 The two sides must agree on the exit code, stdout and every artifact byte for
 byte, and on ``manifest.json`` apart from its ``created_utc``.  Exits 0 when
@@ -92,29 +97,43 @@ def compare(sides) -> tuple[list[str], int]:
     return differing + differing_files(out_a, out_b), sum(1 for _ in out_a.iterdir())
 
 
+def comparisons(args, names) -> list[tuple[str, str, list[tuple[Path, str, int]]]]:
+    """(label, profile name, the two sides' (checkout, work directory, workers)) of every comparison."""
+    if args.workers_only is not None:
+        sides = [(args.workers_only, f"workers_{workers}", workers) for workers in WORKERS]
+        return [(f"{name} --workers 1 vs 2", name, sides) for name in names]
+    return [
+        (f"{name} --workers {workers}", name, [(args.parent, "parent", workers), (args.change, "change", workers)])
+        for name in names
+        for workers in WORKERS
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--workers-only", type=Path, metavar="DIR",
+                        help="compare --workers 1 with --workers 2 in the one checkout DIR")
     parser.add_argument("--pulses", type=int, default=None, help="cap every profile's n_pulses")
     args = parser.parse_args(argv)
+    if (args.change is None) == (args.workers_only is None) or (args.parent is None) != (args.change is None):
+        parser.error("give PARENT_DIR and CHANGE_DIR, or --workers-only DIR")
 
-    texts = configs(args.change, args.pulses)
+    texts = configs(args.workers_only or args.change, args.pulses)
+    runs = comparisons(args, texts)
     n_files, n_differing = 0, 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
-        for name, text in texts.items():
-            for workers in WORKERS:
-                label = f"{name} --workers {workers}"
-                sides = [run(checkout, Path(tmp) / side, name, text, workers)
-                         for checkout, side in ((args.parent, "parent"), (args.change, "change"))]
-                differing, compared = compare(sides)
-                n_files += compared
-                n_differing += len(differing)
-                for what in differing:
-                    print(f"{label}: {what} differs", flush=True)
-                if not differing:
-                    print(f"{label}: same bytes (exit {sides[0][0]})", flush=True)
-    print(f"{n_differing} differences: {n_files} files and {len(texts) * len(WORKERS)} stdouts compared")
+        for label, name, sides in runs:
+            results = [run(checkout, Path(tmp) / side, name, texts[name], workers) for checkout, side, workers in sides]
+            differing, compared = compare(results)
+            n_files += compared
+            n_differing += len(differing)
+            for what in differing:
+                print(f"{label}: {what} differs", flush=True)
+            if not differing:
+                print(f"{label}: same bytes (exit {results[0][0]})", flush=True)
+    print(f"{n_differing} differences: {n_files} files and {len(runs)} stdouts compared")
     return 1 if n_differing else 0
 
 
