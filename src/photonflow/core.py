@@ -1,9 +1,8 @@
 """Shared domain types, deterministic RNG substreams, and histogram primitives.
 
 All times are integer picoseconds internally.  Randomness is derived from a
-single 64-bit master seed through counter-style substreams keyed by
-(pulse index, stage id), so results are bit-identical for any degree of
-parallelism.
+single 64-bit master seed through substreams keyed by (pulse index, stage
+id), so results are bit-identical for any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -180,7 +179,11 @@ def substream(seed: RunSeed, pulse_index: int, stage_id: int) -> np.random.Gener
     """Deterministic, statistically independent random source for one key.
 
     Same (seed, pulse_index, stage_id) always yields the same sequence.  The
-    generator is counter-based (Philox) keyed through SeedSequence spawning.
+    key becomes a SeedSequence spawn key, and SeedSequence hashes it into
+    the initial state of a PCG64 generator, numpy's default.  Every stream
+    is read from its start by the one block that owns its key, so a
+    counter-based generator's O(1) jump (Philox) is never needed, and PCG64
+    draws uniforms two to three times faster than Philox.
     """
     if pulse_index < 0 or stage_id < 0:
         raise ConfigError("pulse_index and stage_id must be non-negative")
@@ -188,7 +191,7 @@ def substream(seed: RunSeed, pulse_index: int, stage_id: int) -> np.random.Gener
         entropy=seed.master_seed,
         spawn_key=(seed.stage_base + stage_id, pulse_index),
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def poisson_times(rate_cps: float, window_ps: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

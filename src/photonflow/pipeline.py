@@ -4,16 +4,17 @@ Pulses are processed in fixed-size blocks.  Every random decision is drawn
 from a substream keyed by (master seed, owning chunk, stage), and a block
 reads only its own chunk's substreams.  Only the emission decision is drawn
 for every pulse; every other draw is made only for photons that exist, in
-compacted order: one emission row per emitting pulse, and one conversion,
-route and detection row per photon, signal photons first.  A signal photon's
-rows are keyed by its emitter rank (the pulse's position among the chunk's
-emitting pulses).  Interferometer photon pairs can straddle a block edge, so
-a block keeps back the photons at its edge pulses that could meet a
-neighbour's photon; once every block is done, one merge step pairs them with
-the same rule.  A realization is therefore fixed by the seed, the
-configuration and ``BLOCK_PULSES``: the worker count never changes a bit of
-it, while another block size keys the draws by other chunks and gives another
-realization of the same physics.
+compacted order: one four-uniform emission row per emitting pulse (its
+signal photon and the companion decision), then one three-uniform row per
+companion, and one conversion, route and detection row per photon, signal
+photons first.  A signal photon's rows are keyed by its emitter rank (the
+pulse's position among the chunk's emitting pulses).  Interferometer photon
+pairs can straddle a block edge, so a block keeps back the photons at its
+edge pulses that could meet a neighbour's photon; once every block is done,
+one merge step pairs them with the same rule.  A realization is therefore
+fixed by the seed, the configuration and ``BLOCK_PULSES``: the worker count
+never changes a bit of it, while another block size keys the draws by other
+chunks and gives another realization of the same physics.
 
 All three topologies run through one block driver.  It emits the block's
 photons, sends signal, companion and noise photons alike through the
@@ -80,12 +81,14 @@ from .optics import (
     split_ports,
 )
 from .source import (
-    EMIT_DRAWS,
+    COMPANION_DRAWS,
+    SIGNAL_DRAWS,
     BlinkTable,
     EmissionBlock,
     EmitterConfig,
     diffusion_offsets_ghz,
     emitting,
+    has_companion,
     sample_emission,
 )
 
@@ -171,20 +174,25 @@ def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) ->
     """Emission of the chunk of pulses [i0, i0 + n).
 
     The chunk's emission stream holds one uniform per pulse, then one row of
-    ``EMIT_DRAWS`` uniforms per emitting pulse.
+    ``SIGNAL_DRAWS`` uniforms per emitting pulse (signal photon and companion
+    decision), then one row of ``COMPANION_DRAWS`` uniforms per companion,
+    each table in pulse order.  A block with k emitting pulses and m
+    companions draws n + 4k + 3m uniforms.
     """
     emitter, rng = pipe.emitter, substream(pipe.seed, i0, STAGE_EMIT)
     bright = True
     if blink is not None:
         bright = blink.bright_at(pipe.train.pulse_start_ps(i0 + np.arange(n)).astype(np.float64))
     emits = emitting(emitter, rng.random(n), bright)
-    uniforms = rng.random((int(np.count_nonzero(emits)), EMIT_DRAWS))
+    signal_rows = rng.random((int(np.count_nonzero(emits)), SIGNAL_DRAWS))
+    companions = int(np.count_nonzero(has_companion(emitter, signal_rows)))
+    companion_rows = rng.random((companions, COMPANION_DRAWS))
     wander = 0.0
     if emitter.spectral_diffusion_sigma_ghz > 0:
         dblocks = (i0 + np.arange(n)) // emitter.diffusion_block_pulses
         unique, inverse = np.unique(dblocks, return_inverse=True)
         wander = diffusion_offsets_ghz(emitter, pipe.seed, unique)[inverse]
-    return sample_emission(emitter, pipe.train, i0, emits, wander, uniforms)
+    return sample_emission(emitter, pipe.train, i0, emits, wander, signal_rows, companion_rows)
 
 
 def _converted(pipe: Pipeline, i0: int, detuning_ghz: np.ndarray) -> np.ndarray:

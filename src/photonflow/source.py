@@ -109,10 +109,12 @@ def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
     return -tau_ps * np.log1p(-u)
 
 
-# columns of an emitting pulse's uniform row: its signal photon, the
-# companion decision, then the companion photon
-_U_W_S, _U_EXP_S, _U_CAU_S, _U_MULTI, _U_W_C, _U_EXP_C, _U_CAU_C = range(7)
-EMIT_DRAWS = 7
+# columns of an emitting pulse's row: its signal photon, then the companion decision
+_U_W_S, _U_EXP_S, _U_CAU_S, _U_MULTI = range(4)
+SIGNAL_DRAWS = 4
+# columns of a companion's row
+_U_W_C, _U_EXP_C, _U_CAU_C = range(3)
+COMPANION_DRAWS = 3
 
 
 @dataclass
@@ -156,23 +158,37 @@ def emitting(cfg: EmitterConfig, u_emit: np.ndarray, bright) -> np.ndarray:
     return bright & (u_emit < cfg.p_emit)
 
 
+def has_companion(cfg: EmitterConfig, signal_rows: np.ndarray) -> np.ndarray:
+    """Which emitting pulses add a companion photon, from their ``SIGNAL_DRAWS``-column rows."""
+    return signal_rows[:, _U_MULTI] < cfg.p_multi
+
+
 def sample_emission(
     cfg: EmitterConfig,
     train: PulseTrainConfig,
     first_pulse: int,
     emits: np.ndarray,
     wander_ghz,
-    uniforms: np.ndarray,
+    signal_rows: np.ndarray,
+    companion_rows: np.ndarray,
 ) -> EmissionBlock:
     """Turn the emitting pulses' uniform rows into emission arrays.
 
     ``emits`` marks the emitting pulses of the range starting at
-    ``first_pulse`` (see ``emitting``).  ``uniforms`` has one row of
-    ``EMIT_DRAWS`` columns per emitting pulse, in pulse order.  ``wander_ghz``
-    is the slow detuning per pulse of the range, or one value for all of it.
+    ``first_pulse`` (see ``emitting``).  ``signal_rows`` has one row of
+    ``SIGNAL_DRAWS`` columns per emitting pulse, in pulse order: the signal
+    photon's envelope start, exponential delay and dephasing, then the
+    companion decision.  ``companion_rows`` has one row of
+    ``COMPANION_DRAWS`` columns, the same three for the companion photon,
+    per emitting pulse that ``has_companion``, in pulse order.
+    ``wander_ghz`` is the slow detuning per pulse of the range, or one value
+    for all of it.
     """
     emitters = np.flatnonzero(emits)
-    u = uniforms
+    u, uc = signal_rows, companion_rows
+    multi = np.flatnonzero(has_companion(cfg, u))
+    if uc.shape[0] != multi.size:
+        raise ValueError(f"{multi.size} companions need as many companion rows, got {uc.shape[0]}")
     starts = train.pulse_start_ps(first_pulse + emitters).astype(np.float64)
     wander = wander_ghz[emitters] if np.ndim(wander_ghz) else wander_ghz
 
@@ -181,8 +197,6 @@ def sample_emission(
     sig_time = np.rint(sig_exact).astype(np.int64)
     sig_det = wander + _sample_cauchy(cfg.dephasing_linewidth_ghz, u[:, _U_CAU_S])
 
-    multi = np.flatnonzero(u[:, _U_MULTI] < cfg.p_multi)
-    uc = u[multi]
     comp_env = starts[multi] + uc[:, _U_W_C] * train.pulse_width_ps
     comp_time = np.rint(comp_env + _sample_exponential(cfg.lifetime_tau_ps, uc[:, _U_EXP_C])).astype(np.int64)
     comp_det = (

@@ -26,18 +26,18 @@ PERIOD = 1e6 / 73.0
 
 GOLDEN = {
     "direct": [
-        "3dcef8c89eb82100f7d2b38700199810743ba1c5d28828e8ce14308689c3e653",
+        "8dc4fe3bd2d81559f499788de471c8654bbf32906a15f093c770ac3104be0dc4",
     ],
     "hbt": [
-        "2682ece881d0c39d8a6fc4da01b414492c75c88147499920c8fbb834d141b6cd",
-        "d38633c7096ffc4d6e9953f69358b85fcc23d15e96df46bdeb7437ebd24c2a8c",
+        "105c77d14d887d1249ab09f9cf1b9cacd71e346523c0979007ce7243e2e0993f",
+        "f0d387ef68df23ee6b60794b9ac2cb3fc9a696bd37210932381ad0a5c780c27c",
     ],
     # (setting, detector): co det1, co det2, cross det1, cross det2
     "hom": [
-        "e97a33864dc547e6f5160dbd98d68183e44e95be31ac77c1a0c73add0f68dfb7",
-        "5f266fa49669d9d03ad1c4f31ac854aee5482e88460f5f24cba105826364c880",
-        "6f207893b59c72647b2d4bf63a8c763352d75870b7e59e58d5ec4d4849c7a888",
-        "c18104512aac4e2214f14ff6c7549fb429e42a11979414d90d2d578579f610fa",
+        "a465baf715a1269a580bf6df1b8fa90d21373e1749e69694bf45e69bdbae1d11",
+        "2bcce70cf23bab633f551284b09f0e57dc4eaa476ebeef080a28595633d186c0",
+        "5c77a3e30ac53b18b9aca92fa3362f18a8e8963e81616101f243c96d83ddc7f8",
+        "01e01b74e562daa31e42753f8916d1f8204767a6d3b18a42992afb6aa01af398",
     ],
 }
 
@@ -113,77 +113,77 @@ PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 # each run at n_pulses = 100000 through `photonflow run`
 CLI_GOLDEN = {
     "hbt_1550": {
-        "correlation.csv": "b0ec6c26b01481dd3aff6fc82e00d3a1d00b9a6b8a90499197ff25f3daca4c5e",
-        "correlation.svg": "29345b276a96cd987362a911a680ee42d711320b7a776b112eaf68b3281c1282",
-        "report.txt": "955c7b67cddc14ffc58461c8a8715905348a57adefd0f67e1953a50c5f0f0190",
-        "tags_ch0.pftg": "45a783a8eb1d10e7a5ec1480325c9a48278f0518c2780d50b8ee5cdecfa339e5",
-        "tags_ch1.pftg": "6ad9d42aef75969d08a49d8f3b0a6a933b30a7005b669ba41e94452c7cf00967",
+        "correlation.csv": "4943b1b1ce5274b067b40e1c367c9e39d7545293c37a40cd0ee8c06157f27514",
+        "correlation.svg": "c1eeb58cca08f037be5bb334c7cb6acb2fa56f1f9e6e0831337d31d3a84a0568",
+        "report.txt": "e52de445722ae474066d794e322c022cc9b7c416b9dc792553d82110e9ad9934",
+        "tags_ch0.pftg": "75b16247525ff47deed12b7a34cf00fb0a5fe5129fc0429c2cb16d7b5a5fcb12",
+        "tags_ch1.pftg": "c59230f8451f15d51c33c51825e1a601ffb302552089a61b4d73d869076afcc9",
     },
     "hbt_930": {
-        "correlation.csv": "a22377c1c1f6486ec09184130c2f0de06bb8bb57cca64fadd63c790f13626a62",
-        "correlation.svg": "3f89ee7b5c4e0b3705e2e630af8f5f74e3987c459aa265e0957652598629aa94",
-        "report.txt": "b94d6403e48827dc635cd674f20da93fb314bd2e0d6661568b54ac3d030607e8",
-        "tags_ch0.pftg": "d829e66e6c595a78c1498552fd3cff41b4c91131e6f7d72566851096d6893f9c",
-        "tags_ch1.pftg": "2f13e90edcdd8036dec957aa115bb60b1c2c5dfa0fd7960d7f1be5d546b49ac3",
+        "correlation.csv": "02b2d0faac5ea44a6c2b03c009c5672e9b543256aed687ec758062d1506e0bdf",
+        "correlation.svg": "eb96c6d030d009cade9472b612b41b2b2e8350fb5f736caaa500619baa65e900",
+        "report.txt": "d0ee47570bc7fcea88b9db0adb356042d50476a37988846285e5b8492c553fc1",
+        "tags_ch0.pftg": "5f7ad5636719387e390049d89f08189240b8de2639966098f9b0c12c6e810972",
+        "tags_ch1.pftg": "f479281834350337d37eb076c0b7e9df1ef4cb7e1b857def39472dc8ea8ab09d",
     },
     "hom_1550": {
-        "correlation_co.csv": "d5198d9e868bf192ad56531d101a4590632fab0c58a53ff47a8d5059eb383669",
-        "correlation_cross.csv": "7ea74b30259b3adc8d893b8b8d05c99a31ab08701a009ab8e4016619136bf62d",
-        "hom_central.svg": "430774742fee386989e1544dc7d4ab7315cbe34b1f9e43c2da4d206cef6c4386",
-        "report.txt": "6e01a1e7a5c92efa79cead19d8f3d3950ca426bb9d7bc7e7ed297f3a1dbcae8c",
-        "tags_co_ch0.pftg": "6a3be01bba56f4d222dc4f1fe45289b883f12d596ccdd8b43dd8aa7ad109b21f",
-        "tags_co_ch1.pftg": "c225e89d7486a399f372f75694cad7d3e9cd8b687d6be9eb95446060eaf0f392",
-        "tags_cross_ch0.pftg": "579a469dd0f4c3d264dd4f0c3ddc42bba7fc502d537cb010c54eaa8a859cac58",
-        "tags_cross_ch1.pftg": "bfe4b79dc9ee8bc22bdf8dfc0e167d5b11f6fa360512c0bfd3db5c3c7dcc1dff",
+        "correlation_co.csv": "d9304b004dcf44d43a952bca612b10da93751cece785e68df26e1e4456bae49f",
+        "correlation_cross.csv": "26e00691c60654318edf36a4578959a42fa8ee7df7b7b15864005f52fe3b5410",
+        "hom_central.svg": "436da09978eae4b11726a95eeb85bb583ebf3608542a475200f87a2fcf55942e",
+        "report.txt": "a37af8a3a527bce77972df84bcbe7080970b221f0d361e0bc536e30671957b56",
+        "tags_co_ch0.pftg": "b1c66d3b3d169f7b181c6c35f89fdf98c373c0e5396d59416afb46f6322e3405",
+        "tags_co_ch1.pftg": "230070c86bc1da75a42cca0d04fb45c8f5c488707d7517c8f668f3141c8c405d",
+        "tags_cross_ch0.pftg": "16208075d31481aa12ef7a0782a0e2cb4a862ba3c6c61a9d970b0cfc5c087e2a",
+        "tags_cross_ch1.pftg": "541faeccf2a7336a1ba01812cc5ebde976e4d9261ecbca4b75b90772f386836d",
     },
     "hom_930": {
-        "correlation_co.csv": "af68b76a988e8cd096eaf7dbc2e76628d21248c51801c16c7d22b04b06875762",
-        "correlation_cross.csv": "8e3ce29062721cdc8ddc7b74fed5ec4b049c50c80fe2cd09859f810f39aee642",
-        "hom_central.svg": "9d50df96d91d08c828f8d9ab95fc02f2ec935198a23ec4eb29f606373666f6af",
-        "report.txt": "036da0da6bd7d666c5b3dc3a4a056b86716383d9d481f01e64596d29ff5111e7",
-        "tags_co_ch0.pftg": "8dd950cbc079e0d397112b57c3baffabacee80c51dcdf3471bd17ec2759372d4",
-        "tags_co_ch1.pftg": "455fbfcf5efb9e8ada3537e1b3520f1a2220bde033a6d6b80f2c31138e115054",
-        "tags_cross_ch0.pftg": "ae82c9f67f518d9a52ba5a1f9cade477209d0f29da97565ce2ab52be57efa322",
-        "tags_cross_ch1.pftg": "686c6c0fdda9376ba665b6c2bb32f3262538ead9100db28cc96bdf4e4e260e9b",
+        "correlation_co.csv": "dca4b9d3a3e4b66808846f0e1aeb7b269ff7470d8f65931d0ee90162b2de28d3",
+        "correlation_cross.csv": "d72104cfaaa8794985ac9170a295fb97b884652e321ff94e94275134d95b5f7f",
+        "hom_central.svg": "6d6c7cc95c0f700f82222d77532946777ec0d3a9fa95aadb48cdfdee0fe5822f",
+        "report.txt": "724f28aee3823651a2d3b7b341f085eb9eb3b682d7ed46d84dbf3e8d21664000",
+        "tags_co_ch0.pftg": "8f317a9867b3ebbf763744c84ca5925f1877da5c8b4bb3ce53bcd61fe3025f45",
+        "tags_co_ch1.pftg": "a510a0eed69cb1c3012b8557afda42f3c84c976e299e38b4d1fe45911749bf3f",
+        "tags_cross_ch0.pftg": "02a7d222b9f00a3b9150676ff4e900a8c30b6c81854d8895432d27445a347401",
+        "tags_cross_ch1.pftg": "aa86ddf2e0dfb4520686ebd4e4807e9c12c23734df2a31923355680a26736f9b",
     },
     "lifetime_1550": {
-        "decay_hist.csv": "b9eb9cd995d1e7372915b6357e8b42529f6ce19bd38fb9f8f24f1e9feca4a964",
-        "irf_hist.csv": "0fe52cbd93bd5f3118b2f12db52aed40fa794c3fb12b033411aaf23fbdbd6ed7",
-        "irf_tags_ch0.pftg": "26c0fdcb91e573ebdc0187fc09d4dacdc69b13127d3b168d43cdf05ae4d27808",
-        "lifetime_fit.svg": "64394a1c05260abcbedd13f59dca2dfe84ae346ec5dc344f10bff25576772088",
-        "report.txt": "d5a0dfcbe7e63790f2ae3b327e6118e56521262b2945c5e931021a3bf10dcda8",
-        "tags_ch0.pftg": "463b8c42a669ced97d14a47de75aa955177a34da92acfd049cf6c99aad556db3",
+        "decay_hist.csv": "4d408d9d009db08d4553b1b0e881b387c5702318bb766991a38b49444a3e2e9a",
+        "irf_hist.csv": "682e35953d402844beac66465fd9d8d7586f4095f16c16bc18799b181f964a7a",
+        "irf_tags_ch0.pftg": "3773c76c5387ff6e832f18a0ce0380147dfcf261c665b71a2db214d96eacf909",
+        "lifetime_fit.svg": "e23f017bf42d38cfeccc295a335fb452f6e7ad66504176a0e937a4d1fd517f3d",
+        "report.txt": "19c5a40d32b0ec240d5311dc2df5fe7ef50fe4c0d7c0bb10ebb2cb0cb0bbec91",
+        "tags_ch0.pftg": "d70acaa35d56a7f14cb69959f73a81bf7e8598abcd883483fae4312324511034",
     },
     "lifetime_930": {
-        "decay_hist.csv": "dfee7399de825da713a027e258ed5a15d33dfb53f3013933589d3fdfe2279c27",
-        "irf_hist.csv": "2b3c37560e4b22377dd3f490bbc253f5e4d649eda141c73e2f578be2ec0da1a8",
-        "irf_tags_ch0.pftg": "6029d109e7fff63d5e2fa244c94ac7fa926b7507fc9bac1b9fed61e864013ab2",
-        "lifetime_fit.svg": "71bef4406f890cfeb5b18cd06899f71e3bf973324b450e838a06a4eacc408ced",
-        "report.txt": "e4d8efb94a1ad51604cc33177eacc1c3dfc576d088d8982ede8afa4b44af32d9",
-        "tags_ch0.pftg": "f8d88edbfaaae52fa27a7468c1ea1e8907a18ea3ac253face12fb8b6d8f0fe00",
+        "decay_hist.csv": "ad3520fa60fc811399c80c35eaa99ebeb5924ddbd64202e39a8d46034563a9b7",
+        "irf_hist.csv": "7c3427253831bb5decfacaeec23e29ab82dd8898f80d9646e0d28e2b139d4de9",
+        "irf_tags_ch0.pftg": "0d717a4c03544fd49947abab5bb043735c823567e9541045a3aaec5b94b9aeba",
+        "lifetime_fit.svg": "c2b5ee2c25c001e80438f649351979de82a063859d4bc0556adc0150ad521bbd",
+        "report.txt": "9904613e63ef18ffab0b226a254dd09fb549ad073b0da88e093ef635a9d5a89f",
+        "tags_ch0.pftg": "bf7b59e0849e380280c83130f7bce127dd4f5e070d23c6c140f98df0c37b48d9",
     },
     "rate_1550": {
-        "report.txt": "05dab1986befd759d8d1a27ebe7df654b068fc967de5a4171e5692d24e76f527",
-        "tags_ch0.pftg": "49ffb202bdb9181a2f989b317df96385fdde19baecb298d3e0b6ec2f4e8502db",
+        "report.txt": "c6889c66195d469d28b30bb97f0b812e0f1063960f1e29e08ab92a10e70510b5",
+        "tags_ch0.pftg": "769b3bde1136720df9d8df1b681d2c4f11aa1521473bb9abc28f430b74ee9bc2",
     },
     "saturation": {
-        "report.txt": "0f1211f95945964285250913a348a02dc31941b91d250b29b84f0b583b5ea63f",
-        "saturation.csv": "f7e9a68d1c75b57135fa3499d89cb0b615c256b3c42bf4c792022bc11ea4abb6",
-        "saturation.svg": "ba15c7d5edf4bff82bebae26fb34d3b3165be95ce2a06c7f4c3c9ac29a6cc24b",
+        "report.txt": "5634b9cbdf923525ba89be066c7b261bb6ea2d612076c447bcba69ef67431e70",
+        "saturation.csv": "8a1d9cce4da2d2257e5b21c6ad1dd1341553fade7e6a88e6d7a2621da05bc48e",
+        "saturation.svg": "07ad36bbd36d49ea1bd8ebd6e8804eab0c181e81419b7a169b9c97b58e31c6e4",
     },
     "hom_930_co": {
-        "correlation_co.csv": "af68b76a988e8cd096eaf7dbc2e76628d21248c51801c16c7d22b04b06875762",
-        "correlation_co.svg": "0f165d35ed441a5d42ca869b93d86dc9f0365dcf6f91efc328f6b51075e68e67",
-        "report.txt": "67ac595288522d2a63470e7b7cec7b63fb68f609ad18d3b3e66e6a5414225f01",
-        "tags_co_ch0.pftg": "8dd950cbc079e0d397112b57c3baffabacee80c51dcdf3471bd17ec2759372d4",
-        "tags_co_ch1.pftg": "455fbfcf5efb9e8ada3537e1b3520f1a2220bde033a6d6b80f2c31138e115054",
+        "correlation_co.csv": "dca4b9d3a3e4b66808846f0e1aeb7b269ff7470d8f65931d0ee90162b2de28d3",
+        "correlation_co.svg": "82f18ec477ec056a29d25fa625a8da5729aff1c51f5f098ddff413585973271b",
+        "report.txt": "ca53cf67d33d16f2c7e20d2ac036bb18d8585cfddf8ed644b32d0213708ddade",
+        "tags_co_ch0.pftg": "8f317a9867b3ebbf763744c84ca5925f1877da5c8b4bb3ce53bcd61fe3025f45",
+        "tags_co_ch1.pftg": "a510a0eed69cb1c3012b8557afda42f3c84c976e299e38b4d1fe45911749bf3f",
     },
     "hom_930_cross": {
-        "correlation_cross.csv": "8e3ce29062721cdc8ddc7b74fed5ec4b049c50c80fe2cd09859f810f39aee642",
-        "correlation_cross.svg": "3fa4d47cb11aeb38456cbbee27ee46c38c938fabb2a78078de22c5cfbb4e95ab",
-        "report.txt": "f4c998a4a332405fb666021d015d8fa3aea4e27ee2f64c87015a1989ae21564c",
-        "tags_cross_ch0.pftg": "ae82c9f67f518d9a52ba5a1f9cade477209d0f29da97565ce2ab52be57efa322",
-        "tags_cross_ch1.pftg": "686c6c0fdda9376ba665b6c2bb32f3262538ead9100db28cc96bdf4e4e260e9b",
+        "correlation_cross.csv": "d72104cfaaa8794985ac9170a295fb97b884652e321ff94e94275134d95b5f7f",
+        "correlation_cross.svg": "b5899799bf2af3d62c5a1d3f43a54e86fb6006de331e7b844273e2c7a5759b74",
+        "report.txt": "cfa176288ab9966ca1481c18f10e8ec46bd44b19306b9db746afd2ad67b0e784",
+        "tags_cross_ch0.pftg": "02a7d222b9f00a3b9150676ff4e900a8c30b6c81854d8895432d27445a347401",
+        "tags_cross_ch1.pftg": "aa86ddf2e0dfb4520686ebd4e4807e9c12c23734df2a31923355680a26736f9b",
     },
 }
 

@@ -26,6 +26,7 @@ from photonflow.core import (
     PulseTrainConfig,
     RunSeed,
     Wavelength,
+    substream,
 )
 from photonflow.correlate import cross_correlate
 from photonflow.enumeration import hbt_expected, visibility_model
@@ -162,7 +163,8 @@ class TestConservationAndBoundaries:
 
         monkeypatch.setattr(pipeline, "pair_overlap", recording)
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
-        pipe = make_pipeline(n_pulses=5_000, p_emit=p_emit, conversion=True)
+        # about 76 pairs expected at p_emit 0.3 (19 per 5000 pulses), 6 sd above 20
+        pipe = make_pipeline(n_pulses=20_000, p_emit=p_emit, conversion=True)
         run_hom(pipe, interferometer(), ideal_detector(), ideal_detector())
         gaps = np.concatenate(gaps)
         assert gaps.size > 20
@@ -263,13 +265,12 @@ class TestBlockEdges:
     """Photons kept back at block edges are paired or routed once, by the merge step."""
 
     @staticmethod
-    def run_recorded(monkeypatch, seed, n_total, p_emit=1.0):
+    def run_recorded(seed, n_total, p_emit=1.0):
         """Serial and parallel runs on 64-pulse blocks, which must agree and conserve.
 
         Returns the pulses of the kept-back photons and of the meeting pairs'
         early photons.
         """
-        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
         kept, early = [], []
         merge, overlap = pipeline._merge_edges, pipeline.pair_overlap
 
@@ -281,37 +282,49 @@ class TestBlockEdges:
             early.append(np.rint(env_early / PERIOD).astype(np.int64))
             return overlap(tau, det_early, det_late, env_early, env_late, delay)
 
-        monkeypatch.setattr(pipeline, "_merge_edges", recording_merge)
-        monkeypatch.setattr(pipeline, "pair_overlap", recording_overlap)
-        pipe = make_pipeline(seed=seed, n_pulses=n_total, p_emit=p_emit, p_multi=0.05, conversion=True)
-        det = ideal_detector(irf_sigma_ps=50.0)
-        serial = run_hom(pipe, interferometer(), det, det, workers=1)
-        parallel = run_hom(pipe, interferometer(), det, det, workers=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "BLOCK_PULSES", 64)
+            patch.setattr(pipeline, "_merge_edges", recording_merge)
+            patch.setattr(pipeline, "pair_overlap", recording_overlap)
+            pipe = make_pipeline(seed=seed, n_pulses=n_total, p_emit=p_emit, p_multi=0.05, conversion=True)
+            det = ideal_detector(irf_sigma_ps=50.0)
+            serial = run_hom(pipe, interferometer(), det, det, workers=1)
+            parallel = run_hom(pipe, interferometer(), det, det, workers=3)
         assert_conservation(serial)
         assert serial.stats == parallel.stats
         for s1, s2 in zip(serial.streams, parallel.streams):
             assert np.array_equal(s1.tags, s2.tags)
         return kept[0], np.concatenate(early)
 
-    @pytest.mark.parametrize("p_emit,seed", [(1.0, 3), (0.3, 4)])
-    def test_short_last_block(self, monkeypatch, p_emit, seed):
-        # a 3-pulse last block, whose first pulse the block before may pair with
-        self.run_recorded(monkeypatch, seed, 64 * 40 + 3, p_emit)
+    def first_showing(self, case, n_total, seeds=range(300)):
+        """The recording of the first seed whose run shows ``case(kept, early)``.
 
-    def test_kept_back_at_run_ends(self, monkeypatch):
-        # seed 5 keeps photons back at the run's first pulse and at its last,
-        # the only pulse of a 1-pulse last block; no pulse lies beyond either
+        Every seed tried runs the checks of ``run_recorded``; the case itself
+        is rare enough that no single seed can be relied on to show it.
+        """
+        for seed in seeds:
+            kept, early = self.run_recorded(seed, n_total)
+            if case(kept, early):
+                return kept, early
+        pytest.fail(f"no seed in {seeds} shows the case")
+
+    @pytest.mark.parametrize("p_emit,seed", [(1.0, 3), (0.3, 4)])
+    def test_short_last_block(self, p_emit, seed):
+        # a 3-pulse last block, whose first pulse the block before may pair with
+        self.run_recorded(seed, 64 * 40 + 3, p_emit)
+
+    def test_kept_back_at_run_ends(self):
+        # photons kept back at the run's first pulse and at its last, the only
+        # pulse of a 1-pulse last block; no pulse lies beyond either
         n_total = 64 * 40 + 1
-        kept, early = self.run_recorded(monkeypatch, 5, n_total)
-        assert kept[0] == 0 and kept[-1] == n_total - 1
+        kept, early = self.first_showing(lambda kept, early: kept[0] == 0 and kept[-1] == n_total - 1, n_total)
         assert not np.isin([n_total - 2, n_total - 1], early).any()
 
-    def test_pair_into_one_pulse_last_block(self, monkeypatch):
-        # at seed 11 the photon of a 1-pulse last block meets the photon of the pulse before
+    def test_pair_into_one_pulse_last_block(self):
+        # the photon of a 1-pulse last block meets the photon of the pulse before
         n_total = 64 * 40 + 1
-        kept, early = self.run_recorded(monkeypatch, 11, n_total)
+        kept, early = self.first_showing(lambda kept, early: n_total - 2 in early, n_total)
         assert kept[-2:].tolist() == [n_total - 2, n_total - 1]
-        assert n_total - 2 in early
 
 
 class TestOwnStreams:
@@ -340,33 +353,81 @@ class TestOwnStreams:
         }
 
 
+def count_draws(monkeypatch) -> Counter:
+    """Count every value drawn from ``pipeline.substream`` generators from now on, by stage id."""
+    drawn = Counter()
+    make = pipeline.substream
+
+    class Counting:
+        def __init__(self, rng, stage_id):
+            self.rng, self.stage_id = rng, stage_id
+
+        def __getattr__(self, name):
+            attr = getattr(self.rng, name)
+            if not callable(attr):
+                return attr
+
+            def draw(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                drawn[self.stage_id] += np.size(out)
+                return out
+
+            return draw
+
+    monkeypatch.setattr(pipeline, "substream", lambda seed, i, stage_id: Counting(make(seed, i, stage_id), stage_id))
+    return drawn
+
+
+class TestEmissionLayout:
+    """A block's emission stream: U_EMIT per pulse, a 4-column row per emitter, a 3-column row per companion."""
+
+    I0, N = 4096, 4096
+
+    @staticmethod
+    def block_pipeline():
+        return make_pipeline(seed=21, n_pulses=3 * 4096, p_emit=0.6, p_multi=0.2, dephasing_linewidth_ghz=0.5)
+
+    def test_rows_rebuilt_by_hand(self):
+        pipe = self.block_pipeline()
+        em, tr = pipe.emitter, pipe.train
+        rng = substream(pipe.seed, self.I0, STAGE_EMIT)
+        pulses = np.flatnonzero(rng.random(self.N) < em.p_emit)
+        signal_rows = rng.random((pulses.size, 4))
+        companions = np.flatnonzero(signal_rows[:, 3] < em.p_multi)
+        companion_rows = rng.random((companions.size, 3))
+
+        def photons(rows, pulse):
+            env = tr.pulse_start_ps(self.I0 + pulse) + rows[:, 0] * tr.pulse_width_ps
+            time = np.rint(env - em.lifetime_tau_ps * np.log1p(-rows[:, 1])).astype(np.int64)
+            return env, time, 0.5 * em.dephasing_linewidth_ghz * np.tan(np.pi * (rows[:, 2] - 0.5))
+
+        block = pipeline._emission_rows(pipe, self.I0, self.N, None)
+        env, time, det = photons(signal_rows, pulses)
+        np.testing.assert_array_equal(block.sig_pulse, pulses)
+        np.testing.assert_array_equal(block.sig_time_ps, time)
+        np.testing.assert_allclose(block.sig_env_ps, env, rtol=1e-15)
+        np.testing.assert_allclose(block.sig_detuning_ghz, det, rtol=1e-12)
+        _, time, det = photons(companion_rows, pulses[companions])
+        assert companions.size > 400
+        np.testing.assert_array_equal(block.comp_pulse, pulses[companions])
+        np.testing.assert_array_equal(block.comp_time_ps, time)
+        np.testing.assert_allclose(block.comp_detuning_ghz, det + em.multi_detuning_offset_ghz, rtol=1e-12)
+
+    def test_draw_count(self, monkeypatch):
+        drawn = count_draws(monkeypatch)
+        block = pipeline._emission_rows(self.block_pipeline(), self.I0, self.N, None)
+        k, m = block.sig_pulse.size, block.comp_pulse.size
+        assert drawn == {STAGE_EMIT: self.N + 4 * k + 3 * m}
+
+
 class TestDrawBudget:
     """Random draws are made only for photons that exist, at profile parameters."""
 
     @staticmethod
     def draws_per_pulse(monkeypatch, run) -> float:
-        drawn = []
-        make = pipeline.substream
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                attr = getattr(self.rng, name)
-                if not callable(attr):
-                    return attr
-
-                def draw(*args, **kwargs):
-                    out = attr(*args, **kwargs)
-                    drawn.append(np.size(out))
-                    return out
-
-                return draw
-
-        monkeypatch.setattr(pipeline, "substream", lambda *key: Counting(make(*key)))
+        drawn = count_draws(monkeypatch)
         result = run()
-        return sum(drawn) / result.stats.pulses
+        return sum(drawn.values()) / result.stats.pulses
 
     def test_hom_930_paired(self, monkeypatch):
         cfg = load_config(PROFILES / "hom_930.cfg")

@@ -10,11 +10,13 @@ from scipy import stats
 
 from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.source import (
-    EMIT_DRAWS,
+    COMPANION_DRAWS,
+    SIGNAL_DRAWS,
     BlinkTable,
     EmitterConfig,
     emitting,
     expected_pair_overlap,
+    has_companion,
     sample_emission,
     temporal_jitter_overlap,
 )
@@ -33,7 +35,7 @@ def emitter(**kwargs):
 
 
 def emission_arrays(cfg, pulse_train, seed=11):
-    """Vectorized emission for the whole train: one uniform per pulse, one row per emitter."""
+    """Vectorized emission for the whole train: one uniform per pulse, one row per emitter and per companion."""
     rng = substream(RunSeed(seed), 0, 0)
     n = pulse_train.n_pulses
     emits = emitting(cfg, rng.random(n), True)
@@ -42,8 +44,9 @@ def emission_arrays(cfg, pulse_train, seed=11):
         if cfg.spectral_diffusion_sigma_ghz
         else np.zeros(n)
     )
-    uniforms = rng.random((int(emits.sum()), EMIT_DRAWS))
-    return sample_emission(cfg, pulse_train, 0, emits, wander, uniforms)
+    signal_rows = rng.random((int(emits.sum()), SIGNAL_DRAWS))
+    companion_rows = rng.random((int(has_companion(cfg, signal_rows).sum()), COMPANION_DRAWS))
+    return sample_emission(cfg, pulse_train, 0, emits, wander, signal_rows, companion_rows)
 
 
 class TestEmission:
@@ -155,7 +158,8 @@ class TestBlinking:
         bright = dark.bright_at(tr.pulse_start_ps(np.arange(tr.n_pulses)))
         emits = emitting(cfg, substream(RunSeed(5), 0, 0).random(tr.n_pulses), bright)
         assert not emits.any()
-        block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), np.empty((0, EMIT_DRAWS)))
+        no_rows = np.empty((0, SIGNAL_DRAWS)), np.empty((0, COMPANION_DRAWS))
+        block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), *no_rows)
         assert block.sig_pulse.size == 0 and block.comp_pulse.size == 0
 
     def test_dwell_times_exponential(self):

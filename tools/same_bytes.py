@@ -5,13 +5,14 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
-as ``hom_cross``, runs through ``photonflow run`` with ``--workers 1`` and
-``--workers 2`` in both checkouts, each with its own ``src`` on the import
-path.  With ``--workers-only`` the same profiles of the one checkout DIR run
-with ``--workers 1`` and with ``--workers 2``, and the two runs are compared:
-the determinism check for a change that alters the realization on purpose,
-which the parent cannot check.  ``--pulses N`` caps every profile's
-``n_pulses`` at N for a quick check.
+as ``hom_cross``, and ``hbt_1550`` rewritten with conversion noise and many
+dark counts (``hbt_1550_noisy``), runs through ``photonflow run`` with
+``--workers 1`` and ``--workers 2`` in both checkouts, each with its own
+``src`` on the import path.  With ``--workers-only`` the same profiles of the
+one checkout DIR run with ``--workers 1`` and with ``--workers 2``, and the
+two runs are compared: the determinism check for a change that alters the
+realization on purpose, which the parent cannot check.  ``--pulses N`` caps
+every profile's ``n_pulses`` at N for a quick check.
 
 The two sides must agree on the exit code, stdout and every artifact byte for
 byte, and on ``manifest.json`` apart from its ``created_utc``.  Exits 0 when
@@ -31,15 +32,23 @@ from pathlib import Path
 
 WORKERS = (1, 2)
 VOLATILE_MANIFEST_KEYS = ("created_utc",)
+# no shipped profile has conversion noise, and their 100 cps dark counts
+# barely register in a short run; hbt_1550_noisy gets about 1000 noise photons
+# and 100 dark counts per detector in 150000 pulses
+NOISY_NOISE_CPS = 5e5
+NOISY_DARK_CPS = 5e4
 
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
-    """Name -> config text of every profile, plus the single-setting halves of hom_930."""
+    """Name -> config text of every profile, plus the single-setting halves of hom_930 and a noisy hbt_1550."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
     for experiment in ("hom_co", "hom_cross"):
         texts[f"hom_930_{experiment}"] = re.sub(
             r"(?m)^experiment\s*=.*$", f"experiment = {experiment}", texts["hom_930"]
         )
+    noisy = re.sub(r"(?m)^dark_rate_cps\s*=.*$", f"dark_rate_cps = {NOISY_DARK_CPS:g}", texts["hbt_1550"])
+    noisy = noisy.replace("[conversion]\n", f"[conversion]\nnoise_rate_cps = {NOISY_NOISE_CPS:g}\n")
+    texts["hbt_1550_noisy"] = noisy
     if pulses is not None:
         def cap(match):
             return f"n_pulses = {min(int(match.group(1)), pulses)}"
