@@ -17,14 +17,16 @@ never changes a bit of it, while another block size keys the draws by other
 chunks and gives another realization of the same physics.
 
 All three topologies run through one block driver.  It emits the block's
-photons, sends signal, companion and noise photons alike through the
-topology's routing function, which maps each photon's route uniforms to a
-detector port and an arm delay, registers them as one table split by port,
-and adds dark counts.
+photons as one table, signal photons then companions, and routes every
+photon once, right after its draws: the topology's routing function maps
+each photon's route uniforms to a detector port and an arm delay, and the
+photon's arrival is its emission time plus that delay.  Noise photons are
+routed the same way.  Everything downstream reads the routed table: the
+driver registers it split by port and adds dark counts.
 Direct detection is one port and draws no route uniforms; the splitter reads
 one per photon; the interferometer reads two and adds a meeting-pair step,
-where photon pairs that meet at the output splitter get a joint port draw
-per setting.
+which reads the routed ports and arms to find the photon pairs that meet at
+the output splitter and gives them a joint port draw per setting.
 
 A fixed instrument path delay keeps all timestamps positive for the unsigned
 on-disk format; it shifts both channels equally and cancels in every delay
@@ -218,23 +220,25 @@ def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
 # the block driver and the three topologies
 
 class _Photons(NamedTuple):
-    """Photons entering a topology, one row per photon."""
+    """Routed photons, one row per photon."""
 
-    time: np.ndarray  # emission time, integer ps
+    arrival: np.ndarray  # emission time plus arm delay, integer ps
+    port: np.ndarray  # detector index, negative lost
     u_eff: np.ndarray  # detection efficiency uniform
     z: np.ndarray  # IRF jitter normal
-    u_route: np.ndarray  # (photons, route uniforms the topology reads)
 
     def take(self, idx: np.ndarray) -> "_Photons":
         """The photons at ``idx``, an index array or a boolean mask."""
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)  # one pass over the mask, then cheap gathers
-        # take, not indexing: fancy indexing of the 2-D route rows is ten times slower
-        return _Photons(*(column.take(idx, axis=0) for column in self))
+        return _Photons(*(column.take(idx) for column in self))
 
     @staticmethod
     def concat(tables: Sequence["_Photons"]) -> "_Photons":
         return _Photons(*(np.concatenate(columns) for columns in zip(*tables)))
+
+
+_NO_PHOTONS = _Photons(*(np.empty(0, dtype=np.int64) for _ in _Photons._fields))
 
 
 class _Edge(NamedTuple):
@@ -244,75 +248,72 @@ class _Edge(NamedTuple):
     pulse: np.ndarray  # pulse index in the run
     env: np.ndarray  # envelope start, ps
     det: np.ndarray  # detuning, GHz
+    long_arm: np.ndarray  # took the interferometer's long arm
     u_joint: np.ndarray  # (photons, 2): a long-arm photon's reserved joint row
 
 
-def _register(detectors, ports, arrivals, u_eff, z) -> tuple[list[np.ndarray], list[DetectStats]]:
-    """Unsorted tags and detection stats per detector of photons routed to ``ports``."""
+def _register(detectors, photons: _Photons) -> tuple[list[np.ndarray], list[DetectStats]]:
+    """Unsorted tags and detection stats per detector of ``photons``."""
     tags, stats = [], []
     for ch, det in enumerate(detectors):
-        idx = np.flatnonzero(ports == ch)
+        idx = np.flatnonzero(photons.port == ch)
         stats.append(DetectStats())
-        tags.append(register_arrivals(det, arrivals[idx], u_eff[idx], z[idx], stats[-1]) + PATH_DELAY_PS)
+        arrivals, u_eff, z = photons.arrival[idx], photons.u_eff[idx], photons.z[idx]
+        tags.append(register_arrivals(det, arrivals, u_eff, z, stats[-1]) + PATH_DELAY_PS)
     return tags, stats
 
 
-def _route_and_register(
-    detectors, route, photons: _Photons, pair_tables, dark
-) -> tuple[list[np.ndarray], RunStats]:
-    """Route ``photons`` and register them beside each setting's pair photons and dark counts.
+def _register_settings(detectors, photons: _Photons, pair_tables, dark) -> tuple[list[np.ndarray], RunStats]:
+    """Register ``photons`` beside each setting's pair photons and dark counts.
 
     The routed photons are registered once and join every setting's tags and
     channel stats; each entry of ``pair_tables`` is a setting's jointly
-    routed ``(ports, arrivals, u_eff, z)``, and ``dark`` holds each
-    detector's dark counts.  Returns the unsorted tags per (setting,
-    detector) and a RunStats of the routing losses and channels alone.
+    routed pair photons, and ``dark`` holds each detector's dark counts.
+    Returns the unsorted tags per (setting, detector) and a RunStats of the
+    routing losses and channels alone.
     """
-    ports, delay = route(photons)
-    shared_tags, shared_stats = _register(detectors, ports, photons.time + delay, photons.u_eff, photons.z)
+    shared_tags, shared_stats = _register(detectors, photons)
     tags, channels = [], []
     for table in pair_tables:
-        pair_tags, pair_stats = _register(detectors, *table)
+        pair_tags, pair_stats = _register(detectors, table)
         for ch, stats in enumerate(pair_stats):
             stats.merge(shared_stats[ch])
             stats.dark = int(dark[ch].size)
             tags.append(np.concatenate([shared_tags[ch], pair_tags[ch], dark[ch]]))
         channels += pair_stats
-    return tags, RunStats(routed_lost=int(np.count_nonzero(ports < 0)), channels=tuple(channels))
+    return tags, RunStats(routed_lost=int(np.count_nonzero(photons.port < 0)), channels=tuple(channels))
 
 
-def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, pairs):
+def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, settings=None):
     """One block of any topology: emission, routing, registration, dark counts.
 
-    ``route`` maps photons, through their ``n_route`` route uniforms, to a
-    port each (0/1 detector, negative lost) and an arm delay.  Signal,
-    companion and noise photons go through it as one table, and a topology
-    that reads no route uniform does not draw any.  Conversion, route and
-    detection draws hold one row per photon that exists: signal photons by
-    emitter rank, then companions.  ``pairs(block, sig_ok, signal)`` is the
-    interferometer's meeting-pair step: given the signal photons that
-    survived conversion, it returns the ones left for routing, each
-    setting's ``(ports, arrivals, u_eff, z)`` of the photons it routed
-    jointly, and the ``_Edge`` photons it kept back.  Without it (``None``)
-    the block has one setting and keeps nothing back.
+    ``route`` maps photons' rows of ``n_route`` route uniforms to a port each
+    (0/1 detector, negative lost) and an arm delay.  Every photon is routed
+    once, right after its draws: the emitted photons that survive conversion
+    as one table, then the noise photons; a topology that reads no route
+    uniform does not draw any.  Conversion, route and detection draws hold
+    one row per photon that exists: signal photons by emitter rank, then
+    companions.  An interferometer block (``settings`` given) then pairs the
+    signal photons that meet at the output splitter (``_meeting_pairs``);
+    without settings the block has one setting and keeps nothing back.
 
     Returns the unsorted tags per (setting, detector), the block's RunStats
     and its kept-back photons.
     """
     n, seed = i1 - i0, pipe.seed
     block = _emission_rows(pipe, i0, n, blink)
-    k = block.sig_pulse.size
-    ok = _converted(pipe, i0, np.concatenate([block.sig_detuning_ghz, block.comp_detuning_ghz]))
+    ok = _converted(pipe, i0, block.detuning_ghz)
     u_eff = substream(seed, i0, STAGE_DETECT).random(ok.size)
     z = substream(seed, i0, STAGE_JITTER).standard_normal(ok.size)
     u_route = np.empty((ok.size, 0))
     if n_route:
         u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
-    signal = _Photons(block.sig_time_ps, u_eff[:k], z[:k], u_route[:k]).take(ok[:k])
-    pair_tables, edge = [(np.empty(0),) * 4], None
-    if pairs is not None:
-        signal, pair_tables, edge = pairs(block, ok[:k], signal)
-    batches = [signal, _Photons(block.comp_time_ps, u_eff[k:], z[k:], u_route[k:]).take(ok[k:])]
+    alive = np.flatnonzero(ok)
+    port, delay = route(u_route.take(alive, axis=0))
+    photons = _Photons(block.time_ps.take(alive) + delay, port, u_eff.take(alive), z.take(alive))
+    pair_tables, edge = [_NO_PHOTONS], None
+    if settings is not None:
+        photons, pair_tables, edge = _meeting_pairs(pipe, settings, block, ok, photons, delay > 0, i0, i1)
 
     t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
     noise = np.empty(0, dtype=np.int64)
@@ -321,43 +322,44 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
         noise = sample_noise_times(pipe.conversion, (t0, t1), rng)
     if noise.size:
         # one full array per route uniform, then the detection draws
-        u_noise = rng.random((n_route, noise.size)).T
-        batches.append(_Photons(noise, rng.random(noise.size), rng.standard_normal(noise.size), u_noise))
+        port, delay = route(rng.random((n_route, noise.size)).T)
+        noisy = _Photons(noise + delay, port, rng.random(noise.size), rng.standard_normal(noise.size))
+        photons = _Photons.concat([photons, noisy])
     if any(det.dark_rate_cps > 0 for det in detectors):
         rng = substream(seed, i0, STAGE_DARK)
         dark = [sample_dark_counts(det, (t0 + PATH_DELAY_PS, t1 + PATH_DELAY_PS), rng) for det in detectors]
     else:
         dark = [np.empty(0, dtype=np.int64)] * len(detectors)
 
-    tags, stats = _route_and_register(detectors, route, _Photons.concat(batches), pair_tables, dark)
+    tags, stats = _register_settings(detectors, photons, pair_tables, dark)
     stats = replace(
         stats,
         pulses=n,
-        emitted_signal=k,
-        emitted_multi=ok.size - k,
-        conversion_lost=ok.size - int(np.count_nonzero(ok)),
+        emitted_signal=block.n_signal,
+        emitted_multi=ok.size - block.n_signal,
+        conversion_lost=ok.size - alive.size,
         noise_injected=int(noise.size),
     )
     return tags, stats, edge
 
 
-def _direct_route(photons: _Photons):
+def _direct_route(u_route: np.ndarray):
     """One detector and no splitter: every photon arrives undelayed."""
-    return np.zeros(photons.time.size, dtype=np.int8), 0
+    return np.zeros(u_route.shape[0], dtype=np.int8), 0
 
 
-def _splitter_route(bs: BeamSplitter, photons: _Photons):
+def _splitter_route(bs: BeamSplitter, u_route: np.ndarray):
     """One splitter with a detector on each output port."""
-    return split_ports(photons.u_route[:, 0], bs.r, bs.t), 0
+    return split_ports(u_route[:, 0], bs.r, bs.t), 0
 
 
-def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
+def _interferometer_route(ifo: HomInterferometer, u_route: np.ndarray):
     """Input splitter picks the arm (reflected = long), output splitter the port.
 
     A long-arm photon enters the output splitter from the other side, so it
     sees r and t swapped.
     """
-    u_arm, u_port = photons.u_route.T
+    u_arm, u_port = u_route.T
     arm = split_ports(u_arm, ifo.bs_in.r, ifo.bs_in.t)
     long_arm = arm == 0
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
@@ -366,8 +368,8 @@ def _interferometer_route(ifo: HomInterferometer, photons: _Photons):
     return port, np.where(long_arm, ifo.arm_delay_ps, 0)
 
 
-def _meeting(ifo: HomInterferometer, pulse: np.ndarray, signal: _Photons):
-    """The meeting-pair rule, for signal photons in pulse order.
+def _meeting(pulse: np.ndarray, port: np.ndarray, long_arm: np.ndarray):
+    """The meeting-pair rule, for routed signal photons in pulse order.
 
     A photon that takes the long arm at pulse p meets the photon of pulse
     p + 1 if that one takes the short arm and both survive the output
@@ -375,10 +377,8 @@ def _meeting(ifo: HomInterferometer, pulse: np.ndarray, signal: _Photons):
     arrays.  Returns the indices of the pairs' early photons and, per photon,
     whether it can be an early and whether it can be a late photon.
     """
-    u_arm, u_port = signal.u_route.T
-    arm = split_ports(u_arm, ifo.bs_in.r, ifo.bs_in.t)
-    survives = u_port < ifo.bs_out.r + ifo.bs_out.t
-    can_early, can_late = (arm == 0) & survives, (arm == 1) & survives
+    survives = port >= 0
+    can_early, can_late = long_arm & survives, ~long_arm & survives
     early = np.flatnonzero(can_early[:-1] & can_late[1:] & (pulse[1:] == pulse[:-1] + 1))
     return early, can_early, can_late
 
@@ -387,9 +387,9 @@ def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np
     """Joint port draws of the meeting pairs whose early photons are at ``early``.
 
     ``u_joint`` holds each pair's two joint uniforms.  Returns a mask of the
-    photons in no pair and, for each setting, the ``(ports, arrivals, u_eff,
-    z)`` of the pair photons, early photons first; the arrivals and draws are
-    the same in every setting.
+    photons in no pair and, for each setting, the pair photons with their
+    joint ports, early photons first; the arrivals and draws are the same in
+    every setting.
     """
     ifo = settings[0]
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
@@ -398,33 +398,39 @@ def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np
         pipe.emitter.lifetime_tau_ps, det[early], det[late], env[early], env[late], ifo.arm_delay_ps
     )
     met = signal.take(np.concatenate([early, late]))
-    arrivals = met.time + np.repeat([ifo.arm_delay_ps, 0], early.size)
     tables = []
     for setting in settings:
         ports = joint_ports(r2, t2, setting.effective_overlap(overlap), u_joint[:, 0], u_joint[:, 1])
-        tables.append((np.concatenate(ports), arrivals, met.u_eff, met.z))
-    solo = np.ones(signal.time.size, dtype=bool)
+        tables.append(met._replace(port=np.concatenate(ports)))
+    solo = np.ones(signal.arrival.size, dtype=bool)
     solo[early] = solo[late] = False
     return solo, tables
 
 
 def _meeting_pairs(
-    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, sig_ok: np.ndarray,
-    signal: _Photons, i0: int, i1: int,
-) -> tuple[_Photons, list[tuple[np.ndarray, ...]], _Edge]:
+    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, ok: np.ndarray,
+    photons: _Photons, long_arm: np.ndarray, i0: int, i1: int,
+) -> tuple[_Photons, list[_Photons], _Edge]:
     """The meeting-pair step of one interferometer block.
 
-    Pairs with both photons in the block get their joint ports here, one row
-    of the block's joint draws each.  A photon that could meet a photon of a
-    neighbouring block, short arm at the block's first pulse or long arm at
-    its last, is kept back for ``_merge_edges``; the long-arm one takes along
-    the joint row after the block's own pairs.
+    ``photons`` are the block's routed photons that survived conversion
+    (``ok``), signal photons first, and ``long_arm`` flags the ones that took
+    the long arm.  Pairs with both photons in the block get their joint ports
+    here, one row of the block's joint draws each.  A photon that could meet
+    a photon of a neighbouring block, short arm at the block's first pulse or
+    long arm at its last, is kept back for ``_merge_edges``; the long-arm one
+    takes along the joint row after the block's own pairs.
 
-    Returns the signal photons left for independent routing, each setting's
+    Returns the photons left for independent registration, each setting's
     pair table, and the kept-back photons.
     """
-    pulse, env, det = block.sig_pulse[sig_ok], block.sig_env_ps[sig_ok], block.sig_detuning_ghz[sig_ok]
-    early, can_early, can_late = _meeting(settings[0], pulse, signal)
+    k = block.n_signal
+    sig_ok = ok[:k]
+    n_sig = int(np.count_nonzero(sig_ok))
+    signal = _Photons(*(column[:n_sig] for column in photons))
+    long_arm = long_arm[:n_sig]
+    pulse, env, det = block.pulse[:k][sig_ok], block.env_ps[:k][sig_ok], block.detuning_ghz[:k][sig_ok]
+    early, can_early, can_late = _meeting(pulse, signal.port, long_arm)
     kept = (pulse == 0) & can_late | (pulse == i1 - i0 - 1) & can_early
     reserve = int(np.count_nonzero(kept & can_early))  # at most one: the last pulse's photon
     u_joint = np.empty((0, 2))
@@ -432,46 +438,45 @@ def _meeting_pairs(
         u_joint = substream(pipe.seed, i0, STAGE_JOINT).random((early.size + reserve, 2))
     solo, tables = _pair_tables(pipe, settings, signal, env, det, early, u_joint[: early.size])
     edge_joint = np.concatenate([np.zeros((np.count_nonzero(kept) - reserve, 2)), u_joint[early.size :]])
-    edge = _Edge(signal.take(kept), pulse[kept] + i0, env[kept], det[kept], edge_joint)
-    return signal.take(solo & ~kept), tables, edge
+    edge = _Edge(signal.take(kept), pulse[kept] + i0, env[kept], det[kept], long_arm[kept], edge_joint)
+    left = np.ones(photons.arrival.size, dtype=bool)
+    left[:n_sig] = solo & ~kept
+    return photons.take(left), tables, edge
 
 
 def _merge_edges(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], edges: Sequence[_Edge]):
-    """Pair or route the photons that the blocks kept back.
+    """Pair or register the photons that the blocks kept back.
 
     ``edges`` come in pulse order, so one pass of the meeting-pair rule finds
     every pair across a block edge, and its early photon brings its joint
-    row.  Returns tags and RunStats of these photons alone, as a block does.
+    row.  The photons were routed in their blocks.  Returns tags and RunStats
+    of these photons alone, as a block does.
     """
     columns = list(zip(*edges))
     signal = _Photons.concat(columns[0])
-    pulse, env, det, u_joint = map(np.concatenate, columns[1:])
-    early, _, _ = _meeting(settings[0], pulse, signal)
+    pulse, env, det, long_arm, u_joint = map(np.concatenate, columns[1:])
+    early, _, _ = _meeting(pulse, signal.port, long_arm)
     solo, tables = _pair_tables(pipe, settings, signal, env, det, early, u_joint[early])
-    route = partial(_interferometer_route, settings[0])
     no_dark = [np.empty(0, dtype=np.int64)] * len(detectors)
-    return _route_and_register(detectors, route, signal.take(solo), tables, no_dark)
+    return _register_settings(detectors, signal.take(solo), tables, no_dark)
 
 
 def _block_direct(pipe: Pipeline, detectors, i0: int, i1: int, blink):
-    return _simulate_block(pipe, detectors, i0, i1, blink, 0, _direct_route, None)
+    return _simulate_block(pipe, detectors, i0, i1, blink, 0, _direct_route)
 
 
-def _block_hbt(pipe: Pipeline, detectors, bs: BeamSplitter, i0: int, i1: int, blink):
-    return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs), None)
+def _block_hbt(pipe: Pipeline, detectors, i0: int, i1: int, blink, bs: BeamSplitter):
+    return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs))
 
 
-def _block_hom(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], i0: int, i1: int, blink):
+def _block_hom(pipe: Pipeline, detectors, i0: int, i1: int, blink, settings: tuple[HomInterferometer, ...]):
     """One interferometer block, simulated once for every setting.
 
     The settings share splitters and arm delay, so only the joint port draw
     of meeting pairs is evaluated per setting.
     """
-    def pairs(block, sig_ok, signal):
-        return _meeting_pairs(pipe, settings, block, sig_ok, signal, i0, i1)
-
     route = partial(_interferometer_route, settings[0])
-    return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, pairs)
+    return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +510,22 @@ class _TagFold:
         return np.sort(self.buf[: self.size])
 
 
-def _run_blocks(
-    block_fn, pipe: Pipeline, detectors, workers: int, n_settings: int = 1, merge_fn=None
-) -> RunResult:
+def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None) -> RunResult:
     """Run every block and merge its tags per channel.
 
-    A block returns tags for each of ``n_settings`` settings of the same
-    detectors, ordered (setting, detector), its RunStats and the photons it
-    kept back; stream ``channel_id`` is the detector index.  Once every block
-    is done, ``merge_fn(pipe, detectors, edges)`` gets the kept-back photons
-    of all blocks in pulse order and returns their tags and RunStats.
+    A block returns tags for each setting of the same detectors (one
+    setting unless interferometer ``settings`` are given), ordered (setting,
+    detector), its RunStats and the photons it kept back; stream
+    ``channel_id`` is the detector index.  Once every block is done,
+    ``_merge_edges`` pairs or registers the kept-back photons of all blocks
+    in pulse order.
     """
     n_pulses = pipe.train.n_pulses
     if n_pulses <= 0:
         raise ConfigError("n_pulses must be positive")
     blink = _build_blink_table(pipe)
     ranges = _block_ranges(n_pulses)
-    channels = tuple(detectors) * n_settings
+    channels = tuple(detectors) * (1 if settings is None else len(settings))
     total = RunStats(channels=tuple(DetectStats() for _ in channels))
     folds = [_TagFold() for _ in channels]
     edges = []
@@ -545,8 +549,8 @@ def _run_blocks(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fold_blocks(pool.map(job, ranges))
-    if merge_fn is not None:
-        fold(*merge_fn(pipe, detectors, edges))
+    if settings is not None:
+        fold(*_merge_edges(pipe, detectors, settings, edges))
 
     streams = []
     for ch, det in enumerate(channels):
@@ -566,11 +570,7 @@ def run_hbt(
     pipe: Pipeline, bs: BeamSplitter, det1: DetectorConfig, det2: DetectorConfig, workers: int = 1
 ) -> RunResult:
     """Splitter with a detector on each output port (purity measurement)."""
-
-    def block(p, dets, i0, i1, blink):
-        return _block_hbt(p, dets, bs, i0, i1, blink)
-
-    return _run_blocks(block, pipe, (det1, det2), workers)
+    return _run_blocks(partial(_block_hbt, bs=bs), pipe, (det1, det2), workers)
 
 
 def run_hom(
@@ -594,14 +594,7 @@ def run_hom(
     shared = {(s.bs_in, s.bs_out, s.arm_delay_ps) for s in settings}
     if len(shared) > 1:
         raise ConfigError("interferometer settings run together must share bs_in, bs_out and arm_delay_ps")
-
-    def block(p, dets, i0, i1, blink):
-        return _block_hom(p, dets, settings, i0, i1, blink)
-
-    def merge(p, dets, edges):
-        return _merge_edges(p, dets, settings, edges)
-
-    return _run_blocks(block, pipe, (det1, det2), workers, len(settings), merge)
+    return _run_blocks(partial(_block_hom, settings=settings), pipe, (det1, det2), workers, settings)
 
 
 def irf_pipeline(pipe: Pipeline) -> Pipeline:

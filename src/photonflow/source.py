@@ -109,11 +109,10 @@ def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
     return -tau_ps * np.log1p(-u)
 
 
-# columns of an emitting pulse's row: its signal photon, then the companion decision
-_U_W_S, _U_EXP_S, _U_CAU_S, _U_MULTI = range(4)
+# columns of an emitting pulse's row: its signal photon, then the companion decision;
+# a companion's row holds the same three photon columns
+_U_W, _U_EXP, _U_CAU, _U_MULTI = range(4)
 SIGNAL_DRAWS = 4
-# columns of a companion's row
-_U_W_C, _U_EXP_C, _U_CAU_C = range(3)
 COMPANION_DRAWS = 3
 
 
@@ -121,21 +120,20 @@ COMPANION_DRAWS = 3
 class EmissionBlock:
     """Struct-of-arrays emission of a contiguous pulse range, one entry per photon.
 
-    Signal arrays have one entry per emitting pulse and companion arrays one
-    per companion, both in pulse order; ``sig_pulse`` and ``comp_pulse`` are
-    the pulses' offsets from the range's first pulse.  ``sig_time_ps`` is
-    quantized to the 1 ps recording grid; ``sig_time_exact_ps`` keeps the
-    continuous sample for analyses of the emission law itself.
+    The first ``n_signal`` entries are the signal photons, one per emitting
+    pulse, and the rest the companions, each part in pulse order.  ``pulse``
+    is the photon's offset from the range's first pulse and ``env_ps`` its
+    envelope start.  ``time_ps`` is quantized to the 1 ps recording grid;
+    ``time_exact_ps`` keeps the continuous sample for analyses of the
+    emission law itself.
     """
 
-    sig_pulse: np.ndarray
-    sig_time_ps: np.ndarray
-    sig_time_exact_ps: np.ndarray
-    sig_env_ps: np.ndarray
-    sig_detuning_ghz: np.ndarray
-    comp_pulse: np.ndarray
-    comp_time_ps: np.ndarray
-    comp_detuning_ghz: np.ndarray
+    n_signal: int
+    pulse: np.ndarray
+    time_ps: np.ndarray
+    time_exact_ps: np.ndarray
+    env_ps: np.ndarray
+    detuning_ghz: np.ndarray
 
 
 def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.ndarray) -> np.ndarray:
@@ -172,7 +170,7 @@ def sample_emission(
     signal_rows: np.ndarray,
     companion_rows: np.ndarray,
 ) -> EmissionBlock:
-    """Turn the emitting pulses' uniform rows into emission arrays.
+    """Turn the emitting pulses' uniform rows into one photon table.
 
     ``emits`` marks the emitting pulses of the range starting at
     ``first_pulse`` (see ``emitting``).  ``signal_rows`` has one row of
@@ -182,39 +180,23 @@ def sample_emission(
     ``COMPANION_DRAWS`` columns, the same three for the companion photon,
     per emitting pulse that ``has_companion``, in pulse order.
     ``wander_ghz`` is the slow detuning per pulse of the range, or one value
-    for all of it.
+    for all of it.  A companion sits ``multi_detuning_offset_ghz`` off line.
     """
     emitters = np.flatnonzero(emits)
-    u, uc = signal_rows, companion_rows
-    multi = np.flatnonzero(has_companion(cfg, u))
-    if uc.shape[0] != multi.size:
-        raise ValueError(f"{multi.size} companions need as many companion rows, got {uc.shape[0]}")
-    starts = train.pulse_start_ps(first_pulse + emitters).astype(np.float64)
-    wander = wander_ghz[emitters] if np.ndim(wander_ghz) else wander_ghz
-
-    sig_env = starts + u[:, _U_W_S] * train.pulse_width_ps
-    sig_exact = sig_env + _sample_exponential(cfg.lifetime_tau_ps, u[:, _U_EXP_S])
-    sig_time = np.rint(sig_exact).astype(np.int64)
-    sig_det = wander + _sample_cauchy(cfg.dephasing_linewidth_ghz, u[:, _U_CAU_S])
-
-    comp_env = starts[multi] + uc[:, _U_W_C] * train.pulse_width_ps
-    comp_time = np.rint(comp_env + _sample_exponential(cfg.lifetime_tau_ps, uc[:, _U_EXP_C])).astype(np.int64)
-    comp_det = (
-        (wander[multi] if np.ndim(wander) else wander)
-        + _sample_cauchy(cfg.dephasing_linewidth_ghz, uc[:, _U_CAU_C])
-        + cfg.multi_detuning_offset_ghz
-    )
-
-    return EmissionBlock(
-        sig_pulse=emitters,
-        sig_time_ps=sig_time,
-        sig_time_exact_ps=sig_exact,
-        sig_env_ps=sig_env,
-        sig_detuning_ghz=sig_det,
-        comp_pulse=emitters[multi],
-        comp_time_ps=comp_time,
-        comp_detuning_ghz=comp_det,
-    )
+    multi = np.flatnonzero(has_companion(cfg, signal_rows))
+    if companion_rows.shape[0] != multi.size:
+        raise ValueError(f"{multi.size} companions need as many companion rows, got {companion_rows.shape[0]}")
+    k = emitters.size
+    pulse = np.concatenate([emitters, emitters[multi]])
+    env = train.pulse_start_ps(first_pulse + pulse).astype(np.float64)
+    exact, det = np.empty(pulse.size), np.empty(pulse.size)
+    for rows, part in ((signal_rows, slice(None, k)), (companion_rows, slice(k, None))):
+        env[part] += rows[:, _U_W] * train.pulse_width_ps
+        exact[part] = env[part] + _sample_exponential(cfg.lifetime_tau_ps, rows[:, _U_EXP])
+        det[part] = _sample_cauchy(cfg.dephasing_linewidth_ghz, rows[:, _U_CAU])
+    det += wander_ghz[pulse] if np.ndim(wander_ghz) else wander_ghz
+    det[k:] += cfg.multi_detuning_offset_ghz
+    return EmissionBlock(k, pulse, np.rint(exact).astype(np.int64), exact, env, det)
 
 
 def temporal_jitter_overlap(pulse_width_ps: float, tau_ps: float) -> float:

@@ -262,7 +262,7 @@ class TestSharedSettings:
 
 
 class TestBlockEdges:
-    """Photons kept back at block edges are paired or routed once, by the merge step."""
+    """Photons kept back at block edges are paired or registered once, by the merge step."""
 
     @staticmethod
     def run_recorded(seed, n_total, p_emit=1.0):
@@ -402,21 +402,24 @@ class TestEmissionLayout:
             return env, time, 0.5 * em.dephasing_linewidth_ghz * np.tan(np.pi * (rows[:, 2] - 0.5))
 
         block = pipeline._emission_rows(pipe, self.I0, self.N, None)
+        k = block.n_signal
+        assert k == pulses.size
         env, time, det = photons(signal_rows, pulses)
-        np.testing.assert_array_equal(block.sig_pulse, pulses)
-        np.testing.assert_array_equal(block.sig_time_ps, time)
-        np.testing.assert_allclose(block.sig_env_ps, env, rtol=1e-15)
-        np.testing.assert_allclose(block.sig_detuning_ghz, det, rtol=1e-12)
-        _, time, det = photons(companion_rows, pulses[companions])
+        np.testing.assert_array_equal(block.pulse[:k], pulses)
+        np.testing.assert_array_equal(block.time_ps[:k], time)
+        np.testing.assert_allclose(block.env_ps[:k], env, rtol=1e-15)
+        np.testing.assert_allclose(block.detuning_ghz[:k], det, rtol=1e-12)
+        env, time, det = photons(companion_rows, pulses[companions])
         assert companions.size > 400
-        np.testing.assert_array_equal(block.comp_pulse, pulses[companions])
-        np.testing.assert_array_equal(block.comp_time_ps, time)
-        np.testing.assert_allclose(block.comp_detuning_ghz, det + em.multi_detuning_offset_ghz, rtol=1e-12)
+        np.testing.assert_array_equal(block.pulse[k:], pulses[companions])
+        np.testing.assert_array_equal(block.time_ps[k:], time)
+        np.testing.assert_allclose(block.env_ps[k:], env, rtol=1e-15)
+        np.testing.assert_allclose(block.detuning_ghz[k:], det + em.multi_detuning_offset_ghz, rtol=1e-12)
 
     def test_draw_count(self, monkeypatch):
         drawn = count_draws(monkeypatch)
         block = pipeline._emission_rows(self.block_pipeline(), self.I0, self.N, None)
-        k, m = block.sig_pulse.size, block.comp_pulse.size
+        k, m = block.n_signal, block.pulse.size - block.n_signal
         assert drawn == {STAGE_EMIT: self.N + 4 * k + 3 * m}
 
 

@@ -52,21 +52,22 @@ def emission_arrays(cfg, pulse_train, seed=11):
 class TestEmission:
     def test_p_emit_zero_always_empty(self):
         block = emission_arrays(emitter(p_emit=0.0, p_multi=0.0), train(200), seed=1)
-        assert block.sig_pulse.size == 0 and block.comp_pulse.size == 0
+        assert block.n_signal == 0 and block.pulse.size == 0
 
     def test_mean_emission_delay(self):
         # tau plus half the excitation pulse width, at a million pulses
         cfg = emitter()
         tr = train(1_000_000)
         block = emission_arrays(cfg, tr)
-        delays = block.sig_time_ps - tr.pulse_start_ps(np.arange(tr.n_pulses))
+        assert block.n_signal == block.pulse.size == tr.n_pulses
+        delays = block.time_ps - tr.pulse_start_ps(np.arange(tr.n_pulses))
         assert abs(delays.mean() - (271.0 + 10.0)) < 1.0
 
     def test_signal_count_binomial(self):
         cfg = emitter(p_emit=0.37)
         tr = train(200_000)
         block = emission_arrays(cfg, tr)
-        count = block.sig_pulse.size
+        count = block.n_signal
         sigma = math.sqrt(tr.n_pulses * 0.37 * 0.63)
         assert abs(count - 0.37 * tr.n_pulses) < 5 * sigma
 
@@ -76,18 +77,20 @@ class TestEmission:
         cfg = emitter()
         tr = train(1_000_000, width=0.0)
         block = emission_arrays(cfg, tr)
-        delays = block.sig_time_exact_ps - tr.pulse_start_ps(np.arange(tr.n_pulses))
+        assert block.n_signal == block.pulse.size == tr.n_pulses
+        delays = block.time_exact_ps - tr.pulse_start_ps(np.arange(tr.n_pulses))
         result = stats.kstest(delays, stats.expon(scale=271.0).cdf)
         assert result.pvalue > 0.01
-        assert np.max(np.abs(block.sig_time_ps - block.sig_time_exact_ps)) <= 0.5
+        assert np.max(np.abs(block.time_ps - block.time_exact_ps)) <= 0.5
 
     def test_companion_needs_signal_and_carries_origin(self):
         block = emission_arrays(emitter(p_emit=1.0, p_multi=1.0), train(10), seed=3)
-        assert block.sig_pulse.size == block.comp_pulse.size == 10
-        assert np.all(block.comp_detuning_ghz > 5.0)  # companion sits far off line
+        assert block.n_signal == 10 and block.pulse.size == 20
+        assert np.all(block.detuning_ghz[10:] > 5.0)  # companion sits far off line
         mixed = emission_arrays(emitter(p_emit=0.5, p_multi=0.5), train(10_000), seed=3)
-        assert mixed.comp_pulse.size
-        assert np.isin(mixed.comp_pulse, mixed.sig_pulse).all()
+        k = mixed.n_signal
+        assert mixed.pulse.size > k
+        assert np.isin(mixed.pulse[k:], mixed.pulse[:k]).all()
 
     def test_companion_rate(self):
         cfg = emitter(p_emit=0.5, p_multi=0.1)
@@ -95,13 +98,14 @@ class TestEmission:
         block = emission_arrays(cfg, tr)
         expected = 0.5 * 0.1 * tr.n_pulses
         sigma = math.sqrt(expected)
-        assert abs(block.comp_pulse.size - expected) < 5 * sigma
+        assert abs(block.pulse.size - block.n_signal - expected) < 5 * sigma
 
     def test_emit_time_not_before_pulse_start(self):
-        cfg = emitter()
+        cfg = emitter(p_multi=0.3)
         tr = train(50_000)
         block = emission_arrays(cfg, tr)
-        assert np.all(block.sig_time_ps >= tr.pulse_start_ps(block.sig_pulse))
+        assert block.pulse.size > block.n_signal  # companions are checked too
+        assert np.all(block.time_ps >= tr.pulse_start_ps(block.pulse))
 
 
 class TestPairwiseOverlap:
@@ -160,7 +164,7 @@ class TestBlinking:
         assert not emits.any()
         no_rows = np.empty((0, SIGNAL_DRAWS)), np.empty((0, COMPANION_DRAWS))
         block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), *no_rows)
-        assert block.sig_pulse.size == 0 and block.comp_pulse.size == 0
+        assert block.n_signal == 0 and block.pulse.size == 0
 
     def test_dwell_times_exponential(self):
         cfg = emitter(blink_on_rate_per_us=0.1, blink_off_rate_per_us=0.1)
