@@ -23,7 +23,6 @@ from .conversion import (
     MeasurementError,
     SaturationFit,
     dfg_wavelength,
-    external_efficiency,
     fit_saturation,
     internal_efficiency_bounds,
     saturation_curve,
@@ -36,7 +35,6 @@ from .core import (
     RunSeed,
     TagStream,
     Wavelength,
-    merge_histograms,
     substream,
 )
 from .correlate import cross_correlate

@@ -89,7 +89,8 @@ class _Artifacts:
         (self.outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(cfg: RunConfig, result: RunResult) -> dict:
+def _base_report(cfg: RunConfig, result: RunResult, prefix: str = "tags") -> dict:
+    """The run's photon bookkeeping; tag counts are named after the tag files ``_write_streams`` writes."""
     st = result.stats
     report = {
         "experiment": cfg.experiment,
@@ -102,7 +103,7 @@ def _base_report(cfg: RunConfig, result: RunResult) -> dict:
         "routed_lost": st.routed_lost,
     }
     for ch, det in enumerate(st.channels):
-        report[f"tags_ch{ch}"] = det.registered + det.dark - det.vetoed
+        report[f"{prefix}_ch{ch}"] = det.registered + det.dark - det.vetoed
     return report
 
 
@@ -198,10 +199,12 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     )
     histograms: dict[str, object] = {}
     peaks: dict[str, object] = {}
+    full: dict = {}  # the shared counts, then each setting's tag counts
     report: dict = {}
     for pol, result in zip(polarizations, paired.by_setting()):
         tag = pol.value
         _write_streams(art, result, prefix=f"tags_{tag}")
+        full.update(_base_report(cfg, result, prefix=f"tags_{tag}"))
         hist = cross_correlate(
             result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
         )
@@ -267,7 +270,6 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             ylabel="counts",
         )
 
-    full = _base_report(cfg, result)
     full.update(report)
     return full, flag
 
@@ -480,10 +482,14 @@ def cmd_verify(args) -> int:
         target = run_dir / name
         if not target.is_file():
             print(f"missing: {name}")
-            bad += 1
-        elif _sha256(target) != digest:
-            print(f"hash mismatch: {name}")
-            bad += 1
+        else:
+            try:
+                if _sha256(target) == digest:
+                    continue
+                print(f"hash mismatch: {name}")
+            except OSError as exc:
+                print(f"unreadable: {name} ({exc.strerror or exc})")
+        bad += 1
     print(f"{len(artifacts) - bad}/{len(artifacts)} artifacts verified")
     return EXIT_OK if bad == 0 else EXIT_RUNTIME
 

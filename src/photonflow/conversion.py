@@ -239,23 +239,3 @@ def internal_efficiency_bounds(m: BoundsMeasurement) -> EfficiencyBounds:
         )
     return EfficiencyBounds(eta_int_lower=lower, eta_int_upper=upper)
 
-
-def external_efficiency(
-    p_in: float,
-    p_out: float,
-    lambda_in: Wavelength | None = None,
-    lambda_out: Wavelength | None = None,
-) -> float:
-    """Photon-number conversion ratio.
-
-    With wavelengths given, converts the power ratio to a photon-number ratio
-    (P_out * l_out)/(P_in * l_in); without them the inputs are already photon
-    rates and the plain ratio is returned.
-    """
-    if not p_in > 0:
-        raise ConfigError("input power/rate must be positive")
-    if (lambda_in is None) != (lambda_out is None):
-        raise ConfigError("give both wavelengths or neither")
-    if lambda_in is None:
-        return p_out / p_in
-    return (p_out * lambda_out.nm) / (p_in * lambda_in.nm)

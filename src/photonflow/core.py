@@ -144,17 +144,6 @@ class CoincidenceHistogram:
         return int(self.counts.sum())
 
 
-def merge_histograms(a: CoincidenceHistogram, b: CoincidenceHistogram) -> CoincidenceHistogram:
-    """Element-wise sum of two histograms with identical binning."""
-    if a.bin_width_ps != b.bin_width_ps or a.offset_ps != b.offset_ps or a.n_bins != b.n_bins:
-        raise ConfigError(
-            "cannot merge histograms with different binning: "
-            f"({a.bin_width_ps}, {a.offset_ps}, {a.n_bins}) vs "
-            f"({b.bin_width_ps}, {b.offset_ps}, {b.n_bins})"
-        )
-    return CoincidenceHistogram(a.bin_width_ps, a.offset_ps, a.counts + b.counts)
-
-
 @dataclass(frozen=True)
 class RunSeed:
     """Master seed plus the substream derivation rule.

@@ -245,6 +245,37 @@ class TestRunArtifacts:
         svg = (outdir / "correlation.svg").read_text()
         assert svg.startswith("<svg") and "<!-- data" in svg
 
+    def test_paired_hom_report_counts_every_setting(self, tmp_path, capsys):
+        # each setting's tag counts are reported under its tag files' names
+        config = tmp_path / "run.cfg"
+        config.write_text(cli_config_text("hom_930"))
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(config), "--output", str(outdir)]) == cli.EXIT_OK
+        report = io.read_report(outdir / "report.txt")
+        names = [f"tags_{pol}_ch{ch}" for pol in ("co", "cross") for ch in (0, 1)]
+        assert [report[name] for name in names] == [len(io.read_tagstream(outdir / f"{name}.pftg")) for name in names]
+        assert report["tags_co_ch0"] != report["tags_cross_ch0"]
+        assert "tags_ch0" not in report
+
+    def test_verify_reports_unreadable_artifact(self, tmp_path, monkeypatch, capsys):
+        # chmod cannot stop root from reading, so the hash itself fails
+        outdir = tmp_path / "out"
+        cli.main(["run", str(write_config(tmp_path, HBT_CONFIG, outdir=outdir))])
+        capsys.readouterr()
+        sha256 = cli._sha256
+
+        def unreadable(path):
+            if path.name == "report.txt":
+                raise PermissionError(13, "Permission denied", str(path))
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "_sha256", unreadable)
+        assert cli.main(["verify", str(outdir)]) == cli.EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "unreadable: report.txt (" in out and "Permission denied" in out
+        n = len(json.loads((outdir / "manifest.json").read_text())["artifacts"])
+        assert f"{n - 1}/{n} artifacts verified" in out
+
     def test_verify_detects_tampering(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         path = write_config(tmp_path, HBT_CONFIG, outdir=outdir)

@@ -16,7 +16,6 @@ from photonflow.conversion import (
     LossBudget,
     MeasurementError,
     dfg_wavelength,
-    external_efficiency,
     filter_transmission,
     fit_saturation,
     internal_efficiency_bounds,
@@ -290,24 +289,6 @@ class TestEfficiencyBounds:
             internal_efficiency_bounds(
                 BoundsMeasurement(**{**self.geometry(p_out).__dict__, "depletion_on_mw": 0.5})
             )
-
-
-class TestExternalEfficiency:
-    def test_power_ratio_with_wavelengths(self):
-        eta = external_efficiency(1.000, 0.2529, Wavelength(940.0), Wavelength(1550.0))
-        assert eta == pytest.approx(0.417, abs=1e-3)
-
-    def test_zero_output(self):
-        assert external_efficiency(1.0, 0.0, Wavelength(940.0), Wavelength(1550.0)) == 0.0
-
-    def test_photon_rate_units(self):
-        assert external_efficiency(2.21e6, 905e3) == pytest.approx(0.4095, abs=5e-4)
-
-    def test_argument_validation(self):
-        with pytest.raises(ConfigError):
-            external_efficiency(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            external_efficiency(1.0, 0.5, Wavelength(940.0), None)
 
 
 class TestLossBudget:

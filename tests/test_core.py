@@ -16,7 +16,6 @@ from photonflow.core import (
     RunSeed,
     TagStream,
     Wavelength,
-    merge_histograms,
     substream,
 )
 
@@ -25,53 +24,7 @@ def hist(counts, bin_width=1, offset=0.5):
     return CoincidenceHistogram(bin_width_ps=bin_width, offset_ps=offset, counts=np.asarray(counts))
 
 
-class TestMergeHistograms:
-    def test_elementwise_sum(self):
-        merged = merge_histograms(hist([1, 2]), hist([0, 3]))
-        assert merged.counts.tolist() == [1, 5]
-
-    def test_zero_identity(self):
-        h = hist([4, 0, 7])
-        merged = merge_histograms(hist([0, 0, 0]), h)
-        assert merged.counts.tolist() == h.counts.tolist()
-
-    def test_mismatched_binning_rejected(self):
-        with pytest.raises(ConfigError):
-            merge_histograms(hist([1, 2], bin_width=1), hist([1, 2], bin_width=2))
-        with pytest.raises(ConfigError):
-            merge_histograms(hist([1, 2], offset=0.5), hist([1, 2], offset=1.5))
-        with pytest.raises(ConfigError):
-            merge_histograms(hist([1, 2]), hist([1, 2, 3]))
-
-    def test_chunked_dataset_equals_single_pass(self):
-        # oracle: one-pass histogram of the full pair dataset
-        rng = np.random.default_rng(5)
-        delays = rng.integers(-50, 50, size=10_000)
-        edges = np.arange(-50, 51)
-        single_pass, _ = np.histogram(delays, bins=edges)
-        single = hist(single_pass, bin_width=1, offset=-49.5)
-
-        chunks = np.array_split(delays, 7)
-        merged = hist(np.histogram(chunks[0], bins=edges)[0], bin_width=1, offset=-49.5)
-        for chunk in chunks[1:]:
-            merged = merge_histograms(merged, hist(np.histogram(chunk, bins=edges)[0], 1, -49.5))
-        assert np.array_equal(merged.counts, single.counts)
-
-    @given(
-        a=st.lists(st.integers(0, 1000), min_size=4, max_size=4),
-        b=st.lists(st.integers(0, 1000), min_size=4, max_size=4),
-        c=st.lists(st.integers(0, 1000), min_size=4, max_size=4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_associative_commutative(self, a, b, c):
-        ha, hb, hc = hist(a), hist(b), hist(c)
-        left = merge_histograms(merge_histograms(ha, hb), hc)
-        right = merge_histograms(ha, merge_histograms(hb, hc))
-        assert np.array_equal(left.counts, right.counts)
-        assert np.array_equal(
-            merge_histograms(ha, hb).counts, merge_histograms(hb, ha).counts
-        )
-
+class TestCoincidenceHistogram:
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError):
             hist([1, -1])

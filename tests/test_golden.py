@@ -130,7 +130,7 @@ CLI_GOLDEN = {
         "correlation_co.csv": "d9304b004dcf44d43a952bca612b10da93751cece785e68df26e1e4456bae49f",
         "correlation_cross.csv": "26e00691c60654318edf36a4578959a42fa8ee7df7b7b15864005f52fe3b5410",
         "hom_central.svg": "436da09978eae4b11726a95eeb85bb583ebf3608542a475200f87a2fcf55942e",
-        "report.txt": "a37af8a3a527bce77972df84bcbe7080970b221f0d361e0bc536e30671957b56",
+        "report.txt": "8105a30de0899b05a9260cd531ae8f2b3c8d53a436bc16ed343d4d88c7efcd2f",
         "tags_co_ch0.pftg": "b1c66d3b3d169f7b181c6c35f89fdf98c373c0e5396d59416afb46f6322e3405",
         "tags_co_ch1.pftg": "230070c86bc1da75a42cca0d04fb45c8f5c488707d7517c8f668f3141c8c405d",
         "tags_cross_ch0.pftg": "16208075d31481aa12ef7a0782a0e2cb4a862ba3c6c61a9d970b0cfc5c087e2a",
@@ -140,7 +140,7 @@ CLI_GOLDEN = {
         "correlation_co.csv": "dca4b9d3a3e4b66808846f0e1aeb7b269ff7470d8f65931d0ee90162b2de28d3",
         "correlation_cross.csv": "d72104cfaaa8794985ac9170a295fb97b884652e321ff94e94275134d95b5f7f",
         "hom_central.svg": "6d6c7cc95c0f700f82222d77532946777ec0d3a9fa95aadb48cdfdee0fe5822f",
-        "report.txt": "724f28aee3823651a2d3b7b341f085eb9eb3b682d7ed46d84dbf3e8d21664000",
+        "report.txt": "cefb01b17d8f8c60c4a1fc74206ef1d6bc5eed44930cba8e29a4492f24cf7b81",
         "tags_co_ch0.pftg": "8f317a9867b3ebbf763744c84ca5925f1877da5c8b4bb3ce53bcd61fe3025f45",
         "tags_co_ch1.pftg": "a510a0eed69cb1c3012b8557afda42f3c84c976e299e38b4d1fe45911749bf3f",
         "tags_cross_ch0.pftg": "02a7d222b9f00a3b9150676ff4e900a8c30b6c81854d8895432d27445a347401",
@@ -174,14 +174,14 @@ CLI_GOLDEN = {
     "hom_930_co": {
         "correlation_co.csv": "dca4b9d3a3e4b66808846f0e1aeb7b269ff7470d8f65931d0ee90162b2de28d3",
         "correlation_co.svg": "82f18ec477ec056a29d25fa625a8da5729aff1c51f5f098ddff413585973271b",
-        "report.txt": "ca53cf67d33d16f2c7e20d2ac036bb18d8585cfddf8ed644b32d0213708ddade",
+        "report.txt": "673adb36d21d9d1ad6c6adbc21ecfe363ee07af12d5aa384312d2bdd29617496",
         "tags_co_ch0.pftg": "8f317a9867b3ebbf763744c84ca5925f1877da5c8b4bb3ce53bcd61fe3025f45",
         "tags_co_ch1.pftg": "a510a0eed69cb1c3012b8557afda42f3c84c976e299e38b4d1fe45911749bf3f",
     },
     "hom_930_cross": {
         "correlation_cross.csv": "d72104cfaaa8794985ac9170a295fb97b884652e321ff94e94275134d95b5f7f",
         "correlation_cross.svg": "b5899799bf2af3d62c5a1d3f43a54e86fb6006de331e7b844273e2c7a5759b74",
-        "report.txt": "cfa176288ab9966ca1481c18f10e8ec46bd44b19306b9db746afd2ad67b0e784",
+        "report.txt": "00b16e99ba823b439693e2df775c70aefc7336d537454baef82fbce8fb3d6f2b",
         "tags_cross_ch0.pftg": "02a7d222b9f00a3b9150676ff4e900a8c30b6c81854d8895432d27445a347401",
         "tags_cross_ch1.pftg": "aa86ddf2e0dfb4520686ebd4e4807e9c12c23734df2a31923355680a26736f9b",
     },
