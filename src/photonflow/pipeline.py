@@ -312,7 +312,7 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
     port, delay = route(u_route.take(alive, axis=0))
     photons = _Photons(block.time_ps.take(alive) + delay, port, u_eff.take(alive), z.take(alive))
     pair_tables, edge = [_NO_PHOTONS], None
-    if settings is not None:
+    if settings is not None:  # arm_delay_ps is positive, so a delay marks the long arm
         photons, pair_tables, edge = _meeting_pairs(pipe, settings, block, ok, photons, delay > 0, i0, i1)
 
     t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
