@@ -60,11 +60,17 @@ def _sha256(path: Path) -> str:
 
 
 class _Artifacts:
-    """Tracks every file written below the output directory."""
+    """The one writer of a run's files below the output directory.
+
+    Every file is named through ``path``, which lists it for the manifest.
+    The ``--format`` policy lives here: ``write_csv`` leaves CSVs out under
+    ``svg``, and runners test ``svg`` before they build a plot's series.
+    """
 
     def __init__(self, outdir: Path, fmt: str):
         self.outdir = outdir
-        self.fmt = fmt
+        self.csv = fmt in ("csv", "both")
+        self.svg = fmt in ("svg", "both")
         self.files: list[str] = []
         outdir.mkdir(parents=True, exist_ok=True)
 
@@ -72,11 +78,19 @@ class _Artifacts:
         self.files.append(name)
         return self.outdir / name
 
-    def want_csv(self) -> bool:
-        return self.fmt in ("csv", "both")
+    def write_csv(self, name: str, write, *args) -> None:
+        """``write(path, *args)`` to the CSV ``name``, unless the format leaves CSVs out."""
+        if self.csv:
+            write(self.path(name), *args)
 
-    def want_svg(self) -> bool:
-        return self.fmt in ("svg", "both")
+    def streams(self, result: RunResult, prefix: str = "tags") -> dict[str, int]:
+        """Write ``PREFIX_chN.pftg`` per stream; returns ``{"PREFIX_chN": tags written}``."""
+        counts = {}
+        for stream in result.streams:
+            name = f"{prefix}_ch{stream.channel_id}"
+            io.write_tagstream(self.path(f"{name}.pftg"), stream)
+            counts[name] = len(stream)
+        return counts
 
     def write_manifest(self, cfg: RunConfig) -> None:
         manifest = {
@@ -89,10 +103,10 @@ class _Artifacts:
         (self.outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(cfg: RunConfig, result: RunResult, prefix: str = "tags") -> dict:
-    """The run's photon bookkeeping; tag counts are named after the tag files ``_write_streams`` writes."""
+def _base_report(cfg: RunConfig, result: RunResult) -> dict:
+    """The run's shared photon bookkeeping; tag counts come from ``_Artifacts.streams``."""
     st = result.stats
-    report = {
+    return {
         "experiment": cfg.experiment,
         "seed": cfg.seed.master_seed,
         "n_pulses": cfg.n_pulses,
@@ -102,31 +116,31 @@ def _base_report(cfg: RunConfig, result: RunResult, prefix: str = "tags") -> dic
         "noise_injected": st.noise_injected,
         "routed_lost": st.routed_lost,
     }
-    for ch, det in enumerate(st.channels):
-        report[f"{prefix}_ch{ch}"] = det.registered + det.dark - det.vetoed
-    return report
 
 
-def _write_streams(art: _Artifacts, result: RunResult, prefix: str = "tags") -> None:
-    for stream in result.streams:
-        io.write_tagstream(art.path(f"{prefix}_ch{stream.channel_id}.pftg"), stream)
+def _correlate(cfg: RunConfig, art: _Artifacts, result: RunResult, name: str):
+    """Correlate a two-detector run's streams, write ``NAME.csv`` and integrate its peaks."""
+    hist = cross_correlate(
+        result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
+    )
+    art.write_csv(f"{name}.csv", io.write_histogram_csv, hist)
+    return hist, integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)
 
 
 def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     pipe = cfg.pipeline()
     result = run_direct(pipe, cfg.det1, workers=cfg.workers)
     irf_result = run_direct(irf_pipeline(pipe), cfg.det1, workers=cfg.workers)
-    _write_streams(art, result)
-    _write_streams(art, irf_result, prefix="irf_tags")
+    report = {**_base_report(cfg, result), **art.streams(result)}
+    art.streams(irf_result, "irf_tags")
 
     bw = cfg.analysis.lifetime_bin_width_ps
     decay = fold_decay(result.streams[0], cfg.train.period_ps, bw)
     irf = fold_decay(irf_result.streams[0], cfg.train.period_ps, bw)
-    if art.want_csv():
-        io.write_histogram_csv(art.path("decay_hist.csv"), decay)
-        io.write_histogram_csv(art.path("irf_hist.csv"), irf)
+    art.write_csv("decay_hist.csv", io.write_histogram_csv, decay)
+    art.write_csv("irf_hist.csv", io.write_histogram_csv, irf)
     fit = fit_lifetime(decay, irf)
-    if art.want_svg():
+    if art.svg:
         centers = decay.bin_centers()
         write_svg_plot(
             art.path("lifetime_fit.svg"),
@@ -139,7 +153,6 @@ def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             xlabel="time in period (ps)",
             ylabel="counts",
         )
-    report = _base_report(cfg, result)
     report.update(
         {
             "tau_ps": fit.tau_ps,
@@ -156,15 +169,10 @@ def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
 def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     result = run_hbt(cfg.pipeline(), cfg.bs, cfg.det1, cfg.det2, workers=cfg.workers)
-    _write_streams(art, result)
-    hist = cross_correlate(
-        result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
-    )
-    if art.want_csv():
-        io.write_histogram_csv(art.path("correlation.csv"), hist)
-    peaks = integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)
+    report = {**_base_report(cfg, result), **art.streams(result)}
+    hist, peaks = _correlate(cfg, art, result, "correlation")
     g2 = estimate_g2(peaks, cfg.analysis.g2_reference_delay_ps, cfg.train.period_ps)
-    if art.want_svg():
+    if art.svg:
         write_svg_plot(
             art.path("correlation.svg"),
             [Series(hist.bin_centers().tolist(), hist.counts.tolist(), "coincidences", "line")],
@@ -172,7 +180,6 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             xlabel="delay (ps)",
             ylabel="counts",
         )
-    report = _base_report(cfg, result)
     report.update(
         {
             "g2": g2.value,
@@ -197,25 +204,17 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     paired = run_hom(
         pipe, [cfg.interferometer(pol) for pol in polarizations], cfg.det1, cfg.det2, workers=cfg.workers
     )
+    # the shared counts, each setting's tag counts, then its peak areas
+    report = _base_report(cfg, paired)
     histograms: dict[str, object] = {}
     peaks: dict[str, object] = {}
-    full: dict = {}  # the shared counts, then each setting's tag counts
-    report: dict = {}
     for pol, result in zip(polarizations, paired.by_setting()):
         tag = pol.value
-        _write_streams(art, result, prefix=f"tags_{tag}")
-        full.update(_base_report(cfg, result, prefix=f"tags_{tag}"))
-        hist = cross_correlate(
-            result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
-        )
-        histograms[tag] = hist
-        if art.want_csv():
-            io.write_histogram_csv(art.path(f"correlation_{tag}.csv"), hist)
-        peaks[tag] = integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)
-        central, _ = peaks[tag].area_at(0.0, cfg.train.period_ps)
-        norm, _ = peaks[tag].area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
-        report[f"central_area_{tag}"] = central
-        report[f"norm_area_{tag}"] = norm
+        report.update(art.streams(result, f"tags_{tag}"))
+        histograms[tag], peaks[tag] = _correlate(cfg, art, result, f"correlation_{tag}")
+    for tag, setting_peaks in peaks.items():
+        report[f"central_area_{tag}"], _ = setting_peaks.area_at(0.0, cfg.train.period_ps)
+        report[f"norm_area_{tag}"], _ = setting_peaks.area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
 
     flag = ""
     if cfg.experiment == "hom_paired":
@@ -245,7 +244,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
                 "flagged": int(vis.flagged),
             }
         )
-        if art.want_svg():
+        if art.svg:
             co, cross = histograms["co"], histograms["cross"]
             centers = co.bin_centers()
             window = np.abs(centers) <= 3.2 * cfg.train.period_ps
@@ -259,7 +258,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
                 xlabel="delay (ps)",
                 ylabel="counts",
             )
-    elif art.want_svg():
+    elif art.svg:
         tag = polarizations[0].value
         hist = histograms[tag]
         write_svg_plot(
@@ -269,21 +268,18 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             xlabel="delay (ps)",
             ylabel="counts",
         )
-
-    full.update(report)
-    return full, flag
+    return report, flag
 
 
 def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     result = run_direct(cfg.pipeline(), cfg.det1, workers=cfg.workers)
-    _write_streams(art, result)
+    report = {**_base_report(cfg, result), **art.streams(result)}
     st = result.stats
     n_in, n_out = st.emitted, st.converted
     if n_in == 0:
         raise AnalysisError("no photons were emitted")
     eta = n_out / n_in
     duration_s = cfg.train.duration_ps * 1e-12
-    report = _base_report(cfg, result)
     report.update(
         {
             "n_in": n_in,
@@ -297,6 +293,13 @@ def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     return report, ""
 
 
+def _write_saturation_csv(path: Path, powers, eta_meas, eta_fit) -> None:
+    with open(path, "w") as fh:
+        fh.write("pump_mw,eta_measured,eta_fit\n")
+        for p, em, ef in zip(powers, eta_meas, eta_fit):
+            fh.write(f"{p:.6g},{em:.8g},{ef:.8g}\n")
+
+
 def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     scan = cfg.resolved["saturation_scan"]
     conv = cfg.conversion
@@ -307,12 +310,8 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     fit = fit_saturation(list(zip(powers.tolist(), eta_meas.tolist())))
     eta_fit = saturation_curve(powers, fit.eta_max, fit.p_sat_mw)
 
-    if art.want_csv():
-        with open(art.path("saturation.csv"), "w") as fh:
-            fh.write("pump_mw,eta_measured,eta_fit\n")
-            for p, em, ef in zip(powers, eta_meas, eta_fit):
-                fh.write(f"{p:.6g},{em:.8g},{ef:.8g}\n")
-    if art.want_svg():
+    art.write_csv("saturation.csv", _write_saturation_csv, powers, eta_meas, eta_fit)
+    if art.svg:
         ideal = conv.loss_budget.transmission()
         band = scan["ideal_band_fraction"]
         grid = np.linspace(powers[0], powers[-1], 200)
@@ -388,8 +387,7 @@ def cmd_run(args) -> int:
     try:
         art = _Artifacts(outdir, args.format)
         report, flag = _RUNNERS[cfg.experiment](cfg, art)
-        io.write_report(outdir / "report.txt", report)
-        art.files.append("report.txt")
+        io.write_report(art.path("report.txt"), report)
         art.write_manifest(cfg)
     except (ConfigError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
