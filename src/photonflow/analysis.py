@@ -40,17 +40,22 @@ class PeakIntegration:
 def integrate_peaks(
     h: CoincidenceHistogram, rep_period_ps: float, half_window_ps: int
 ) -> PeakIntegration:
-    """Sum counts in non-overlapping windows centered on the pulse-period grid."""
+    """Sum counts in non-overlapping windows centered on the pulse-period grid.
+
+    A window holds the bins whose centers lie within ``half_window_ps`` of its
+    peak center, edges included; each area is a difference of one cumulative sum.
+    """
     if not rep_period_ps > 2 * half_window_ps:
         raise ConfigError("peak windows would overlap: need rep_period > 2 * half_window")
     centers = h.bin_centers()
     k_min = math.ceil((centers[0] + half_window_ps) / rep_period_ps)
     k_max = math.floor((centers[-1] - half_window_ps) / rep_period_ps)
     peak_centers = np.rint(np.arange(k_min, k_max + 1) * rep_period_ps).astype(np.int64)
-    areas = np.empty(peak_centers.size, dtype=np.int64)
-    for i, c in enumerate(peak_centers):
-        mask = np.abs(centers - c) <= half_window_ps + 1e-9
-        areas[i] = int(h.counts[mask].sum())
+    reach = half_window_ps + 1e-9
+    lo = np.searchsorted(centers, peak_centers - reach, side="left")
+    hi = np.searchsorted(centers, peak_centers + reach, side="right")
+    cumulative = np.concatenate([[0], np.cumsum(h.counts)])
+    areas = cumulative[hi] - cumulative[lo]
     return PeakIntegration(peak_centers_ps=peak_centers, half_window_ps=half_window_ps, areas=areas)
 
 
@@ -316,14 +321,9 @@ class VisibilityResult:
     a_perp: float
     v_raw: float
     v_corr: float
-    calib: VisibilityCalib
     v_raw_err: float
     v_corr_err: float
     flagged: bool
-    central_par: int
-    central_perp: int
-    norm_par: int
-    norm_perp: int
 
 
 def estimate_visibility(
@@ -382,12 +382,7 @@ def estimate_visibility(
         a_perp=a_perp,
         v_raw=v_raw,
         v_corr=v_corr,
-        calib=calib,
         v_raw_err=v_raw_err,
         v_corr_err=v_corr_err,
         flagged=flagged,
-        central_par=c_par,
-        central_perp=c_perp,
-        norm_par=n_par,
-        norm_perp=n_perp,
     )

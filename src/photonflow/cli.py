@@ -1,5 +1,8 @@
 """Command-line entry point: configuration-driven runs, comparison, verification.
 
+A run writes every file through ``_Artifacts``, and each tag count in its
+``report.txt`` is the length of the tag file written under that name.
+
 Exit codes: 0 success, 1 runtime/analysis failure, 2 invalid configuration,
 3 analysis completed but produced a flagged (out-of-range) result.
 """
@@ -60,11 +63,10 @@ def _sha256(path: Path) -> str:
 
 
 class _Artifacts:
-    """The one writer of a run's files below the output directory.
+    """The one writer of a run's files: ``path`` names each file and lists it for the manifest.
 
-    Every file is named through ``path``, which lists it for the manifest.
-    The ``--format`` policy lives here: ``write_csv`` leaves CSVs out under
-    ``svg``, and runners test ``svg`` before they build a plot's series.
+    It holds the ``--format`` policy: ``write_csv`` leaves CSVs out unless
+    ``csv`` is set, and runners test ``svg`` before they build a plot's series.
     """
 
     def __init__(self, outdir: Path, fmt: str):
@@ -78,10 +80,10 @@ class _Artifacts:
         self.files.append(name)
         return self.outdir / name
 
-    def write_csv(self, name: str, write, *args) -> None:
-        """``write(path, *args)`` to the CSV ``name``, unless the format leaves CSVs out."""
+    def write_csv(self, name: str, write, *args, **kwargs) -> None:
+        """``write(path, *args, **kwargs)`` to the CSV ``name``, unless the format leaves CSVs out."""
         if self.csv:
-            write(self.path(name), *args)
+            write(self.path(name), *args, **kwargs)
 
     def streams(self, result: RunResult, prefix: str = "tags") -> dict[str, int]:
         """Write ``PREFIX_chN.pftg`` per stream; returns ``{"PREFIX_chN": tags written}``."""
@@ -131,8 +133,7 @@ def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     pipe = cfg.pipeline()
     result = run_direct(pipe, cfg.det1, workers=cfg.workers)
     irf_result = run_direct(irf_pipeline(pipe), cfg.det1, workers=cfg.workers)
-    report = {**_base_report(cfg, result), **art.streams(result)}
-    art.streams(irf_result, "irf_tags")
+    report = {**_base_report(cfg, result), **art.streams(result), **art.streams(irf_result, "irf_tags")}
 
     bw = cfg.analysis.lifetime_bin_width_ps
     decay = fold_decay(result.streams[0], cfg.train.period_ps, bw)
@@ -153,18 +154,16 @@ def _run_lifetime(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             xlabel="time in period (ps)",
             ylabel="counts",
         )
-    report.update(
-        {
-            "tau_ps": fit.tau_ps,
-            "tau_ps_err": fit.tau_err_ps,
-            "amplitude": fit.amplitude,
-            "baseline": fit.baseline,
-            "t0_ps": fit.t0_ps,
-            "residual_rms": fit.residual_rms,
-            "irf_sigma_used_ps": fit.irf_sigma_used_ps,
-        }
-    )
-    return report, ""
+    return {
+        **report,
+        "tau_ps": fit.tau_ps,
+        "tau_ps_err": fit.tau_err_ps,
+        "amplitude": fit.amplitude,
+        "baseline": fit.baseline,
+        "t0_ps": fit.t0_ps,
+        "residual_rms": fit.residual_rms,
+        "irf_sigma_used_ps": fit.irf_sigma_used_ps,
+    }, ""
 
 
 def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
@@ -180,16 +179,14 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
             xlabel="delay (ps)",
             ylabel="counts",
         )
-    report.update(
-        {
-            "g2": g2.value,
-            "g2_err": g2.sigma,
-            "central_area": g2.central_area,
-            "reference_area": g2.reference_area,
-            "reference_delay_ps": g2.reference_delay_ps,
-        }
-    )
-    return report, ""
+    return {
+        **report,
+        "g2": g2.value,
+        "g2_err": g2.sigma,
+        "central_area": g2.central_area,
+        "reference_area": g2.reference_area,
+        "reference_delay_ps": g2.reference_delay_ps,
+    }, ""
 
 
 def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
@@ -280,24 +277,15 @@ def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
         raise AnalysisError("no photons were emitted")
     eta = n_out / n_in
     duration_s = cfg.train.duration_ps * 1e-12
-    report.update(
-        {
-            "n_in": n_in,
-            "n_out": n_out,
-            "eta_ext": eta,
-            "eta_ext_err": float(np.sqrt(eta * (1 - eta) / n_in)),
-            "rate_in_cps": n_in / duration_s,
-            "rate_out_cps": n_out / duration_s,
-        }
-    )
-    return report, ""
-
-
-def _write_saturation_csv(path: Path, powers, eta_meas, eta_fit) -> None:
-    with open(path, "w") as fh:
-        fh.write("pump_mw,eta_measured,eta_fit\n")
-        for p, em, ef in zip(powers, eta_meas, eta_fit):
-            fh.write(f"{p:.6g},{em:.8g},{ef:.8g}\n")
+    return {
+        **report,
+        "n_in": n_in,
+        "n_out": n_out,
+        "eta_ext": eta,
+        "eta_ext_err": float(np.sqrt(eta * (1 - eta) / n_in)),
+        "rate_in_cps": n_in / duration_s,
+        "rate_out_cps": n_out / duration_s,
+    }, ""
 
 
 def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
@@ -310,7 +298,10 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     fit = fit_saturation(list(zip(powers.tolist(), eta_meas.tolist())))
     eta_fit = saturation_curve(powers, fit.eta_max, fit.p_sat_mw)
 
-    art.write_csv("saturation.csv", _write_saturation_csv, powers, eta_meas, eta_fit)
+    art.write_csv(
+        "saturation.csv", np.savetxt, np.column_stack([powers, eta_meas, eta_fit]),
+        fmt=("%.6g", "%.8g", "%.8g"), delimiter=",", header="pump_mw,eta_measured,eta_fit", comments="",
+    )
     if art.svg:
         ideal = conv.loss_budget.transmission()
         band = scan["ideal_band_fraction"]

@@ -223,7 +223,7 @@ class _Photons(NamedTuple):
     """Routed photons, one row per photon."""
 
     arrival: np.ndarray  # emission time plus arm delay, integer ps
-    port: np.ndarray  # detector index, negative lost
+    port: np.ndarray  # detector index; negative: lost, or paired or kept back by the meeting-pair step
     u_eff: np.ndarray  # detection efficiency uniform
     z: np.ndarray  # IRF jitter normal
 
@@ -270,7 +270,7 @@ def _register_settings(detectors, photons: _Photons, pair_tables, dark) -> tuple
     channel stats; each entry of ``pair_tables`` is a setting's jointly
     routed pair photons, and ``dark`` holds each detector's dark counts.
     Returns the unsorted tags per (setting, detector) and a RunStats of the
-    routing losses and channels alone.
+    channels alone.
     """
     shared_tags, shared_stats = _register(detectors, photons)
     tags, channels = [], []
@@ -281,7 +281,7 @@ def _register_settings(detectors, photons: _Photons, pair_tables, dark) -> tuple
             stats.dark = int(dark[ch].size)
             tags.append(np.concatenate([shared_tags[ch], pair_tags[ch], dark[ch]]))
         channels += pair_stats
-    return tags, RunStats(routed_lost=int(np.count_nonzero(photons.port < 0)), channels=tuple(channels))
+    return tags, RunStats(channels=tuple(channels))
 
 
 def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route: int, route, settings=None):
@@ -310,6 +310,7 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
         u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
     alive = np.flatnonzero(ok)
     port, delay = route(u_route.take(alive, axis=0))
+    routed_lost = int(np.count_nonzero(port < 0))
     photons = _Photons(block.time_ps.take(alive) + delay, port, u_eff.take(alive), z.take(alive))
     pair_tables, edge = [_NO_PHOTONS], None
     if settings is not None:  # arm_delay_ps is positive, so a delay marks the long arm
@@ -323,6 +324,7 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
     if noise.size:
         # one full array per route uniform, then the detection draws
         port, delay = route(rng.random((n_route, noise.size)).T)
+        routed_lost += int(np.count_nonzero(port < 0))
         noisy = _Photons(noise + delay, port, rng.random(noise.size), rng.standard_normal(noise.size))
         photons = _Photons.concat([photons, noisy])
     if any(det.dark_rate_cps > 0 for det in detectors):
@@ -339,6 +341,7 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
         emitted_multi=ok.size - block.n_signal,
         conversion_lost=ok.size - alive.size,
         noise_injected=int(noise.size),
+        routed_lost=routed_lost,
     )
     return tags, stats, edge
 
@@ -421,8 +424,8 @@ def _meeting_pairs(
     long arm at its last, is kept back for ``_merge_edges``; the long-arm one
     takes along the joint row after the block's own pairs.
 
-    Returns the photons left for independent registration, each setting's
-    pair table, and the kept-back photons.
+    Returns ``photons``, with the ports of the pair and kept-back photons set
+    negative in place, each setting's pair table, and the kept-back photons.
     """
     k = block.n_signal
     sig_ok = ok[:k]
@@ -439,9 +442,8 @@ def _meeting_pairs(
     solo, tables = _pair_tables(pipe, settings, signal, env, det, early, u_joint[: early.size])
     edge_joint = np.concatenate([np.zeros((np.count_nonzero(kept) - reserve, 2)), u_joint[early.size :]])
     edge = _Edge(signal.take(kept), pulse[kept] + i0, env[kept], det[kept], long_arm[kept], edge_joint)
-    left = np.ones(photons.arrival.size, dtype=bool)
-    left[:n_sig] = solo & ~kept
-    return photons.take(left), tables, edge
+    signal.port[~solo | kept] = -1
+    return photons, tables, edge
 
 
 def _merge_edges(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], edges: Sequence[_Edge]):

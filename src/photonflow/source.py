@@ -77,9 +77,7 @@ class BlinkTable:
 
     @classmethod
     def build(cls, cfg: EmitterConfig, duration_ps: float, rng: np.random.Generator) -> "BlinkTable":
-        """Telegraph over [0, duration_ps], started in its stationary distribution."""
-        if not cfg.blinking_enabled:
-            return cls(True, np.empty(0))
+        """Telegraph of a blinking emitter over [0, duration_ps], started in its stationary distribution."""
         on, off = cfg.blink_on_rate_per_us, cfg.blink_off_rate_per_us
         initial = bright = rng.random() < on / (on + off)
         t = rng.exponential(1e6 / (off if bright else on))
@@ -104,8 +102,6 @@ def _sample_cauchy(fwhm_ghz: float, u: np.ndarray) -> np.ndarray:
 
 
 def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
-    if tau_ps == 0:
-        return np.zeros_like(u)
     return -tau_ps * np.log1p(-u)
 
 
@@ -142,8 +138,6 @@ def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.n
     Each diffusion block draws its offset from its own substream, so any
     engine block can evaluate it without sequential state.
     """
-    if cfg.spectral_diffusion_sigma_ghz == 0:
-        return np.zeros(len(block_indices))
     out = np.empty(len(block_indices))
     for i, bidx in enumerate(block_indices):
         rng = substream(seed, int(bidx), STAGE_DIFFUSION)

@@ -3,14 +3,16 @@
 The enumeration expressions below check the engine and the estimators: the
 companion probability that gives a target central-peak ratio, the central
 coincidence probability of one interfering pulse pair, the five-peak HOM
-cluster, and the forward/inverse visibility model.
+cluster, and the forward/inverse visibility model.  ``peak_areas`` is the
+one-mask-per-peak sum that ``integrate_peaks`` must reproduce.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.optimize import brentq
 
-from photonflow.core import ConfigError
+from photonflow.core import CoincidenceHistogram, ConfigError
 from photonflow.enumeration import VisibilityModel, hbt_expected
 
 
@@ -97,3 +99,13 @@ def visibility_invert(
     if denom <= 0:
         raise ConfigError("visibility correction denominator is not positive")
     return (a_perp - a_par) / denom
+
+
+def peak_areas(h: CoincidenceHistogram, peak_centers_ps: np.ndarray, half_window_ps: int) -> np.ndarray:
+    """Counts of the bins whose centers lie within ``half_window_ps`` of each peak center, edges included."""
+    centers = h.bin_centers()
+    areas = np.empty(peak_centers_ps.size, dtype=np.int64)
+    for i, c in enumerate(peak_centers_ps):
+        mask = np.abs(centers - c) <= half_window_ps + 1e-9
+        areas[i] = int(h.counts[mask].sum())
+    return areas

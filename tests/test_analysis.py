@@ -1,6 +1,7 @@
 """Estimators: peak integration, purity ratio, lifetime fit, visibility."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from photonflow.analysis import (
 from photonflow.conversion import FitError
 from photonflow.core import CoincidenceHistogram, ConfigError
 
-from oracles import visibility_forward
+from oracles import peak_areas, visibility_forward
 
 PERIOD = 1e6 / 73.0
 
@@ -85,6 +86,40 @@ class TestIntegratePeaks:
     def test_overlap_rejected(self):
         with pytest.raises(ConfigError):
             integrate_peaks(flat_histogram(1), PERIOD, half_window_ps=int(PERIOD))
+
+    def test_matches_one_mask_per_peak(self):
+        rng = np.random.default_rng(2026)
+        for case in range(400):
+            bin_width = int(rng.integers(1, 300))
+            half_window = int(rng.integers(0, 3000))
+            period = float(rng.uniform(2 * half_window + 1, 20_000))
+            # half the cases put window edges on bin centers: centers on the
+            # integer grid, an integer period and an integer half window
+            offset = float(rng.integers(-60_000, 0)) if case % 2 else float(rng.uniform(-60_000, 0))
+            if case % 2:
+                period = float(round(period))
+            counts = rng.integers(0, 50, int(rng.integers(1, 2000)))
+            h = CoincidenceHistogram(bin_width, offset, counts)
+            peaks = integrate_peaks(h, period, half_window)
+            assert np.array_equal(peaks.areas, peak_areas(h, peaks.peak_centers_ps, half_window))
+
+    def test_edges_on_bin_centers_are_inside(self):
+        # bins centered at -2000, ..., 2000 around the peak at 0: both edges count
+        h = CoincidenceHistogram(bin_width_ps=1000, offset_ps=-4000, counts=np.arange(1, 10))
+        peaks = integrate_peaks(h, rep_period_ps=8001, half_window_ps=2000)
+        assert peaks.area_at(0.0, 8001) == (3 + 4 + 5 + 6 + 7, 0)
+
+    def test_blinking_reference_geometry_is_fast(self):
+        # an hbt run with blinking and no g2_reference_delay_ps correlates out
+        # to the 40 us reference: 800 548 bins and about 5 840 peaks
+        n_bins, bin_width = 800_548, 100
+        offset = -n_bins * bin_width / 2 + bin_width / 2
+        h = CoincidenceHistogram(bin_width, offset, np.ones(n_bins, dtype=np.int64))
+        start = time.perf_counter()
+        peaks = integrate_peaks(h, PERIOD, half_window_ps=2000)
+        elapsed = time.perf_counter() - start
+        assert peaks.areas.size > 5_800 and np.all(peaks.areas == 40)
+        assert elapsed < 1.0
 
 
 class TestEstimateG2:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -245,17 +246,19 @@ class TestRunArtifacts:
         svg = (outdir / "correlation.svg").read_text()
         assert svg.startswith("<svg") and "<!-- data" in svg
 
-    def test_paired_hom_report_counts_every_setting(self, tmp_path, capsys):
-        # each setting's tag counts are reported under its tag files' names
+    @pytest.mark.parametrize("name", ["lifetime_930", "hbt_930", "rate_1550", "hom_930_co", "hom_930"])
+    def test_report_counts_are_tag_file_lengths(self, tmp_path, capsys, name):
+        # every tag file's count is reported under its name, the IRF run's too
         config = tmp_path / "run.cfg"
-        config.write_text(cli_config_text("hom_930"))
+        config.write_text(cli_config_text(name))
         outdir = tmp_path / "out"
         assert cli.main(["run", str(config), "--output", str(outdir)]) == cli.EXIT_OK
         report = io.read_report(outdir / "report.txt")
-        names = [f"tags_{pol}_ch{ch}" for pol in ("co", "cross") for ch in (0, 1)]
-        assert [report[name] for name in names] == [len(io.read_tagstream(outdir / f"{name}.pftg")) for name in names]
-        assert report["tags_co_ch0"] != report["tags_cross_ch0"]
-        assert "tags_ch0" not in report
+        counted = {key for key in report if re.fullmatch(r"\w*tags\w*_ch\d+", key)}
+        assert counted == {path.stem for path in outdir.glob("*.pftg")}
+        assert {key: report[key] for key in counted} == {
+            key: len(io.read_tagstream(outdir / f"{key}.pftg")) for key in counted
+        }
 
     def test_verify_reports_unreadable_artifact(self, tmp_path, monkeypatch, capsys):
         # chmod cannot stop root from reading, so the hash itself fails
@@ -321,13 +324,13 @@ class TestRunArtifacts:
         mb.pop("created_utc")
         assert ma == mb
 
-    def test_format_csv_skips_plots(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_format_csv_skips_plots(self, tmp_path, fmt):
+        # --format csv writes no plot, and --format svg no CSV
         outdir = tmp_path / "out"
         path = write_config(tmp_path, HBT_CONFIG, outdir=outdir)
-        cli.main(["run", str(path), "--format", "csv"])
-        names = {p.name for p in outdir.iterdir()}
-        assert "correlation.csv" in names
-        assert "correlation.svg" not in names
+        assert cli.main(["run", str(path), "--format", fmt]) == cli.EXIT_OK
+        assert {p.name for p in outdir.glob("correlation.*")} == {f"correlation.{fmt}"}
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"

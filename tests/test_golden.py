@@ -151,7 +151,7 @@ CLI_GOLDEN = {
         "irf_hist.csv": "682e35953d402844beac66465fd9d8d7586f4095f16c16bc18799b181f964a7a",
         "irf_tags_ch0.pftg": "3773c76c5387ff6e832f18a0ce0380147dfcf261c665b71a2db214d96eacf909",
         "lifetime_fit.svg": "e23f017bf42d38cfeccc295a335fb452f6e7ad66504176a0e937a4d1fd517f3d",
-        "report.txt": "19c5a40d32b0ec240d5311dc2df5fe7ef50fe4c0d7c0bb10ebb2cb0cb0bbec91",
+        "report.txt": "73b7629b4300f5e64dd1bf45d06ddd3846a1ea4f0139024adb241fd19e267f66",
         "tags_ch0.pftg": "d70acaa35d56a7f14cb69959f73a81bf7e8598abcd883483fae4312324511034",
     },
     "lifetime_930": {
@@ -159,7 +159,7 @@ CLI_GOLDEN = {
         "irf_hist.csv": "7c3427253831bb5decfacaeec23e29ab82dd8898f80d9646e0d28e2b139d4de9",
         "irf_tags_ch0.pftg": "0d717a4c03544fd49947abab5bb043735c823567e9541045a3aaec5b94b9aeba",
         "lifetime_fit.svg": "c2b5ee2c25c001e80438f649351979de82a063859d4bc0556adc0150ad521bbd",
-        "report.txt": "9904613e63ef18ffab0b226a254dd09fb549ad073b0da88e093ef635a9d5a89f",
+        "report.txt": "3d40c9a36cbde12503a9560a414b9a384980f2aa062de373078ae5d226fd56ad",
         "tags_ch0.pftg": "bf7b59e0849e380280c83130f7bce127dd4f5e070d23c6c140f98df0c37b48d9",
     },
     "rate_1550": {

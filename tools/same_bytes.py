@@ -5,13 +5,15 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
-as ``hom_cross``, and ``hbt_1550`` rewritten with conversion noise and many
-dark counts (``hbt_1550_noisy``), runs through ``photonflow run`` with
-``--workers 1`` and ``--workers 2`` in both checkouts, each with its own
-``src`` on the import path.  With ``--workers-only`` the same profiles of the
-one checkout DIR run with ``--workers 1`` and with ``--workers 2``, and the
-two runs are compared: the determinism check for a change that alters the
-realization on purpose, which the parent cannot check.  ``--pulses N`` caps
+as ``hom_cross``, ``hbt_1550`` rewritten with conversion noise and many dark
+counts (``hbt_1550_noisy``), and ``hbt_930`` rewritten with a blinking emitter
+and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), runs through
+``photonflow run`` with ``--workers 1`` and ``--workers 2`` in both
+checkouts, each with its own ``src`` on the import path.  With
+``--workers-only`` the same profiles of the one checkout DIR run with
+``--workers 1`` and with ``--workers 2``, and the two runs are compared: the
+determinism check for a change that alters the realization on purpose, which
+the parent cannot check.  ``--pulses N`` caps
 every profile's ``n_pulses`` at N for a quick check.
 
 The two sides must agree on the exit code, stdout and every artifact byte for
@@ -37,10 +39,14 @@ VOLATILE_MANIFEST_KEYS = ("created_utc",)
 # and 100 dark counts per detector in 150000 pulses
 NOISY_NOISE_CPS = 5e5
 NOISY_DARK_CPS = 5e4
+# blinking draws the run's telegraph table, and without a reference delay the
+# g2 reference moves out to 40 us: 800 548 bins and about 5 840 peaks
+BLINK_RATE_PER_US = 0.5
 
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
-    """Name -> config text of every profile, plus the single-setting halves of hom_930 and a noisy hbt_1550."""
+    """Name -> config text of every profile, plus the single-setting halves of hom_930, a noisy hbt_1550
+    and a blinking hbt_930."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
     for experiment in ("hom_co", "hom_cross"):
         texts[f"hom_930_{experiment}"] = re.sub(
@@ -49,6 +55,9 @@ def configs(change: Path, pulses: int | None) -> dict[str, str]:
     noisy = re.sub(r"(?m)^dark_rate_cps\s*=.*$", f"dark_rate_cps = {NOISY_DARK_CPS:g}", texts["hbt_1550"])
     noisy = noisy.replace("[conversion]\n", f"[conversion]\nnoise_rate_cps = {NOISY_NOISE_CPS:g}\n")
     texts["hbt_1550_noisy"] = noisy
+    rates = f"blink_on_rate_per_us = {BLINK_RATE_PER_US:g}\nblink_off_rate_per_us = {BLINK_RATE_PER_US:g}\n"
+    blinking = re.sub(r"(?m)^g2_reference_delay_ps\s*=.*\n", "", texts["hbt_930"])
+    texts["hbt_930_blinking"] = blinking.replace("[emitter]\n", f"[emitter]\n{rates}")
     if pulses is not None:
         def cap(match):
             return f"n_pulses = {min(int(match.group(1)), pulses)}"
