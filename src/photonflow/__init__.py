@@ -7,7 +7,6 @@ from .analysis import (
     G2Result,
     LifetimeFit,
     PeakIntegration,
-    VisibilityCalib,
     VisibilityResult,
     estimate_g2,
     estimate_visibility,

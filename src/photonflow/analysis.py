@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import CoincidenceHistogram, ConfigError
 from .conversion import FitError
-from .enumeration import VisibilityModel, visibility_model
+from .enumeration import visibility_model
+from .optics import HomInterferometer
 
 
 class AnalysisError(RuntimeError):
@@ -301,21 +302,6 @@ def fit_lifetime(h: CoincidenceHistogram, irf: CoincidenceHistogram) -> Lifetime
 
 
 @dataclass(frozen=True)
-class VisibilityCalib:
-    """Optics calibration entering the corrected-visibility inversion."""
-
-    r2: float = 0.5
-    t2: float = 0.5
-    epsilon: float = 0.0
-    g2: float = 0.0
-    r1: float = 0.5
-    t1: float = 0.5
-
-    def model(self) -> VisibilityModel:
-        return visibility_model(self.r2, self.t2, self.r1, self.t1)
-
-
-@dataclass(frozen=True)
 class VisibilityResult:
     a_par: float
     a_perp: float
@@ -330,15 +316,18 @@ def estimate_visibility(
     peaks_co: PeakIntegration,
     peaks_cross: PeakIntegration,
     norm_delay_ps: float,
-    calib: VisibilityCalib,
+    ifo: HomInterferometer,
+    g2: float,
     rep_period_ps: float,
 ) -> VisibilityResult:
     """Raw and corrected visibility from the peak areas of the two polarization traces.
 
     Each trace's central area is normalized by its own side peak at the
     normalization delay; the corrected value inverts the enumerated
-    coincidence model using the supplied splitting ratios, interferometer
-    visibility, and independently measured central-peak ratio.
+    coincidence model of the interferometer ``ifo`` that took the traces:
+    r1/t1 from its input splitter, r2/t2 from its output splitter, and its
+    mode mismatch epsilon.  ``g2`` is the independently measured
+    central-peak ratio of the source.
     """
     c_par, _ = peaks_co.area_at(0.0, rep_period_ps)
     c_perp, _ = peaks_cross.area_at(0.0, rep_period_ps)
@@ -366,13 +355,13 @@ def estimate_visibility(
     else:
         v_raw_err = (1.0 / n_par) / a_perp  # one-count bound on an empty central peak
 
-    model = calib.model()
-    kappa_eff = model.kappa * (1.0 - calib.epsilon) ** 2
-    denom = (a_perp - model.d_multi * calib.g2) * kappa_eff
+    model = visibility_model(ifo.bs_out.r, ifo.bs_out.t, ifo.bs_in.r, ifo.bs_in.t)
+    kappa_eff = model.kappa * (1.0 - ifo.epsilon) ** 2
+    denom = (a_perp - model.d_multi * g2) * kappa_eff
     if denom <= 0:
         raise AnalysisError("visibility correction denominator is not positive")
     v_corr = (a_perp - a_par) / denom
-    dv_dperp = (a_par - model.d_multi * calib.g2) * kappa_eff / denom**2
+    dv_dperp = (a_par - model.d_multi * g2) * kappa_eff / denom**2
     dv_dpar = -1.0 / denom
     v_corr_err = math.sqrt((dv_dperp * sa_perp) ** 2 + (dv_dpar * sa_par) ** 2)
 

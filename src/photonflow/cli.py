@@ -22,7 +22,6 @@ import numpy as np
 from . import io
 from .analysis import (
     AnalysisError,
-    VisibilityCalib,
     estimate_g2,
     estimate_visibility,
     fit_lifetime,
@@ -190,17 +189,15 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
 
 def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
-    pipe = cfg.pipeline()
+    pipe, ifo = cfg.pipeline(), cfg.interferometer()
     polarizations = {
         "hom_co": (PolarizationConfig.CO,),
         "hom_cross": (PolarizationConfig.CROSS,),
         "hom_paired": (PolarizationConfig.CO, PolarizationConfig.CROSS),
     }[cfg.experiment]
 
-    # one engine pass serves every setting: they differ only in polarization
-    paired = run_hom(
-        pipe, [cfg.interferometer(pol) for pol in polarizations], cfg.det1, cfg.det2, workers=cfg.workers
-    )
+    # one engine pass serves every polarization setting
+    paired = run_hom(pipe, ifo, polarizations, cfg.det1, cfg.det2, workers=cfg.workers)
     # the shared counts, each setting's tag counts, then its peak areas
     report = _base_report(cfg, paired)
     histograms: dict[str, object] = {}
@@ -215,16 +212,9 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
     flag = ""
     if cfg.experiment == "hom_paired":
-        calib = VisibilityCalib(
-            r2=cfg.bs2.r,
-            t2=cfg.bs2.t,
-            epsilon=1.0 - cfg.classical_visibility,
-            g2=expected_source_g2(pipe),
-            r1=cfg.bs1.r,
-            t1=cfg.bs1.t,
-        )
+        g2 = expected_source_g2(pipe)
         vis = estimate_visibility(
-            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, calib, cfg.train.period_ps
+            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, ifo, g2, cfg.train.period_ps
         )
         if vis.flagged:
             flag = "corrected value outside [0, 1.05]"
@@ -236,8 +226,8 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
                 "v_raw_err": vis.v_raw_err,
                 "v_corr": vis.v_corr,
                 "v_corr_err": vis.v_corr_err,
-                "calib_g2": calib.g2,
-                "calib_epsilon": calib.epsilon,
+                "calib_g2": g2,
+                "calib_epsilon": ifo.epsilon,
                 "flagged": int(vis.flagged),
             }
         )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .conversion import BoundsMeasurement, ConversionConfig, LossBudget
 from .core import ConfigError, PulseTrainConfig, RunSeed, Wavelength
-from .optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
+from .optics import BeamSplitter, DetectorConfig, HomInterferometer
 from .pipeline import PATH_DELAY_PS, Pipeline
 from .source import EmitterConfig
 
@@ -163,13 +163,12 @@ class RunConfig:
             emitter=self.emitter, train=self.train, seed=self.seed, conversion=self.conversion
         )
 
-    def interferometer(self, polarization: PolarizationConfig) -> HomInterferometer:
+    def interferometer(self) -> HomInterferometer:
         return HomInterferometer(
             bs_in=self.bs1,
             bs_out=self.bs2,
             arm_delay_ps=self.arm_delay_ps,
             classical_visibility=self.classical_visibility,
-            polarization_config=polarization,
         )
 
     def bounds_measurement(self) -> BoundsMeasurement | None:

@@ -14,9 +14,6 @@ import numpy as np
 # speed of light; frequency_GHz = C_NM_GHZ / wavelength_nm
 C_NM_GHZ = 299_792_458.0e-9 * 1e9  # = 2.99792458e8
 
-PS_PER_US = 1_000_000
-PS_PER_S = 1_000_000_000_000
-
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration values."""

@@ -6,6 +6,8 @@ import numpy as np
 
 from .core import CoincidenceHistogram, ConfigError, TagStream
 
+MAX_PAIRS = 1 << 20  # pairs enumerated at once: about 50 MB of index and delay arrays
+
 
 def cross_correlate(
     a: TagStream,
@@ -19,7 +21,8 @@ def cross_correlate(
     Both streams must be sorted.  A sliding window located with binary search
     visits each qualifying pair exactly once, so the cost is
     O(n log m + pairs) and the result is identical to brute-force enumeration.
-    Work proceeds in chunks of stream A to bound memory.
+    Work proceeds in chunks of stream A, cut where their running pair count
+    passes a multiple of ``MAX_PAIRS``, so memory does not grow with the window.
     """
     if max_delay_ps <= 0 or bin_width_ps <= 0:
         raise ConfigError("max_delay_ps and bin_width_ps must be positive")
@@ -35,17 +38,18 @@ def cross_correlate(
     for start in range(0, ta.size, chunk_size):
         a_chunk = ta[start : start + chunk_size]
         lo = np.searchsorted(tb, a_chunk - max_delay_ps, side="left")
-        hi = np.searchsorted(tb, a_chunk + max_delay_ps, side="left")
-        per = hi - lo
-        total = int(per.sum())
-        if total == 0:
-            continue
-        # flat indices of every (a_i, b_j) pair inside the window
-        offsets = np.repeat(np.cumsum(per) - per, per)
-        flat = np.repeat(lo, per) + (np.arange(total) - offsets)
-        delays = tb[flat] - np.repeat(a_chunk, per)
-        bins = (delays + max_delay_ps) // bin_width_ps
-        counts += np.bincount(bins, minlength=n_bins)
+        per = np.searchsorted(tb, a_chunk + max_delay_ps, side="left") - lo
+        ends = np.cumsum(per)
+        cuts = np.searchsorted(ends, np.arange(MAX_PAIRS, ends[-1], MAX_PAIRS), side="right")
+        for piece in map(slice, [0, *cuts], [*cuts, per.size]):
+            n_pairs = per[piece]
+            total = int(n_pairs.sum())
+            # flat indices of every (a_i, b_j) pair inside the window
+            offsets = np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+            flat = np.repeat(lo[piece], n_pairs) + (np.arange(total) - offsets)
+            delays = tb[flat] - np.repeat(a_chunk[piece], n_pairs)
+            bins = (delays + max_delay_ps) // bin_width_ps
+            counts += np.bincount(bins, minlength=n_bins)
 
     return CoincidenceHistogram(
         bin_width_ps=bin_width_ps,

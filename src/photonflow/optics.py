@@ -5,7 +5,10 @@ engine calls.  A splitter sends each photon to port 0 (reflected), port 1
 (transmitted) or loses it, from one uniform per photon.  Two-photon
 interference is handled at the coincidence-probability level: when two
 photons meet at the output splitter, their joint port assignment is sampled
-from the two-photon distribution with an effective overlap factor.
+from the two-photon distribution with an effective overlap factor.  A
+``HomInterferometer`` is the instrument alone, the one the engine runs and the
+visibility estimator inverts; the polarization setting of a measurement is
+the argument of its ``effective_overlap``.
 Everything else routes independently (a joint distribution with zero overlap
 factorizes exactly into independent routing, so distinguishable photons never
 need the joint path).  A detector thins arrivals by its efficiency, adds
@@ -51,7 +54,6 @@ class HomInterferometer:
     bs_out: BeamSplitter
     arm_delay_ps: int
     classical_visibility: float = 1.0  # (1 - epsilon) mode-matching factor
-    polarization_config: PolarizationConfig = PolarizationConfig.CO
 
     def __post_init__(self):
         if not 0.0 <= self.classical_visibility <= 1.0:
@@ -63,12 +65,12 @@ class HomInterferometer:
     def epsilon(self) -> float:
         return 1.0 - self.classical_visibility
 
-    def effective_overlap(self, overlap: np.ndarray) -> np.ndarray:
+    def effective_overlap(self, overlap: np.ndarray, polarization: PolarizationConfig) -> np.ndarray:
         """Overlap factor of the joint draw: (1 - epsilon)^2 times the pair overlap.
 
         Crossed polarizations make every pair distinguishable.
         """
-        if self.polarization_config == PolarizationConfig.CROSS:
+        if polarization == PolarizationConfig.CROSS:
             return np.zeros(overlap.size)
         return self.classical_visibility**2 * overlap
 

@@ -75,6 +75,7 @@ from .optics import (
     DetectorConfig,
     DetectStats,
     HomInterferometer,
+    PolarizationConfig,
     apply_dead_time,
     joint_ports,
     pair_overlap,
@@ -252,6 +253,9 @@ class _Edge(NamedTuple):
     u_joint: np.ndarray  # (photons, 2): a long-arm photon's reserved joint row
 
 
+_Settings = tuple[HomInterferometer, tuple[PolarizationConfig, ...]]  # (ifo, polarizations) of a run
+
+
 def _register(detectors, photons: _Photons) -> tuple[list[np.ndarray], list[DetectStats]]:
     """Unsorted tags and detection stats per detector of ``photons``."""
     tags, stats = [], []
@@ -389,12 +393,13 @@ def _meeting(pulse: np.ndarray, port: np.ndarray, long_arm: np.ndarray):
 def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np.ndarray, u_joint: np.ndarray):
     """Joint port draws of the meeting pairs whose early photons are at ``early``.
 
-    ``u_joint`` holds each pair's two joint uniforms.  Returns a mask of the
-    photons in no pair and, for each setting, the pair photons with their
-    joint ports, early photons first; the arrivals and draws are the same in
-    every setting.
+    ``settings`` is the run's ``(ifo, polarizations)`` and ``u_joint`` holds
+    each pair's two joint uniforms.  Returns a mask of the photons in no pair
+    and, for each polarization, the pair photons with their joint ports,
+    early photons first; the arrivals and draws are the same in every
+    setting.
     """
-    ifo = settings[0]
+    ifo, polarizations = settings
     r2, t2 = ifo.bs_out.r, ifo.bs_out.t
     late = early + 1
     overlap = pair_overlap(
@@ -402,8 +407,8 @@ def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np
     )
     met = signal.take(np.concatenate([early, late]))
     tables = []
-    for setting in settings:
-        ports = joint_ports(r2, t2, setting.effective_overlap(overlap), u_joint[:, 0], u_joint[:, 1])
+    for polarization in polarizations:
+        ports = joint_ports(r2, t2, ifo.effective_overlap(overlap, polarization), u_joint[:, 0], u_joint[:, 1])
         tables.append(met._replace(port=np.concatenate(ports)))
     solo = np.ones(signal.arrival.size, dtype=bool)
     solo[early] = solo[late] = False
@@ -411,7 +416,7 @@ def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np
 
 
 def _meeting_pairs(
-    pipe: Pipeline, settings: tuple[HomInterferometer, ...], block: EmissionBlock, ok: np.ndarray,
+    pipe: Pipeline, settings: _Settings, block: EmissionBlock, ok: np.ndarray,
     photons: _Photons, long_arm: np.ndarray, i0: int, i1: int,
 ) -> tuple[_Photons, list[_Photons], _Edge]:
     """The meeting-pair step of one interferometer block.
@@ -446,7 +451,7 @@ def _meeting_pairs(
     return photons, tables, edge
 
 
-def _merge_edges(pipe: Pipeline, detectors, settings: tuple[HomInterferometer, ...], edges: Sequence[_Edge]):
+def _merge_edges(pipe: Pipeline, detectors, settings: _Settings, edges: Sequence[_Edge]):
     """Pair or register the photons that the blocks kept back.
 
     ``edges`` come in pulse order, so one pass of the meeting-pair rule finds
@@ -471,11 +476,10 @@ def _block_hbt(pipe: Pipeline, detectors, i0: int, i1: int, blink, bs: BeamSplit
     return _simulate_block(pipe, detectors, i0, i1, blink, 1, partial(_splitter_route, bs))
 
 
-def _block_hom(pipe: Pipeline, detectors, i0: int, i1: int, blink, settings: tuple[HomInterferometer, ...]):
-    """One interferometer block, simulated once for every setting.
+def _block_hom(pipe: Pipeline, detectors, i0: int, i1: int, blink, settings: _Settings):
+    """One interferometer block, simulated once for every polarization setting.
 
-    The settings share splitters and arm delay, so only the joint port draw
-    of meeting pairs is evaluated per setting.
+    Only the joint port draw of meeting pairs is evaluated per setting.
     """
     route = partial(_interferometer_route, settings[0])
     return _simulate_block(pipe, detectors, i0, i1, blink, 2, route, settings)
@@ -515,10 +519,10 @@ class _TagFold:
 def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None) -> RunResult:
     """Run every block and merge its tags per channel.
 
-    A block returns tags for each setting of the same detectors (one
-    setting unless interferometer ``settings`` are given), ordered (setting,
-    detector), its RunStats and the photons it kept back; stream
-    ``channel_id`` is the detector index.  Once every block is done,
+    A block returns tags for each setting of the same detectors (one setting
+    unless the interferometer ``settings`` give several polarizations),
+    ordered (setting, detector), its RunStats and the photons it kept back;
+    stream ``channel_id`` is the detector index.  Once every block is done,
     ``_merge_edges`` pairs or registers the kept-back photons of all blocks
     in pulse order.
     """
@@ -527,7 +531,7 @@ def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None
         raise ConfigError("n_pulses must be positive")
     blink = _build_blink_table(pipe)
     ranges = _block_ranges(n_pulses)
-    channels = tuple(detectors) * (1 if settings is None else len(settings))
+    channels = tuple(detectors) * (1 if settings is None else len(settings[1]))
     total = RunStats(channels=tuple(DetectStats() for _ in channels))
     folds = [_TagFold() for _ in channels]
     edges = []
@@ -577,25 +581,23 @@ def run_hbt(
 
 def run_hom(
     pipe: Pipeline,
-    ifo: HomInterferometer | Sequence[HomInterferometer],
+    ifo: HomInterferometer,
+    polarizations: Sequence[PolarizationConfig],
     det1: DetectorConfig,
     det2: DetectorConfig,
     workers: int = 1,
 ) -> RunResult:
     """Delay-matched interferometer topology (indistinguishability measurement).
 
-    ``ifo`` is one setting or several settings that share splitters and arm
-    delay, such as the co- and cross-polarized halves of a paired run.  Each
+    ``polarizations`` are the settings measured with the one interferometer
+    ``ifo``, such as co and cross for the two halves of a paired run.  Each
     pulse is simulated once for all of them, so every setting sees the same
     photons.  Streams and channel stats are ordered (setting, detector);
     ``RunResult.by_setting`` splits them.
     """
-    settings = (ifo,) if isinstance(ifo, HomInterferometer) else tuple(ifo)
-    if not settings:
-        raise ConfigError("run_hom needs at least one interferometer setting")
-    shared = {(s.bs_in, s.bs_out, s.arm_delay_ps) for s in settings}
-    if len(shared) > 1:
-        raise ConfigError("interferometer settings run together must share bs_in, bs_out and arm_delay_ps")
+    if not polarizations:
+        raise ConfigError("run_hom needs at least one polarization")
+    settings = (ifo, tuple(polarizations))
     return _run_blocks(partial(_block_hom, settings=settings), pipe, (det1, det2), workers, settings)
 
 

@@ -12,7 +12,6 @@ from scipy import optimize, stats
 from photonflow import analysis
 from photonflow.analysis import (
     AnalysisError,
-    VisibilityCalib,
     estimate_g2,
     estimate_visibility,
     fit_lifetime,
@@ -21,6 +20,8 @@ from photonflow.analysis import (
 )
 from photonflow.conversion import FitError
 from photonflow.core import CoincidenceHistogram, ConfigError
+from photonflow.enumeration import visibility_model
+from photonflow.optics import BeamSplitter, HomInterferometer
 
 from oracles import peak_areas, visibility_forward
 
@@ -282,6 +283,15 @@ class TestFitLifetime:
             fit_lifetime(decay, other)
 
 
+def interferometer(epsilon=0.0, r1=0.5, r2=0.5):
+    return HomInterferometer(
+        bs_in=BeamSplitter(r1, 1.0 - r1),
+        bs_out=BeamSplitter(r2, 1.0 - r2),
+        arm_delay_ps=round(PERIOD),
+        classical_visibility=1.0 - epsilon,
+    )
+
+
 def integrate_both(*histograms):
     return [integrate_peaks(h, PERIOD, 2000) for h in histograms]
 
@@ -295,43 +305,47 @@ def visibility_histograms(a_perp, a_par, norm=200_000):
 class TestEstimateVisibility:
     def test_raw_visibility_from_reported_areas(self):
         h_co, h_cross = visibility_histograms(a_perp=1.0, a_par=0.108)
-        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, interferometer(), 0.0, PERIOD)
         assert result.v_raw == pytest.approx(0.892, abs=1e-6)
 
     def test_equal_areas_give_zero(self):
         h_co, h_cross = visibility_histograms(a_perp=0.5, a_par=0.5)
-        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, interferometer(), 0.0, PERIOD)
         assert result.v_raw == pytest.approx(0.0, abs=1e-9)
 
     def test_rescaling_invariance(self):
-        calib = VisibilityCalib(g2=0.02, epsilon=0.01)
+        ifo = interferometer(epsilon=0.01)
         h_co, h_cross = visibility_histograms(a_perp=0.51, a_par=0.06, norm=100_000)
-        base = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
+        base = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, ifo, 0.02, PERIOD)
         h_co4 = CoincidenceHistogram(h_co.bin_width_ps, h_co.offset_ps, h_co.counts * 4)
         h_cross4 = CoincidenceHistogram(h_cross.bin_width_ps, h_cross.offset_ps, h_cross.counts * 4)
-        scaled = estimate_visibility(*integrate_both(h_co4, h_cross4), 500_000, calib, PERIOD)
+        scaled = estimate_visibility(*integrate_both(h_co4, h_cross4), 500_000, ifo, 0.02, PERIOD)
         assert scaled.v_raw == pytest.approx(base.v_raw, rel=1e-12)
         assert scaled.v_corr == pytest.approx(base.v_corr, rel=1e-12)
 
     @given(
         m=st.floats(min_value=0.3, max_value=1.0),
         g2=st.floats(min_value=0.0, max_value=0.05),
+        r1=st.floats(min_value=0.4, max_value=0.6),
         r2=st.floats(min_value=0.4, max_value=0.6),
         eps=st.floats(min_value=0.0, max_value=0.1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_inversion_recovers_model_truth(self, m, g2, r2, eps):
-        calib = VisibilityCalib(r2=r2, t2=1.0 - r2, epsilon=eps, g2=g2)
-        a_perp, a_par = visibility_forward(calib.model(), m, g2, eps)
+    def test_inversion_recovers_model_truth(self, m, g2, r1, r2, eps):
+        # unbalanced splitters on both sides, so an estimator that read the
+        # input splitter's ratios from the output splitter would miss
+        model = visibility_model(r2, 1.0 - r2, r1, 1.0 - r1)
+        a_perp, a_par = visibility_forward(model, m, g2, eps)
         scale = 10**7  # large counts so integer rounding is negligible
         h_co, h_cross = visibility_histograms(a_perp, a_par, norm=scale)
-        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
+        ifo = interferometer(epsilon=eps, r1=r1, r2=r2)
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, ifo, g2, PERIOD)
         assert result.v_corr == pytest.approx(m, abs=1e-4)
 
     def test_out_of_range_correction_is_flagged(self):
         h_co, h_cross = visibility_histograms(a_perp=0.5, a_par=0.0)
-        calib = VisibilityCalib(epsilon=0.4)  # wildly wrong mode matching
-        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, calib, PERIOD)
+        ifo = interferometer(epsilon=0.4)  # wildly wrong mode matching
+        result = estimate_visibility(*integrate_both(h_co, h_cross), 500_000, ifo, 0.0, PERIOD)
         assert result.flagged
         assert result.v_corr > 1.05
 
@@ -339,4 +353,4 @@ class TestEstimateVisibility:
         h_co = peaked_histogram({0: 10})
         h_cross = peaked_histogram({0: 10, 36: 100, 37: 100})
         with pytest.raises(AnalysisError):
-            estimate_visibility(*integrate_both(h_co, h_cross), 500_000, VisibilityCalib(), PERIOD)
+            estimate_visibility(*integrate_both(h_co, h_cross), 500_000, interferometer(), 0.0, PERIOD)

@@ -1,12 +1,14 @@
 """Streaming correlator against brute-force enumeration."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonflow import correlate
 from photonflow.core import ConfigError, TagStream
 from photonflow.correlate import cross_correlate
 
@@ -70,13 +72,30 @@ class TestCrossCorrelate:
         chunks = [cross_correlate(stream(chunk), stream(b), 10_000, 100) for chunk in np.array_split(a, 5)]
         assert np.array_equal(whole.counts, sum(h.counts for h in chunks))
 
-    def test_internal_chunking_invariant(self):
+    def test_internal_chunking_invariant(self, monkeypatch):
         rng = np.random.default_rng(8)
         a = np.sort(rng.integers(0, 10**6, 5000))
         b = np.sort(rng.integers(0, 10**6, 5000))
         h1 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=17)
         h2 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=10**6)
         assert np.array_equal(h1.counts, h2.counts)
+        # a cap below most tags' pair counts cuts the chunk into pieces, some of them empty
+        monkeypatch.setattr(correlate, "MAX_PAIRS", 3)
+        h3 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=10**6)
+        assert np.array_equal(h3.counts, h2.counts)
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # every tag of A sees every tag of B: one 2048-tag chunk holds
+        # 4 * MAX_PAIRS pairs, which enumerated at once take about 128 MB
+        tags = np.arange(0, 2048 * 100, 100)
+        tracemalloc.start()
+        try:
+            h = cross_correlate(stream(tags), stream(tags), 1_000_000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.total() == 4 * correlate.MAX_PAIRS
+        assert peak < 64 * correlate.MAX_PAIRS
 
     def test_unsorted_rejected(self):
         good = stream([1, 2, 3])

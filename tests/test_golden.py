@@ -10,7 +10,6 @@ either must update the tables below in the same commit.
 import hashlib
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,14 +95,13 @@ def test_paired_hom_digest(workers):
         33, 6_000, 5e6, dephasing_linewidth_ghz=0.3, spectral_diffusion_sigma_ghz=0.5,
         diffusion_block_pulses=100,
     )
-    co = HomInterferometer(
+    ifo = HomInterferometer(
         bs_in=BeamSplitter(0.48, 0.48),
         bs_out=BeamSplitter(0.47, 0.5),
         arm_delay_ps=round(PERIOD),
         classical_visibility=0.95,
     )
-    cross = replace(co, polarization_config=PolarizationConfig.CROSS)
-    result = run_hom(pipe, (co, cross), DET1, DET2, workers=workers)
+    result = run_hom(pipe, ifo, (PolarizationConfig.CO, PolarizationConfig.CROSS), DET1, DET2, workers=workers)
     assert result.stats.routed_lost > 0 and result.stats.noise_injected > 0
     assert digests(result) == GOLDEN["hom"]
 

@@ -30,13 +30,15 @@ DELAY = 13699
 TAU = 271.0
 
 
-def ifo(visibility=1.0, pol=PolarizationConfig.CO):
+CO, CROSS = PolarizationConfig.CO, PolarizationConfig.CROSS
+
+
+def ifo(visibility=1.0):
     return HomInterferometer(
         bs_in=BeamSplitter(0.5, 0.5),
         bs_out=BeamSplitter(0.5, 0.5),
         arm_delay_ps=DELAY,
         classical_visibility=visibility,
-        polarization_config=pol,
     )
 
 
@@ -97,7 +99,7 @@ class TestPairOverlap:
         # they differ
         det = DetectorConfig()
         for offset, same in ((20.0, True), (0.0, False)):
-            result = run_hom(hom_pipeline(offset), (ifo(), ifo(pol=PolarizationConfig.CROSS)), det, det)
+            result = run_hom(hom_pipeline(offset), ifo(), (CO, CROSS), det, det)
             assert result.stats.converted > 1000 and result.stats.noise_injected > 0
             co, cross = result.by_setting()
             identical = all(np.array_equal(a.tags, b.tags) for a, b in zip(co.streams, cross.streams))
@@ -106,8 +108,8 @@ class TestPairOverlap:
     def test_polarization_mismatch(self):
         m = pair_overlap(TAU, np.zeros(3), np.zeros(3), np.zeros(3), np.full(3, float(DELAY)), DELAY)
         assert np.array_equal(m, np.ones(3))
-        assert np.array_equal(ifo(pol=PolarizationConfig.CROSS).effective_overlap(m), np.zeros(3))
-        assert ifo(visibility=0.9).effective_overlap(m) == pytest.approx(np.full(3, 0.81))
+        assert np.array_equal(ifo().effective_overlap(m, CROSS), np.zeros(3))
+        assert ifo(visibility=0.9).effective_overlap(m, CO) == pytest.approx(np.full(3, 0.81))
 
     def test_detuning_beyond_coherence(self):
         assert overlap_of(0.0, 50.0, 0.0, float(DELAY)) == 0.0
@@ -135,7 +137,7 @@ class TestHomInterfere:
         # splitter law (the long-arm photon transmits to port 0)
         r2, t2 = 0.6, 0.4
         n = 100_000
-        m_eff = ifo(pol=PolarizationConfig.CROSS).effective_overlap(np.ones(n))
+        m_eff = ifo().effective_overlap(np.ones(n), CROSS)
         port_e, port_l = joint_draw(m_eff, r2, t2, 4)
         for count, p in (
             (np.count_nonzero(port_e != port_l), r2**2 + t2**2),
@@ -152,8 +154,8 @@ class TestHomInterfere:
         m = pair_overlap(TAU, np.zeros(n), np.full(n, detuning), np.zeros(n), np.full(n, float(DELAY)), DELAY)
         assert np.allclose(m, 0.95)
         splits = []
-        for setting, seed in ((ifo(), 5), (ifo(pol=PolarizationConfig.CROSS), 6)):
-            port_e, port_l = joint_draw(setting.effective_overlap(m), 0.5, 0.5, seed)
+        for polarization, seed in ((CO, 5), (CROSS, 6)):
+            port_e, port_l = joint_draw(ifo().effective_overlap(m, polarization), 0.5, 0.5, seed)
             splits.append(np.count_nonzero(port_e != port_l))
         co, cross = splits
         ratio = co / cross

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from photonflow import pipeline
-from photonflow.analysis import VisibilityCalib, estimate_g2, fit_lifetime, integrate_peaks
+from photonflow.analysis import estimate_g2, fit_lifetime, integrate_peaks
 from photonflow.conversion import ConversionConfig
 from photonflow.config import load_config
 from photonflow.core import (
@@ -72,14 +72,14 @@ def ideal_detector(**kwargs):
     return DetectorConfig(**defaults)
 
 
-def interferometer(pol=PolarizationConfig.CO, visibility=1.0):
+def interferometer(visibility=1.0):
     return HomInterferometer(
-        bs_in=BeamSplitter(),
-        bs_out=BeamSplitter(),
-        arm_delay_ps=DELAY,
-        classical_visibility=visibility,
-        polarization_config=pol,
+        bs_in=BeamSplitter(), bs_out=BeamSplitter(), arm_delay_ps=DELAY, classical_visibility=visibility
     )
+
+
+CO, CROSS = (PolarizationConfig.CO,), (PolarizationConfig.CROSS,)
+PAIRED = CO + CROSS
 
 
 def assert_conservation(result):
@@ -101,7 +101,7 @@ class TestDeterminism:
         for run in (
             partial(run_direct, pipe, det1),
             partial(run_hbt, pipe, BeamSplitter(0.45, 0.45), det1, det2),
-            partial(run_hom, pipe, TestSharedSettings.settings_pair(), det1, det2),
+            partial(run_hom, pipe, TestSharedSettings.IFO, PAIRED, det1, det2),
         ):
             serial, parallel = run(workers=1), run(workers=3)
             assert serial.stats == parallel.stats
@@ -146,7 +146,7 @@ class TestConservationAndBoundaries:
         # the exact photon-number balance
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
         pipe = make_pipeline(n_pulses=5_000, p_emit=p_emit, p_multi=0.05 * p_emit)
-        result = run_hom(pipe, interferometer(), ideal_detector(), ideal_detector())
+        result = run_hom(pipe, interferometer(), CO, ideal_detector(), ideal_detector())
         assert_conservation(result)
 
     @pytest.mark.parametrize("p_emit", [1.0, 0.3])
@@ -165,7 +165,7 @@ class TestConservationAndBoundaries:
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
         # about 76 pairs expected at p_emit 0.3 (19 per 5000 pulses), 6 sd above 20
         pipe = make_pipeline(n_pulses=20_000, p_emit=p_emit, conversion=True)
-        run_hom(pipe, interferometer(), ideal_detector(), ideal_detector())
+        run_hom(pipe, interferometer(), CO, ideal_detector(), ideal_detector())
         gaps = np.concatenate(gaps)
         assert gaps.size > 20
         # envelopes start within the 20 ps excitation pulse of their pulse
@@ -179,9 +179,9 @@ class TestConservationAndBoundaries:
         # central-peak physics must not depend on the block partition
         pipe = make_pipeline(n_pulses=400_000, p_emit=1.0)
         det = ideal_detector()
-        result_big = run_hom(pipe, interferometer(pol=PolarizationConfig.CROSS), det, det)
+        result_big = run_hom(pipe, interferometer(), CROSS, det, det)
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 1000)
-        result_small = run_hom(pipe, interferometer(pol=PolarizationConfig.CROSS), det, det)
+        result_small = run_hom(pipe, interferometer(), CROSS, det, det)
         for result in (result_big, result_small):
             assert_conservation(result)
         areas = []
@@ -199,8 +199,8 @@ class TestConservationAndBoundaries:
         monkeypatch.setattr(pipeline, "BLOCK_PULSES", 128)
         pipe = make_pipeline(n_pulses=10_000, p_emit=p_emit, p_multi=0.02 * p_emit)
         det = ideal_detector(irf_sigma_ps=50.0)
-        serial = run_hom(pipe, interferometer(), det, det, workers=1)
-        parallel = run_hom(pipe, interferometer(), det, det, workers=5)
+        serial = run_hom(pipe, interferometer(), CO, det, det, workers=1)
+        parallel = run_hom(pipe, interferometer(), CO, det, det, workers=5)
         for s1, s2 in zip(serial.streams, parallel.streams):
             assert np.array_equal(s1.tags, s2.tags)
 
@@ -208,18 +208,9 @@ class TestConservationAndBoundaries:
 class TestSharedSettings:
     """Settings passed to one run_hom call share every pulse's simulation."""
 
-    @staticmethod
-    def settings_pair():
-        kwargs = dict(
-            bs_in=BeamSplitter(0.48, 0.48),
-            bs_out=BeamSplitter(0.47, 0.5),
-            arm_delay_ps=DELAY,
-            classical_visibility=0.95,
-        )
-        return (
-            HomInterferometer(polarization_config=PolarizationConfig.CO, **kwargs),
-            HomInterferometer(polarization_config=PolarizationConfig.CROSS, **kwargs),
-        )
+    IFO = HomInterferometer(
+        bs_in=BeamSplitter(0.48, 0.48), bs_out=BeamSplitter(0.47, 0.5), arm_delay_ps=DELAY, classical_visibility=0.95
+    )
 
     @pytest.mark.parametrize("p_emit", SPARSE_P_EMIT)
     @pytest.mark.parametrize("workers", [1, 3])
@@ -231,14 +222,12 @@ class TestSharedSettings:
         pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
         det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
         det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
-        co, cross = self.settings_pair()
-
-        paired = run_hom(pipe, (co, cross), det1, det2, workers=workers)
+        paired = run_hom(pipe, self.IFO, PAIRED, det1, det2, workers=workers)
         assert [s.channel_id for s in paired.streams] == [0, 1, 0, 1]
         assert paired.stats.pulses == 6_000
         parts = paired.by_setting()
-        for setting, part in zip((co, cross), parts):
-            single = run_hom(pipe, setting, det1, det2, workers=workers)
+        for polarization, part in zip(PAIRED, parts):
+            single = run_hom(pipe, self.IFO, (polarization,), det1, det2, workers=workers)
             for mine, theirs in zip(part.streams, single.streams, strict=True):
                 assert mine.channel_id == theirs.channel_id
                 assert np.array_equal(mine.tags, theirs.tags)
@@ -251,14 +240,10 @@ class TestSharedSettings:
         if p_emit > SPARSE_P_EMIT[-1]:
             assert not np.array_equal(parts[0].streams[0].tags, parts[1].streams[0].tags)
 
-    def test_settings_must_share_optics(self):
-        co, cross = self.settings_pair()
-        other = replace(cross, bs_out=BeamSplitter())
+    def test_needs_a_polarization(self):
         det = ideal_detector()
-        with pytest.raises(ConfigError, match="share"):
-            run_hom(make_pipeline(n_pulses=100), (co, other), det, det)
-        with pytest.raises(ConfigError):
-            run_hom(make_pipeline(n_pulses=100), (), det, det)
+        with pytest.raises(ConfigError, match="polarization"):
+            run_hom(make_pipeline(n_pulses=100), self.IFO, (), det, det)
 
 
 class TestBlockEdges:
@@ -288,8 +273,8 @@ class TestBlockEdges:
             patch.setattr(pipeline, "pair_overlap", recording_overlap)
             pipe = make_pipeline(seed=seed, n_pulses=n_total, p_emit=p_emit, p_multi=0.05, conversion=True)
             det = ideal_detector(irf_sigma_ps=50.0)
-            serial = run_hom(pipe, interferometer(), det, det, workers=1)
-            parallel = run_hom(pipe, interferometer(), det, det, workers=3)
+            serial = run_hom(pipe, interferometer(), CO, det, det, workers=1)
+            parallel = run_hom(pipe, interferometer(), CO, det, det, workers=3)
         assert_conservation(serial)
         assert serial.stats == parallel.stats
         for s1, s2 in zip(serial.streams, parallel.streams):
@@ -344,7 +329,7 @@ class TestOwnStreams:
         pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
         det1 = DetectorConfig(efficiency=0.8, irf_sigma_ps=50.0, dead_time_ps=20_000, dark_rate_cps=2e5)
         det2 = DetectorConfig(efficiency=0.7, irf_sigma_ps=90.0, dead_time_ps=25_000, dark_rate_cps=3e5)
-        run_hom(pipe, TestSharedSettings.settings_pair(), det1, det2)
+        run_hom(pipe, TestSharedSettings.IFO, PAIRED, det1, det2)
         opened = Counter(keys)
         assert [key for key, count in opened.items() if count > 1] == []
         stages = {stage for _, stage in opened}
@@ -434,10 +419,10 @@ class TestDrawBudget:
 
     def test_hom_930_paired(self, monkeypatch):
         cfg = load_config(PROFILES / "hom_930.cfg")
-        settings = [cfg.interferometer(pol) for pol in PolarizationConfig]
         pipe = cfg.pipeline()
         pipe = replace(pipe, train=replace(pipe.train, n_pulses=200_000))
-        per_pulse = self.draws_per_pulse(monkeypatch, lambda: run_hom(pipe, settings, cfg.det1, cfg.det2))
+        run = partial(run_hom, pipe, cfg.interferometer(), PAIRED, cfg.det1, cfg.det2)
+        per_pulse = self.draws_per_pulse(monkeypatch, run)
         assert per_pulse <= 5.0  # 18 with one row per pulse
 
     def test_hbt_930(self, monkeypatch):
@@ -545,7 +530,7 @@ class TestCrossSetupConsistency:
         hist = cross_correlate(hbt_result.streams[0], hbt_result.streams[1], 100_000, 100)
         g2 = estimate_g2(integrate_peaks(hist, PERIOD, 2000), 3 * PERIOD, PERIOD)
 
-        hom_result = run_hom(pipe, interferometer(pol=PolarizationConfig.CROSS), det, det)
+        hom_result = run_hom(pipe, interferometer(), CROSS, det, det)
         hist = cross_correlate(hom_result.streams[0], hom_result.streams[1], 600_000, 100)
         peaks = integrate_peaks(hist, PERIOD, 2000)
         central, _ = peaks.area_at(0.0, PERIOD)
@@ -649,7 +634,7 @@ class TestVisibilityRoundTrip:
         truth = expected_pair_overlap(pipe.emitter, pipe.train)
         assert truth == pytest.approx(overlap_target, abs=1e-6)
 
-        ifo_kwargs = dict(
+        ifo = HomInterferometer(
             bs_in=BeamSplitter(),
             bs_out=BeamSplitter(r2, 1.0 - r2),
             arm_delay_ps=DELAY,
@@ -658,19 +643,17 @@ class TestVisibilityRoundTrip:
         det = ideal_detector(irf_sigma_ps=120.0)
         hists = {}
         for pol in (PolarizationConfig.CO, PolarizationConfig.CROSS):
-            result = run_hom(
-                pipe, HomInterferometer(polarization_config=pol, **ifo_kwargs), det, det
-            )
+            result = run_hom(pipe, ifo, (pol,), det, det)
             hists[pol] = cross_correlate(result.streams[0], result.streams[1], 600_000, 100)
 
         from photonflow.analysis import estimate_visibility
 
-        calib = VisibilityCalib(r2=r2, t2=1.0 - r2, epsilon=eps, g2=hbt_expected(p_emit, p_multi).g2)
         vis = estimate_visibility(
             integrate_peaks(hists[PolarizationConfig.CO], PERIOD, 2000),
             integrate_peaks(hists[PolarizationConfig.CROSS], PERIOD, 2000),
             500_000,
-            calib,
+            ifo,
+            hbt_expected(p_emit, p_multi).g2,
             PERIOD,
         )
         assert abs(vis.v_corr - truth) <= 0.02

@@ -5,9 +5,10 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
-as ``hom_cross``, ``hbt_1550`` rewritten with conversion noise and many dark
-counts (``hbt_1550_noisy``), and ``hbt_930`` rewritten with a blinking emitter
-and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), runs through
+as ``hom_cross``, ``hom_930`` with unbalanced splitters
+(``hom_930_unbalanced``), ``hbt_1550`` rewritten with conversion noise and many
+dark counts (``hbt_1550_noisy``), and ``hbt_930`` rewritten with a blinking
+emitter and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), runs through
 ``photonflow run`` with ``--workers 1`` and ``--workers 2`` in both
 checkouts, each with its own ``src`` on the import path.  With
 ``--workers-only`` the same profiles of the one checkout DIR run with
@@ -42,16 +43,23 @@ NOISY_DARK_CPS = 5e4
 # blinking draws the run's telegraph table, and without a reference delay the
 # g2 reference moves out to 40 us: 800 548 bins and about 5 840 peaks
 BLINK_RATE_PER_US = 0.5
+# every shipped HOM profile is balanced, so none tells the input splitter from
+# the output splitter; these ratios do, in the engine and in the estimator
+UNBALANCED_OPTICS = {"bs1_r": 0.45, "bs1_t": 0.55, "bs2_r": 0.53, "bs2_t": 0.47}
 
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
-    """Name -> config text of every profile, plus the single-setting halves of hom_930, a noisy hbt_1550
-    and a blinking hbt_930."""
+    """Name -> config text of every profile, plus the single-setting halves of hom_930, an unbalanced
+    hom_930, a noisy hbt_1550 and a blinking hbt_930."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
     for experiment in ("hom_co", "hom_cross"):
         texts[f"hom_930_{experiment}"] = re.sub(
             r"(?m)^experiment\s*=.*$", f"experiment = {experiment}", texts["hom_930"]
         )
+    unbalanced = texts["hom_930"]
+    for key, value in UNBALANCED_OPTICS.items():
+        unbalanced = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value:g}", unbalanced)
+    texts["hom_930_unbalanced"] = unbalanced
     noisy = re.sub(r"(?m)^dark_rate_cps\s*=.*$", f"dark_rate_cps = {NOISY_DARK_CPS:g}", texts["hbt_1550"])
     noisy = noisy.replace("[conversion]\n", f"[conversion]\nnoise_rate_cps = {NOISY_NOISE_CPS:g}\n")
     texts["hbt_1550_noisy"] = noisy
