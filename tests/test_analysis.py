@@ -332,8 +332,8 @@ class TestEstimateVisibility:
     )
     @settings(max_examples=40, deadline=None)
     def test_inversion_recovers_model_truth(self, m, g2, r1, r2, eps):
-        # unbalanced splitters on both sides, so an estimator that read the
-        # input splitter's ratios from the output splitter would miss
+        # unbalanced splitters on both sides: an estimator that ignored the
+        # input splitter, or swapped it with the output splitter, would miss
         model = visibility_model(r2, 1.0 - r2, r1, 1.0 - r1)
         a_perp, a_par = visibility_forward(model, m, g2, eps)
         scale = 10**7  # large counts so integer rounding is negligible

@@ -206,7 +206,7 @@ class TestConservationAndBoundaries:
 
 
 class TestSharedSettings:
-    """Settings passed to one run_hom call share every pulse's simulation."""
+    """The polarizations of one run_hom call share every pulse's simulation."""
 
     IFO = HomInterferometer(
         bs_in=BeamSplitter(0.48, 0.48), bs_out=BeamSplitter(0.47, 0.5), arm_delay_ps=DELAY, classical_visibility=0.95
