@@ -179,12 +179,17 @@ def register_arrivals(
     z_jitter: np.ndarray,
     stats: DetectStats | None = None,
 ) -> np.ndarray:
-    """Efficiency thinning plus Gaussian IRF jitter; returns unsorted tag times."""
-    arrivals_ps = np.asarray(arrivals_ps, dtype=np.int64)
-    mask = u_eff < cfg.efficiency
-    tags = arrivals_ps[mask]
+    """Efficiency thinning plus Gaussian IRF jitter; returns unsorted tag times.
+
+    Efficiency 1 keeps every arrival and reads no ``u_eff``; zero jitter reads
+    no ``z_jitter``.
+    """
+    tags = arrivals_ps = np.asarray(arrivals_ps, dtype=np.int64)
+    if cfg.efficiency < 1:
+        mask = u_eff < cfg.efficiency
+        tags, z_jitter = arrivals_ps[mask], z_jitter[mask]
     if cfg.irf_sigma_ps > 0:
-        tags = tags + np.rint(z_jitter[mask] * cfg.irf_sigma_ps).astype(np.int64)
+        tags = tags + np.rint(z_jitter * cfg.irf_sigma_ps).astype(np.int64)
     if stats is not None:
         stats.n_in += int(arrivals_ps.size)
         stats.registered += int(tags.size)

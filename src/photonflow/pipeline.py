@@ -2,13 +2,19 @@
 
 Pulses are processed in fixed-size blocks.  Every random decision is drawn
 from a substream keyed by (master seed, owning chunk, stage), and a block
-reads only its own chunk's substreams.  Only the emission decision is drawn
-for every pulse; every other draw is made only for photons that exist, in
-compacted order: one four-uniform emission row per emitting pulse (its
-signal photon and the companion decision), then one three-uniform row per
-companion, and one conversion, route and detection row per photon, signal
-photons first.  A signal photon's rows are keyed by its emitter rank (the
-pulse's position among the chunk's emitting pulses).  Interferometer photon
+reads only its own chunk's substreams.  No decision whose outcome is certain
+draws anything.  The emission decision is drawn for every pulse unless a
+steady emitter has ``p_emit`` = 1; every other draw is made only for photons
+that exist, in compacted order.  The emission stream holds one row per
+emitting pulse (envelope, exponential, [dephasing], [companion decision]),
+then one row per companion (envelope, exponential, [dephasing]); a
+dephasing column is drawn only for a nonzero linewidth and a companion
+decision only for ``p_multi`` > 0.  The conversion, route, detection and
+jitter streams hold one entry or row per emitted photon, signal photons
+first; detection uniforms are drawn only if some detector's efficiency is
+below 1, and jitter normals only if some detector has IRF jitter.  A signal
+photon's rows are keyed by its emitter rank (the pulse's position among the
+chunk's emitting pulses).  Interferometer photon
 pairs can straddle a block edge, so a block keeps back the photons at its
 edge pulses that could meet a neighbour's photon; once every block is done,
 one merge step pairs them with the same rule.  A realization is therefore
@@ -84,15 +90,15 @@ from .optics import (
     split_ports,
 )
 from .source import (
-    COMPANION_DRAWS,
-    SIGNAL_DRAWS,
     BlinkTable,
     EmissionBlock,
     EmitterConfig,
+    companion_draws,
     diffusion_offsets_ghz,
     emitting,
     has_companion,
     sample_emission,
+    signal_draws,
 )
 
 BLOCK_PULSES = 65536
@@ -176,20 +182,24 @@ class RunResult:
 def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) -> EmissionBlock:
     """Emission of the chunk of pulses [i0, i0 + n).
 
-    The chunk's emission stream holds one uniform per pulse, then one row of
-    ``SIGNAL_DRAWS`` uniforms per emitting pulse (signal photon and companion
-    decision), then one row of ``COMPANION_DRAWS`` uniforms per companion,
-    each table in pulse order.  A block with k emitting pulses and m
-    companions draws n + 4k + 3m uniforms.
+    The chunk's emission stream holds one uniform per pulse, which a steady
+    emitter with ``p_emit`` = 1 does not draw, then one row per emitting
+    pulse (envelope, exponential, [dephasing], [companion decision]), then
+    one row per companion (envelope, exponential, [dephasing]), each table
+    in pulse order.  The dephasing column is drawn for a nonzero linewidth
+    and the companion decision for ``p_multi`` > 0.  A block with k emitting
+    pulses and m companions draws n + 4k + 3m uniforms when every decision is
+    uncertain, and 2k when none is.
     """
     emitter, rng = pipe.emitter, substream(pipe.seed, i0, STAGE_EMIT)
-    bright = True
-    if blink is not None:
+    if blink is None:
+        bright = np.ones(n, dtype=bool)
+    else:
         bright = blink.bright_at(pipe.train.pulse_start_ps(i0 + np.arange(n)).astype(np.float64))
-    emits = emitting(emitter, rng.random(n), bright)
-    signal_rows = rng.random((int(np.count_nonzero(emits)), SIGNAL_DRAWS))
+    emits = emitting(emitter, rng, bright)
+    signal_rows = rng.random((int(np.count_nonzero(emits)), signal_draws(emitter)))
     companions = int(np.count_nonzero(has_companion(emitter, signal_rows)))
-    companion_rows = rng.random((companions, COMPANION_DRAWS))
+    companion_rows = rng.random((companions, companion_draws(emitter)))
     wander = 0.0
     if emitter.spectral_diffusion_sigma_ghz > 0:
         dblocks = (i0 + np.arange(n)) // emitter.diffusion_block_pulses
@@ -198,16 +208,31 @@ def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) ->
     return sample_emission(emitter, pipe.train, i0, emits, wander, signal_rows, companion_rows)
 
 
-def _converted(pipe: Pipeline, i0: int, detuning_ghz: np.ndarray) -> np.ndarray:
-    """Which photons survive conversion, one uniform each from the chunk's conversion stream.
+def _converted(pipe: Pipeline, i0: int, block: EmissionBlock):
+    """The photons that survive conversion, as indices into ``block``: all of them, then the signal photons alone.
 
     A chunk's conversion uniforms hold one per signal photon, by emitter
-    rank, then one per companion.
+    rank, then one per companion.  Without a conversion stage no photon is
+    lost and both are slices, so the block's columns are used as they are.
     """
     if pipe.conversion is None:
-        return np.ones(detuning_ghz.size, dtype=bool)
-    survive = survival_probability(pipe.conversion, detuning_ghz, pipe.filter_center_offset_ghz())
-    return substream(pipe.seed, i0, STAGE_CONVERT).random(detuning_ghz.size) < survive
+        return slice(None), slice(None, block.n_signal)
+    survive = survival_probability(pipe.conversion, block.detuning_ghz, pipe.filter_center_offset_ghz())
+    alive = np.flatnonzero(substream(pipe.seed, i0, STAGE_CONVERT).random(block.pulse.size) < survive)
+    return alive, alive[: np.searchsorted(alive, block.n_signal)]
+
+
+def _detection_draws(detectors, n: int, eff_rng, jitter_rng) -> tuple[np.ndarray, np.ndarray]:
+    """Efficiency uniforms and IRF jitter normals of ``n`` photons.
+
+    ``eff_rng()`` and ``jitter_rng()`` return the generators to draw from.  A
+    draw whose outcome is certain is not made: with every detector at
+    efficiency 1 the uniforms are zeros, and with no detector jitter the
+    normals are; ``register_arrivals`` reads neither then.
+    """
+    u_eff = eff_rng().random(n) if any(det.efficiency < 1 for det in detectors) else np.zeros(n)
+    z = jitter_rng().standard_normal(n) if any(det.irf_sigma_ps > 0 for det in detectors) else np.zeros(n)
+    return u_eff, z
 
 
 def _build_blink_table(pipe: Pipeline) -> BlinkTable | None:
@@ -295,30 +320,33 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
     (0/1 detector, negative lost) and an arm delay.  Every photon is routed
     once, right after its draws: the emitted photons that survive conversion
     as one table, then the noise photons; a topology that reads no route
-    uniform does not draw any.  Conversion, route and detection draws hold
-    one row per photon that exists: signal photons by emitter rank, then
-    companions.  An interferometer block (``settings`` given) then pairs the
-    signal photons that meet at the output splitter (``_meeting_pairs``);
-    without settings the block has one setting and keeps nothing back.
+    uniform does not draw any.  Conversion, route, detection and jitter
+    draws hold one row per photon that exists: signal photons by emitter
+    rank, then companions.  An interferometer block (``settings`` given)
+    then pairs the signal photons that meet at the output splitter
+    (``_meeting_pairs``); without settings the block has one setting and
+    keeps nothing back.
 
     Returns the unsorted tags per (setting, detector), the block's RunStats
     and its kept-back photons.
     """
     n, seed = i1 - i0, pipe.seed
     block = _emission_rows(pipe, i0, n, blink)
-    ok = _converted(pipe, i0, block.detuning_ghz)
-    u_eff = substream(seed, i0, STAGE_DETECT).random(ok.size)
-    z = substream(seed, i0, STAGE_JITTER).standard_normal(ok.size)
-    u_route = np.empty((ok.size, 0))
+    emitted = block.pulse.size
+    alive, signal_alive = _converted(pipe, i0, block)
+    u_eff, z = _detection_draws(
+        detectors, emitted, partial(substream, seed, i0, STAGE_DETECT), partial(substream, seed, i0, STAGE_JITTER)
+    )
+    u_route = np.empty((emitted, 0))
     if n_route:
-        u_route = substream(seed, i0, STAGE_ROUTE).random((ok.size, n_route))
-    alive = np.flatnonzero(ok)
-    port, delay = route(u_route.take(alive, axis=0))
+        u_route = substream(seed, i0, STAGE_ROUTE).random((emitted, n_route))
+    port, delay = route(u_route[alive])
     routed_lost = int(np.count_nonzero(port < 0))
-    photons = _Photons(block.time_ps.take(alive) + delay, port, u_eff.take(alive), z.take(alive))
+    converted = port.size
+    photons = _Photons(block.time_ps[alive] + delay, port, u_eff[alive], z[alive])
     pair_tables, edge = [_NO_PHOTONS], None
     if settings is not None:  # arm_delay_ps is positive, so a delay marks the long arm
-        photons, pair_tables, edge = _meeting_pairs(pipe, settings, block, ok, photons, delay > 0, i0, i1)
+        photons, pair_tables, edge = _meeting_pairs(pipe, settings, block, signal_alive, photons, delay > 0, i0, i1)
 
     t0, t1 = int(pipe.train.pulse_start_ps(i0)), int(pipe.train.pulse_start_ps(i1))
     noise = np.empty(0, dtype=np.int64)
@@ -329,7 +357,7 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
         # one full array per route uniform, then the detection draws
         port, delay = route(rng.random((n_route, noise.size)).T)
         routed_lost += int(np.count_nonzero(port < 0))
-        noisy = _Photons(noise + delay, port, rng.random(noise.size), rng.standard_normal(noise.size))
+        noisy = _Photons(noise + delay, port, *_detection_draws(detectors, noise.size, lambda: rng, lambda: rng))
         photons = _Photons.concat([photons, noisy])
     if any(det.dark_rate_cps > 0 for det in detectors):
         rng = substream(seed, i0, STAGE_DARK)
@@ -342,8 +370,8 @@ def _simulate_block(pipe: Pipeline, detectors, i0: int, i1: int, blink, n_route:
         stats,
         pulses=n,
         emitted_signal=block.n_signal,
-        emitted_multi=ok.size - block.n_signal,
-        conversion_lost=ok.size - alive.size,
+        emitted_multi=emitted - block.n_signal,
+        conversion_lost=emitted - converted,
         noise_injected=int(noise.size),
         routed_lost=routed_lost,
     )
@@ -416,14 +444,15 @@ def _pair_tables(pipe: Pipeline, settings, signal: _Photons, env, det, early: np
 
 
 def _meeting_pairs(
-    pipe: Pipeline, settings: _Settings, block: EmissionBlock, ok: np.ndarray,
+    pipe: Pipeline, settings: _Settings, block: EmissionBlock, signal_alive,
     photons: _Photons, long_arm: np.ndarray, i0: int, i1: int,
 ) -> tuple[_Photons, list[_Photons], _Edge]:
     """The meeting-pair step of one interferometer block.
 
-    ``photons`` are the block's routed photons that survived conversion
-    (``ok``), signal photons first, and ``long_arm`` flags the ones that took
-    the long arm.  Pairs with both photons in the block get their joint ports
+    ``photons`` are the block's routed photons that survived conversion,
+    signal photons first, ``signal_alive`` indexes the surviving signal
+    photons in ``block``, and ``long_arm`` flags the photons that took the
+    long arm.  Pairs with both photons in the block get their joint ports
     here, one row of the block's joint draws each.  A photon that could meet
     a photon of a neighbouring block, short arm at the block's first pulse or
     long arm at its last, is kept back for ``_merge_edges``; the long-arm one
@@ -432,12 +461,10 @@ def _meeting_pairs(
     Returns ``photons``, with the ports of the pair and kept-back photons set
     negative in place, each setting's pair table, and the kept-back photons.
     """
-    k = block.n_signal
-    sig_ok = ok[:k]
-    n_sig = int(np.count_nonzero(sig_ok))
+    pulse, env, det = block.pulse[signal_alive], block.env_ps[signal_alive], block.detuning_ghz[signal_alive]
+    n_sig = pulse.size
     signal = _Photons(*(column[:n_sig] for column in photons))
     long_arm = long_arm[:n_sig]
-    pulse, env, det = block.pulse[:k][sig_ok], block.env_ps[:k][sig_ok], block.detuning_ghz[:k][sig_ok]
     early, can_early, can_late = _meeting(pulse, signal.port, long_arm)
     kept = (pulse == 0) & can_late | (pulse == i1 - i0 - 1) & can_early
     reserve = int(np.count_nonzero(kept & can_early))  # at most one: the last pulse's photon
@@ -513,7 +540,9 @@ class _TagFold:
         self.size = end
 
     def sorted(self) -> np.ndarray:
-        return np.sort(self.buf[: self.size])
+        # blocks fold in nearly in order, and the stable sort (timsort on
+        # int64) runs through such data several times faster than quicksort
+        return np.sort(self.buf[: self.size], kind="stable")
 
 
 def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None) -> RunResult:

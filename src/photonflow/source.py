@@ -94,22 +94,32 @@ class BlinkTable:
         return even if self.initial_bright else ~even
 
 
-def _sample_cauchy(fwhm_ghz: float, u: np.ndarray) -> np.ndarray:
-    # Lorentzian line of given FWHM <=> Cauchy with scale FWHM/2
+def _sample_cauchy(fwhm_ghz: float, rows: np.ndarray) -> np.ndarray:
+    # Lorentzian line of given FWHM <=> Cauchy with scale FWHM/2; a zero
+    # linewidth is certain to give no detuning and its rows hold no column
     if fwhm_ghz == 0:
-        return np.zeros_like(u)
-    return 0.5 * fwhm_ghz * np.tan(np.pi * (u - 0.5))
+        return np.zeros(rows.shape[0])
+    return 0.5 * fwhm_ghz * np.tan(np.pi * (rows[:, _U_CAU] - 0.5))
 
 
 def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
     return -tau_ps * np.log1p(-u)
 
 
-# columns of an emitting pulse's row: its signal photon, then the companion decision;
-# a companion's row holds the same three photon columns
-_U_W, _U_EXP, _U_CAU, _U_MULTI = range(4)
-SIGNAL_DRAWS = 4
-COMPANION_DRAWS = 3
+# columns of a photon's row: envelope start, exponential delay, then the
+# dephasing uniform, which a zero linewidth does not draw; an emitting pulse's
+# row ends with the companion decision, which p_multi = 0 does not draw
+_U_W, _U_EXP, _U_CAU = range(3)
+
+
+def companion_draws(cfg: EmitterConfig) -> int:
+    """Uniforms in a companion's row: its photon's columns."""
+    return 3 if cfg.dephasing_linewidth_ghz > 0 else 2
+
+
+def signal_draws(cfg: EmitterConfig) -> int:
+    """Uniforms in an emitting pulse's row: its signal photon's columns, then the companion decision."""
+    return companion_draws(cfg) + (cfg.p_multi > 0)
 
 
 @dataclass
@@ -145,14 +155,25 @@ def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.n
     return out
 
 
-def emitting(cfg: EmitterConfig, u_emit: np.ndarray, bright) -> np.ndarray:
-    """Which pulses emit a signal photon, from one uniform per pulse and the blinking state."""
-    return bright & (u_emit < cfg.p_emit)
+def emitting(cfg: EmitterConfig, rng: np.random.Generator, bright: np.ndarray) -> np.ndarray:
+    """Which pulses emit a signal photon, from the blinking state and one uniform per pulse.
+
+    ``bright`` holds the state of every pulse.  A steady emitter with
+    ``p_emit`` = 1 emits at every pulse, so it draws no uniform.
+    """
+    if cfg.p_emit >= 1 and not cfg.blinking_enabled:
+        return bright
+    return bright & (rng.random(bright.size) < cfg.p_emit)
 
 
 def has_companion(cfg: EmitterConfig, signal_rows: np.ndarray) -> np.ndarray:
-    """Which emitting pulses add a companion photon, from their ``SIGNAL_DRAWS``-column rows."""
-    return signal_rows[:, _U_MULTI] < cfg.p_multi
+    """Which emitting pulses add a companion photon, from the last column of their rows.
+
+    With ``p_multi`` = 0 none does, and the rows hold no decision column.
+    """
+    if cfg.p_multi == 0:
+        return np.zeros(signal_rows.shape[0], dtype=bool)
+    return signal_rows[:, -1] < cfg.p_multi
 
 
 def sample_emission(
@@ -168,14 +189,16 @@ def sample_emission(
 
     ``emits`` marks the emitting pulses of the range starting at
     ``first_pulse`` (see ``emitting``).  ``signal_rows`` has one row of
-    ``SIGNAL_DRAWS`` columns per emitting pulse, in pulse order: the signal
-    photon's envelope start, exponential delay and dephasing, then the
-    companion decision.  ``companion_rows`` has one row of
-    ``COMPANION_DRAWS`` columns, the same three for the companion photon,
-    per emitting pulse that ``has_companion``, in pulse order.
+    ``signal_draws(cfg)`` columns per emitting pulse, in pulse order: the
+    signal photon's envelope start, exponential delay and [dephasing], then
+    the [companion decision].  ``companion_rows`` has one row of
+    ``companion_draws(cfg)`` columns, the same photon columns for the
+    companion, per emitting pulse that ``has_companion``, in pulse order.
     ``wander_ghz`` is the slow detuning per pulse of the range, or one value
     for all of it.  A companion sits ``multi_detuning_offset_ghz`` off line.
     """
+    if signal_rows.shape[1:] != (signal_draws(cfg),) or companion_rows.shape[1:] != (companion_draws(cfg),):
+        raise ValueError(f"rows need {signal_draws(cfg)} and {companion_draws(cfg)} columns")
     emitters = np.flatnonzero(emits)
     multi = np.flatnonzero(has_companion(cfg, signal_rows))
     if companion_rows.shape[0] != multi.size:
@@ -187,7 +210,7 @@ def sample_emission(
     for rows, part in ((signal_rows, slice(None, k)), (companion_rows, slice(k, None))):
         env[part] += rows[:, _U_W] * train.pulse_width_ps
         exact[part] = env[part] + _sample_exponential(cfg.lifetime_tau_ps, rows[:, _U_EXP])
-        det[part] = _sample_cauchy(cfg.dephasing_linewidth_ghz, rows[:, _U_CAU])
+        det[part] = _sample_cauchy(cfg.dephasing_linewidth_ghz, rows)
     det += wander_ghz[pulse] if np.ndim(wander_ghz) else wander_ghz
     det[k:] += cfg.multi_detuning_offset_ghz
     return EmissionBlock(k, pulse, np.rint(exact).astype(np.int64), exact, env, det)

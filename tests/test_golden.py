@@ -25,18 +25,18 @@ PERIOD = 1e6 / 73.0
 
 GOLDEN = {
     "direct": [
-        "8dc4fe3bd2d81559f499788de471c8654bbf32906a15f093c770ac3104be0dc4",
+        "78fc0b3db9c6907190ff32b3f54d36165149e3f4a4e1b4e0f068e412e067b5d7",
     ],
     "hbt": [
-        "105c77d14d887d1249ab09f9cf1b9cacd71e346523c0979007ce7243e2e0993f",
-        "f0d387ef68df23ee6b60794b9ac2cb3fc9a696bd37210932381ad0a5c780c27c",
+        "8cd8e47309a84c8385c45f44c126bbd5128c0647e106c24b6bf21207a0cb39d2",
+        "590b1c7954999846a0d08e123d8d9b48ec518cd9bd82d69535be1f820d0e5e7a",
     ],
     # (setting, detector): co det1, co det2, cross det1, cross det2
     "hom": [
-        "a465baf715a1269a580bf6df1b8fa90d21373e1749e69694bf45e69bdbae1d11",
-        "2bcce70cf23bab633f551284b09f0e57dc4eaa476ebeef080a28595633d186c0",
-        "5c77a3e30ac53b18b9aca92fa3362f18a8e8963e81616101f243c96d83ddc7f8",
-        "01e01b74e562daa31e42753f8916d1f8204767a6d3b18a42992afb6aa01af398",
+        "767b34dcf9c8695d192c03d6ce07bafe4af49dde78cda5afb78b422b0a0f5790",
+        "c55ed9d50314be00c1961f74885f25f74ba2818926b121a5377a1a7a0b3e08f4",
+        "92430a213c3e99c3445c22b8707c12e570cfbbeee1e03d81efbca5abf3ca7e60",
+        "956bbeaf34da4a6faee363979e53c43008f5bfe4a6d5edca8a058e8f913079fa",
     ],
 }
 
@@ -145,24 +145,24 @@ CLI_GOLDEN = {
         "tags_cross_ch1.pftg": "aa86ddf2e0dfb4520686ebd4e4807e9c12c23734df2a31923355680a26736f9b",
     },
     "lifetime_1550": {
-        "decay_hist.csv": "4d408d9d009db08d4553b1b0e881b387c5702318bb766991a38b49444a3e2e9a",
-        "irf_hist.csv": "682e35953d402844beac66465fd9d8d7586f4095f16c16bc18799b181f964a7a",
-        "irf_tags_ch0.pftg": "3773c76c5387ff6e832f18a0ce0380147dfcf261c665b71a2db214d96eacf909",
-        "lifetime_fit.svg": "e23f017bf42d38cfeccc295a335fb452f6e7ad66504176a0e937a4d1fd517f3d",
-        "report.txt": "73b7629b4300f5e64dd1bf45d06ddd3846a1ea4f0139024adb241fd19e267f66",
-        "tags_ch0.pftg": "d70acaa35d56a7f14cb69959f73a81bf7e8598abcd883483fae4312324511034",
+        "decay_hist.csv": "0a7b7e2db45c68c2449d7d7b6139c7a911998bf7316129fdc318e6ab852af471",
+        "irf_hist.csv": "4560dd5b337fa4915afdf3c4346d70fc81608ede2a1662aec672e24b9d58321e",
+        "irf_tags_ch0.pftg": "a6bde632d693364ff0f778f73caef5298e9dac598393062705b8120dd373cabd",
+        "lifetime_fit.svg": "c4e0f7eafa576c97f97502ed067b1aa602765d3beaef3a260c8adf405137b0cb",
+        "report.txt": "3e6447f4f8382f17b6999c234008a95f0fc6ba4b692be7c4aaf6cc7737564844",
+        "tags_ch0.pftg": "866b76e0215bdd0e7784ec258a0f83591a7081deee6de250ddeef68d1c526953",
     },
     "lifetime_930": {
-        "decay_hist.csv": "ad3520fa60fc811399c80c35eaa99ebeb5924ddbd64202e39a8d46034563a9b7",
-        "irf_hist.csv": "7c3427253831bb5decfacaeec23e29ab82dd8898f80d9646e0d28e2b139d4de9",
-        "irf_tags_ch0.pftg": "0d717a4c03544fd49947abab5bb043735c823567e9541045a3aaec5b94b9aeba",
-        "lifetime_fit.svg": "c2b5ee2c25c001e80438f649351979de82a063859d4bc0556adc0150ad521bbd",
-        "report.txt": "3d40c9a36cbde12503a9560a414b9a384980f2aa062de373078ae5d226fd56ad",
-        "tags_ch0.pftg": "bf7b59e0849e380280c83130f7bce127dd4f5e070d23c6c140f98df0c37b48d9",
+        "decay_hist.csv": "5c65bed559ab765a7695182663048eb5d72d0e47ce4d279032b62967558e6587",
+        "irf_hist.csv": "35a1317b897303998359d353cb166f5185523f252a7d1dc82e95104d21ff2aa6",
+        "irf_tags_ch0.pftg": "3cca20708383735e8b40a0370446a1fb3f6b22f02fa8614ee5708399a465cc55",
+        "lifetime_fit.svg": "8684f4bb11e871e6fe18790d80fb142b7fb8c5f2ddf887aea13efe7a17cff4a0",
+        "report.txt": "303d1b1abfd93345b1fd3308447958f15233d2a46701eeb40a7f8c979cde32f1",
+        "tags_ch0.pftg": "5e902c15fe51fec838bc47e05823389c06339825d09d7e0e8f4de297ecd2c01e",
     },
     "rate_1550": {
         "report.txt": "c6889c66195d469d28b30bb97f0b812e0f1063960f1e29e08ab92a10e70510b5",
-        "tags_ch0.pftg": "769b3bde1136720df9d8df1b681d2c4f11aa1521473bb9abc28f430b74ee9bc2",
+        "tags_ch0.pftg": "b128a75ee7dc3b64e51c8eefc61a301c579249633092397ea8dfa3f7bdf37ccd",
     },
     "saturation": {
         "report.txt": "5634b9cbdf923525ba89be066c7b261bb6ea2d612076c447bcba69ef67431e70",

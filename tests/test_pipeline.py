@@ -363,49 +363,92 @@ def count_draws(monkeypatch) -> Counter:
     return drawn
 
 
+# emitter settings -> emission draws of a block of n pulses with k emitting pulses and m companions
+LAYOUTS = {
+    "uncertain": (dict(p_emit=0.6, p_multi=0.2, dephasing_linewidth_ghz=0.5), lambda n, k, m: n + 4 * k + 3 * m),
+    "p_emit_1": (dict(p_emit=1.0, p_multi=0.2, dephasing_linewidth_ghz=0.5), lambda n, k, m: 4 * k + 3 * m),
+    "p_emit_1_blinking": (
+        dict(p_emit=1.0, p_multi=0.2, dephasing_linewidth_ghz=0.5, blink_on_rate_per_us=0.5, blink_off_rate_per_us=0.5),
+        lambda n, k, m: n + 4 * k + 3 * m,
+    ),
+    "p_multi_0": (dict(p_emit=0.6, dephasing_linewidth_ghz=0.5), lambda n, k, m: n + 3 * k),
+    "no_dephasing": (dict(p_emit=0.6, p_multi=0.2), lambda n, k, m: n + 3 * k + 2 * m),
+    "certain": (dict(p_emit=1.0), lambda n, k, m: 2 * k),
+}
+
+
 class TestEmissionLayout:
-    """A block's emission stream: U_EMIT per pulse, a 4-column row per emitter, a 3-column row per companion."""
+    """A block's emission stream: U_EMIT per pulse, then one row per emitter and one per companion.
+
+    A decision whose outcome is certain draws nothing: no U_EMIT for a steady
+    emitter with p_emit 1, no dephasing column at zero linewidth and no
+    companion decision at p_multi 0.
+    """
 
     I0, N = 4096, 4096
 
     @staticmethod
-    def block_pipeline():
-        return make_pipeline(seed=21, n_pulses=3 * 4096, p_emit=0.6, p_multi=0.2, dephasing_linewidth_ghz=0.5)
+    def block_pipeline(**emitter_kwargs):
+        return make_pipeline(seed=21, n_pulses=3 * 4096, **emitter_kwargs)
+
+    def photons(self, pipe, rows, pulse):
+        """Envelope starts and recorded times of photons rebuilt from the first two columns of their rows."""
+        em, tr = pipe.emitter, pipe.train
+        env = tr.pulse_start_ps(self.I0 + pulse) + rows[:, 0] * tr.pulse_width_ps
+        return env, np.rint(env - em.lifetime_tau_ps * np.log1p(-rows[:, 1])).astype(np.int64)
 
     def test_rows_rebuilt_by_hand(self):
-        pipe = self.block_pipeline()
-        em, tr = pipe.emitter, pipe.train
+        pipe = self.block_pipeline(**LAYOUTS["uncertain"][0])
+        em = pipe.emitter
         rng = substream(pipe.seed, self.I0, STAGE_EMIT)
         pulses = np.flatnonzero(rng.random(self.N) < em.p_emit)
         signal_rows = rng.random((pulses.size, 4))
         companions = np.flatnonzero(signal_rows[:, 3] < em.p_multi)
         companion_rows = rng.random((companions.size, 3))
 
-        def photons(rows, pulse):
-            env = tr.pulse_start_ps(self.I0 + pulse) + rows[:, 0] * tr.pulse_width_ps
-            time = np.rint(env - em.lifetime_tau_ps * np.log1p(-rows[:, 1])).astype(np.int64)
-            return env, time, 0.5 * em.dephasing_linewidth_ghz * np.tan(np.pi * (rows[:, 2] - 0.5))
+        def detuning(rows):
+            return 0.5 * em.dephasing_linewidth_ghz * np.tan(np.pi * (rows[:, 2] - 0.5))
 
         block = pipeline._emission_rows(pipe, self.I0, self.N, None)
         k = block.n_signal
         assert k == pulses.size
-        env, time, det = photons(signal_rows, pulses)
+        env, time = self.photons(pipe, signal_rows, pulses)
+        det = detuning(signal_rows)
         np.testing.assert_array_equal(block.pulse[:k], pulses)
         np.testing.assert_array_equal(block.time_ps[:k], time)
         np.testing.assert_allclose(block.env_ps[:k], env, rtol=1e-15)
         np.testing.assert_allclose(block.detuning_ghz[:k], det, rtol=1e-12)
-        env, time, det = photons(companion_rows, pulses[companions])
+        env, time = self.photons(pipe, companion_rows, pulses[companions])
+        det = detuning(companion_rows)
         assert companions.size > 400
         np.testing.assert_array_equal(block.pulse[k:], pulses[companions])
         np.testing.assert_array_equal(block.time_ps[k:], time)
         np.testing.assert_allclose(block.env_ps[k:], env, rtol=1e-15)
         np.testing.assert_allclose(block.detuning_ghz[k:], det + em.multi_detuning_offset_ghz, rtol=1e-12)
 
-    def test_draw_count(self, monkeypatch):
+    def test_certain_rows_rebuilt_by_hand(self):
+        # every pulse emits, and its row holds the envelope and exponential columns alone
+        pipe = self.block_pipeline(**LAYOUTS["certain"][0])
+        rows = substream(pipe.seed, self.I0, STAGE_EMIT).random((self.N, 2))
+        block = pipeline._emission_rows(pipe, self.I0, self.N, None)
+        assert block.n_signal == block.pulse.size == self.N
+        env, time = self.photons(pipe, rows, np.arange(self.N))
+        np.testing.assert_array_equal(block.pulse, np.arange(self.N))
+        np.testing.assert_array_equal(block.time_ps, time)
+        np.testing.assert_allclose(block.env_ps, env, rtol=1e-15)
+        assert not block.detuning_ghz.any()
+
+    @pytest.mark.parametrize("case", sorted(LAYOUTS))
+    def test_draw_count(self, monkeypatch, case):
+        emitter_kwargs, expected = LAYOUTS[case]
+        pipe = self.block_pipeline(**emitter_kwargs)
+        blink = pipeline._build_blink_table(pipe)
         drawn = count_draws(monkeypatch)
-        block = pipeline._emission_rows(self.block_pipeline(), self.I0, self.N, None)
+        block = pipeline._emission_rows(pipe, self.I0, self.N, blink)
         k, m = block.n_signal, block.pulse.size - block.n_signal
-        assert drawn == {STAGE_EMIT: self.N + 4 * k + 3 * m}
+        assert (k == self.N) == (case in ("p_emit_1", "certain"))
+        assert (m > 0) == (pipe.emitter.p_multi > 0)
+        assert +drawn == {STAGE_EMIT: expected(self.N, k, m)}
 
 
 class TestDrawBudget:
@@ -417,20 +460,106 @@ class TestDrawBudget:
         result = run()
         return sum(drawn.values()) / result.stats.pulses
 
-    def test_hom_930_paired(self, monkeypatch):
-        cfg = load_config(PROFILES / "hom_930.cfg")
+    @staticmethod
+    def profile(name, n_pulses=200_000):
+        cfg = load_config(PROFILES / name)
         pipe = cfg.pipeline()
-        pipe = replace(pipe, train=replace(pipe.train, n_pulses=200_000))
+        return cfg, replace(pipe, train=replace(pipe.train, n_pulses=n_pulses))
+
+    def test_hom_930_paired(self, monkeypatch):
+        cfg, pipe = self.profile("hom_930.cfg")
         run = partial(run_hom, pipe, cfg.interferometer(), PAIRED, cfg.det1, cfg.det2)
         per_pulse = self.draws_per_pulse(monkeypatch, run)
         assert per_pulse <= 5.0  # 18 with one row per pulse
 
     def test_hbt_930(self, monkeypatch):
-        cfg = load_config(PROFILES / "hbt_930.cfg")
-        pipe = cfg.pipeline()
-        pipe = replace(pipe, train=replace(pipe.train, n_pulses=200_000))
+        cfg, pipe = self.profile("hbt_930.cfg")
         per_pulse = self.draws_per_pulse(monkeypatch, lambda: run_hbt(pipe, cfg.bs, cfg.det1, cfg.det2))
         assert per_pulse <= 6.0  # 16 with one row per pulse
+
+    @pytest.mark.parametrize("reference, budget", [(False, 4.0), (True, 3.0)], ids=["main", "reference"])
+    def test_lifetime_1550(self, monkeypatch, reference, budget):
+        # every pulse emits one photon into a detector of efficiency 1, so no
+        # emission or detection uniform is drawn: an envelope and an
+        # exponential per pulse, a conversion uniform per photon of the main
+        # run and a jitter normal per photon (8 and 7 per pulse when every
+        # decision drew); the dark-count stream adds a Poisson count per block
+        cfg, pipe = self.profile("lifetime_1550.cfg")
+        if reference:
+            pipe = irf_pipeline(pipe)
+        drawn = count_draws(monkeypatch)
+        result = run_direct(pipe, cfg.det1)
+        assert (sum(drawn.values()) - drawn[STAGE_DARK]) / result.stats.pulses <= budget
+        assert drawn[STAGE_DETECT] == 0
+
+    def test_rate_1550(self, monkeypatch):
+        cfg, pipe = self.profile("rate_1550.cfg", n_pulses=1_000_000)
+        per_pulse = self.draws_per_pulse(monkeypatch, lambda: run_direct(pipe, cfg.det1))
+        assert per_pulse <= 1.2  # 1.21 with detection and jitter draws
+
+
+class TestCertainDecisions:
+    """Each draw that a certain outcome skips leaves the photon ledger exact, in every topology."""
+
+    DET = dict(efficiency=0.7, irf_sigma_ps=50.0, dead_time_ps=25_000, dark_rate_cps=2e5)
+    # case -> (emitter settings, detector 1 and detector 2 settings, stages that draw nothing)
+    CASES = {
+        "p_emit_1": (dict(p_emit=1.0, p_multi=0.02, dephasing_linewidth_ghz=0.1), {}, {}, ()),
+        "p_emit_1_blinking": (
+            dict(p_emit=1.0, p_multi=0.02, blink_on_rate_per_us=0.5, blink_off_rate_per_us=0.5), {}, {}, ()
+        ),
+        "p_multi_0": (dict(p_emit=0.3, dephasing_linewidth_ghz=0.1), {}, {}, ()),
+        "efficiency_1": (dict(p_emit=0.3, p_multi=0.02), dict(efficiency=1.0), dict(efficiency=1.0), (STAGE_DETECT,)),
+        "irf_sigma_0": (
+            dict(p_emit=0.3, p_multi=0.02), dict(irf_sigma_ps=0.0), dict(irf_sigma_ps=0.0), (STAGE_JITTER,)
+        ),
+        # the first detector still thins and jitters, so every photon draws for it
+        "second_detector_certain": (
+            dict(p_emit=0.3, p_multi=0.02), {}, dict(efficiency=1.0, irf_sigma_ps=0.0), ()
+        ),
+    }
+
+    @staticmethod
+    def runs(pipe, det1, det2):
+        return {
+            "direct": partial(run_direct, pipe, det1),
+            "hbt": partial(run_hbt, pipe, BeamSplitter(0.45, 0.45), det1, det2),
+            "hom": partial(run_hom, pipe, TestSharedSettings.IFO, PAIRED, det1, det2),
+        }
+
+    @pytest.mark.parametrize("topology", ["direct", "hbt", "hom"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_conservation(self, monkeypatch, case, topology):
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        emitter_kwargs, det1_kwargs, det2_kwargs, skipped = self.CASES[case]
+        dets = DetectorConfig(**{**self.DET, **det1_kwargs}), DetectorConfig(**{**self.DET, **det2_kwargs})
+        pipe = make_pipeline(seed=23, n_pulses=6_000, conversion=True, **emitter_kwargs)
+        pipe = replace(pipe, conversion=replace(pipe.conversion, noise_rate_cps=5e6))
+        drawn = count_draws(monkeypatch)
+        result = self.runs(pipe, *dets)[topology]()
+        st = result.stats
+        assert st.conversion_lost > 0 and st.noise_injected > 0
+        for stage in (STAGE_DETECT, STAGE_JITTER):
+            assert (drawn[stage] == 0) == (stage in skipped)
+        for part in result.by_setting():
+            assert_conservation(part)
+            for ch, det in zip(part.stats.channels, dets):
+                assert ch.dark > 0 and ch.vetoed > 0
+                assert (ch.undetected > 0) == (det.efficiency < 1)
+
+    @pytest.mark.parametrize("topology", ["direct", "hbt", "hom"])
+    def test_irf_pipeline_conservation(self, monkeypatch, topology):
+        # the reference run: every pulse emits one photon, nothing is converted
+        monkeypatch.setattr(pipeline, "BLOCK_PULSES", 64)
+        pipe = irf_pipeline(make_pipeline(n_pulses=6_000, p_multi=0.02, dephasing_linewidth_ghz=0.1, conversion=True))
+        det = ideal_detector(irf_sigma_ps=50.0, dead_time_ps=25_000)
+        result = self.runs(pipe, det, det)[topology]()
+        st = result.stats
+        assert st.emitted == st.emitted_signal == st.pulses == 6_000
+        assert st.conversion_lost == st.noise_injected == 0
+        for part in result.by_setting():
+            assert_conservation(part)
+            assert sum(ch.vetoed for ch in part.stats.channels) > 0
 
 
 class TestRateExperiment:

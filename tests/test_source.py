@@ -10,14 +10,14 @@ from scipy import stats
 
 from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.source import (
-    COMPANION_DRAWS,
-    SIGNAL_DRAWS,
     BlinkTable,
     EmitterConfig,
+    companion_draws,
     emitting,
     expected_pair_overlap,
     has_companion,
     sample_emission,
+    signal_draws,
     temporal_jitter_overlap,
 )
 
@@ -35,17 +35,17 @@ def emitter(**kwargs):
 
 
 def emission_arrays(cfg, pulse_train, seed=11):
-    """Vectorized emission for the whole train: one uniform per pulse, one row per emitter and per companion."""
+    """Vectorized emission for the whole train: the emission decisions, one row per emitter and per companion."""
     rng = substream(RunSeed(seed), 0, 0)
     n = pulse_train.n_pulses
-    emits = emitting(cfg, rng.random(n), True)
+    emits = emitting(cfg, rng, np.ones(n, dtype=bool))
     wander = (
         rng.normal(0.0, cfg.spectral_diffusion_sigma_ghz, n)
         if cfg.spectral_diffusion_sigma_ghz
         else np.zeros(n)
     )
-    signal_rows = rng.random((int(emits.sum()), SIGNAL_DRAWS))
-    companion_rows = rng.random((int(has_companion(cfg, signal_rows).sum()), COMPANION_DRAWS))
+    signal_rows = rng.random((int(emits.sum()), signal_draws(cfg)))
+    companion_rows = rng.random((int(has_companion(cfg, signal_rows).sum()), companion_draws(cfg)))
     return sample_emission(cfg, pulse_train, 0, emits, wander, signal_rows, companion_rows)
 
 
@@ -160,9 +160,9 @@ class TestBlinking:
         tr = train(10)
         dark = BlinkTable(initial_bright=False, switch_times_ps=np.empty(0))
         bright = dark.bright_at(tr.pulse_start_ps(np.arange(tr.n_pulses)))
-        emits = emitting(cfg, substream(RunSeed(5), 0, 0).random(tr.n_pulses), bright)
+        emits = emitting(cfg, substream(RunSeed(5), 0, 0), bright)
         assert not emits.any()
-        no_rows = np.empty((0, SIGNAL_DRAWS)), np.empty((0, COMPANION_DRAWS))
+        no_rows = np.empty((0, signal_draws(cfg))), np.empty((0, companion_draws(cfg)))
         block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), *no_rows)
         assert block.n_signal == 0 and block.pulse.size == 0
 

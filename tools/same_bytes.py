@@ -7,8 +7,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
 as ``hom_cross``, ``hom_930`` with unbalanced splitters
 (``hom_930_unbalanced``), ``hbt_1550`` rewritten with conversion noise and many
-dark counts (``hbt_1550_noisy``), and ``hbt_930`` rewritten with a blinking
-emitter and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), runs through
+dark counts (``hbt_1550_noisy``), ``hbt_930`` rewritten with a blinking
+emitter and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), and
+``lifetime_930`` with a blinking emitter (``lifetime_930_blinking``), runs through
 ``photonflow run`` with ``--workers 1`` and ``--workers 2`` in both
 checkouts, each with its own ``src`` on the import path.  With
 ``--workers-only`` the same profiles of the one checkout DIR run with
@@ -41,7 +42,9 @@ VOLATILE_MANIFEST_KEYS = ("created_utc",)
 NOISY_NOISE_CPS = 5e5
 NOISY_DARK_CPS = 5e4
 # blinking draws the run's telegraph table, and without a reference delay the
-# g2 reference moves out to 40 us: 800 548 bins and about 5 840 peaks
+# g2 reference moves out to 40 us: 800 548 bins and about 5 840 peaks; a
+# blinking lifetime emitter is the one with p_emit = 1 that still draws its
+# emission uniforms, so the two lifetime cases cover both emission rules
 BLINK_RATE_PER_US = 0.5
 # every shipped HOM profile is balanced, so none tells the input splitter from
 # the output splitter; these ratios do, in the engine and in the estimator
@@ -50,7 +53,7 @@ UNBALANCED_OPTICS = {"bs1_r": 0.45, "bs1_t": 0.55, "bs2_r": 0.53, "bs2_t": 0.47}
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
     """Name -> config text of every profile, plus the single-setting halves of hom_930, an unbalanced
-    hom_930, a noisy hbt_1550 and a blinking hbt_930."""
+    hom_930, a noisy hbt_1550, a blinking hbt_930 and a blinking lifetime_930."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
     for experiment in ("hom_co", "hom_cross"):
         texts[f"hom_930_{experiment}"] = re.sub(
@@ -66,6 +69,7 @@ def configs(change: Path, pulses: int | None) -> dict[str, str]:
     rates = f"blink_on_rate_per_us = {BLINK_RATE_PER_US:g}\nblink_off_rate_per_us = {BLINK_RATE_PER_US:g}\n"
     blinking = re.sub(r"(?m)^g2_reference_delay_ps\s*=.*\n", "", texts["hbt_930"])
     texts["hbt_930_blinking"] = blinking.replace("[emitter]\n", f"[emitter]\n{rates}")
+    texts["lifetime_930_blinking"] = texts["lifetime_930"].replace("[emitter]\n", f"[emitter]\n{rates}")
     if pulses is not None:
         def cap(match):
             return f"n_pulses = {min(int(match.group(1)), pulses)}"
