@@ -28,6 +28,11 @@ from .core import ConfigError, poisson_times
 # beyond this phase-mismatch argument the pair is treated as fully distinguishable
 COHERENCE_X_MAX = 6.0
 
+# the dead-time jump table is built JUMP_PIECE tags at a time (512 KB of
+# int64), counting each window's tags for at most JUMP_STEPS steps
+JUMP_PIECE = 1 << 16
+JUMP_STEPS = 8
+
 
 class PolarizationConfig(enum.Enum):
     CO = "co"
@@ -204,6 +209,39 @@ def sample_dark_counts(
     return poisson_times(cfg.dark_rate_cps, window_ps, rng)
 
 
+def _dead_time_jumps(tags_ps: np.ndarray, dead_time_ps: int) -> np.ndarray:
+    """``jumps[i]``, the first index past tag i's dead window: equal to
+    ``np.searchsorted(tags_ps, tags_ps + dead_time_ps)`` on sorted tags.
+
+    The tags inside a window are the next few in a row, so ``jumps[i]``
+    starts at i + 1 and gains one per step k while
+    ``tags[i + k] - tags[i] < dead_time``.  The table is built
+    ``JUMP_PIECE`` tags at a time.  A piece stops at the first step that no
+    window gains at, and the windows still gaining after
+    ``JUMP_STEPS`` steps take their value from binary search.  So does a
+    whole piece whose windows hold more than ``JUMP_STEPS`` tags on average.
+    """
+    n = tags_ps.size
+    jumps = np.arange(1, n + 1)
+    for s in range(0, n, JUMP_PIECE):
+        e = min(s + JUMP_PIECE, n)
+        if dead_time_ps * (e - 1 - s) > JUMP_STEPS * int(tags_ps[e - 1] - tags_ps[s]):
+            jumps[s:e] = np.searchsorted(tags_ps, tags_ps[s:e] + dead_time_ps, side="left")
+            continue
+        for k in range(1, JUMP_STEPS + 1):
+            hi = min(e, n - k)
+            if hi <= s:
+                break
+            gain = tags_ps[s + k : hi + k] - tags_ps[s:hi] < dead_time_ps
+            if not gain.any():
+                break
+            jumps[s:hi] += gain
+        else:
+            full = s + np.flatnonzero(gain)
+            jumps[full] = np.searchsorted(tags_ps, tags_ps[full] + dead_time_ps, side="left")
+    return jumps
+
+
 def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray, int]:
     """Greedy dead-time veto on a sorted tag array.
 
@@ -228,14 +266,21 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
        segment the orbit enters, and only their orbits are walked again to
        mark the kept tags.
 
-    Time is O(n log n), set by the ``searchsorted`` that builds the jump
-    table; memory is O(n).  Returns the kept tags and the vetoed count.
+    The jump table costs O(n · w) for windows holding w tags, up to
+    ``JUMP_STEPS``; only windows past that cap, and pieces denser than it on
+    average, use an O(log n) binary search each.  The walks cost O(n).
+    Besides the input, memory is the table (8 bytes a tag) and a keep mask
+    (1 byte a tag) while walking, and the mask and the kept tags while
+    gathering, as the table is freed first: about 1.14 times the input's
+    bytes on a stream that keeps most of its tags.  The walks' candidates
+    grow with the tags a dead window holds, to about 10 times the input at
+    10^4 tags a window.  Returns the kept tags and the vetoed count.
     """
     tags_ps = np.asarray(tags_ps, dtype=np.int64)
     n = int(tags_ps.size)
     if dead_time_ps <= 0 or n < 2:
         return tags_ps, 0
-    jumps = np.searchsorted(tags_ps, tags_ps + dead_time_ps, side="left")
+    jumps = _dead_time_jumps(tags_ps, dead_time_ps)
     # the sources before each segment start s that jump into the segment are
     # the range [first index with jump >= s, min(s, first index with jump >= end))
     seg = math.isqrt(n - 1) + 1
@@ -291,5 +336,6 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
         pos = jumps[pos]
         stay = pos < end
         pos, end = pos[stay], end[stay]
+    del jumps
     kept = tags_ps[keep]
     return kept, n - kept.size

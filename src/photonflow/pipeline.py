@@ -589,8 +589,10 @@ def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None
 
     streams = []
     for ch, det in enumerate(channels):
-        kept, vetoed = apply_dead_time(folds[ch].sorted(), det.dead_time_ps)
-        folds[ch] = None  # release the buffer before the next channel sorts
+        tags = folds[ch].sorted()
+        folds[ch] = None  # release the unsorted buffer (up to twice the tags) before the veto
+        kept, vetoed = apply_dead_time(tags, det.dead_time_ps)
+        del tags  # and the sorted stream before the next channel sorts
         total.channels[ch].vetoed += vetoed
         streams.append(TagStream(channel_id=ch % len(detectors), tags=kept))
     return RunResult(streams=tuple(streams), stats=total)

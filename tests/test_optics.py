@@ -1,15 +1,19 @@
 """Splitter, interferometer and detector kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonflow import optics
 from photonflow.conversion import ConversionConfig, dfg_wavelength
 from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.optics import (
+    JUMP_PIECE,
+    JUMP_STEPS,
     BeamSplitter,
     DetectorConfig,
     DetectStats,
@@ -292,6 +296,63 @@ class TestApplyDeadTime:
         want, want_vetoed = _dead_time_oracle(tags, dead)
         assert np.array_equal(kept, want)
         assert vetoed == want_vetoed
+
+    @given(veto_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_in_small_pieces(self, case):
+        # 7-tag pieces and a 2-step cap: the cases cross piece ends and hit the cap
+        tags, dead = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optics, "JUMP_PIECE", 7)
+            mp.setattr(optics, "JUMP_STEPS", 2)
+            kept, vetoed = apply_dead_time(tags, dead)
+        want, want_vetoed = _dead_time_oracle(tags, dead)
+        assert np.array_equal(kept, want)
+        assert vetoed == want_vetoed
+
+    @pytest.mark.parametrize("piece, steps", [(JUMP_PIECE, JUMP_STEPS), (7, 2), (1, 1)])
+    @given(case=veto_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_jump_table_is_the_binary_search(self, piece, steps, case):
+        tags, dead = case
+        tags = np.asarray(tags, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optics, "JUMP_PIECE", piece)
+            mp.setattr(optics, "JUMP_STEPS", steps)
+            jumps = optics._dead_time_jumps(tags, dead)
+        assert np.array_equal(jumps, np.searchsorted(tags, tags + dead, side="left"))
+
+    def test_full_size_pieces_match_the_loop(self):
+        # gaps of 10 under a dead time of 25 put two tags in most windows, so
+        # windows straddle every piece end; a burst of 20 equal tags straddles
+        # the second piece end, and the third piece is dense on average
+        n = 3 * JUMP_PIECE + 5
+        gaps = np.full(n, 10, dtype=np.int64)
+        gaps[2 * JUMP_PIECE - 10 : 2 * JUMP_PIECE + 10] = 0
+        gaps[2 * JUMP_PIECE + 20 :] = np.where(np.arange(n - 2 * JUMP_PIECE - 20) % 20, 0, 10)
+        tags = np.cumsum(gaps)
+        want_jumps = np.searchsorted(tags, tags + 25, side="left")
+        occupancy = want_jumps - np.arange(1, n + 1)
+        assert occupancy[JUMP_PIECE - 1] > 0 and occupancy[2 * JUMP_PIECE - 11] > JUMP_STEPS
+        assert np.array_equal(optics._dead_time_jumps(tags, 25), want_jumps)
+        kept, vetoed = apply_dead_time(tags, 25)
+        want, want_vetoed = _dead_time_oracle(tags, 25)
+        assert np.array_equal(kept, want)
+        assert vetoed == want_vetoed
+
+    def test_memory_stays_near_the_input(self):
+        # 10^6 Poisson tags with 0.111 tags per dead window keep about 90 %;
+        # a stream-sized ``tags + dead_time`` beside the table would need 2x
+        rng = np.random.default_rng(11)
+        tags = np.cumsum(rng.exponential(25_000 / 0.111, 1_000_000)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            kept, _ = apply_dead_time(tags, 25_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.88 < kept.size / tags.size < 0.92
+        assert peak < 1.5 * tags.nbytes
 
     def test_straddling_bursts_match_the_loop(self):
         # each burst straddles a segment start, so the segment is entered from
