@@ -315,7 +315,6 @@ class TestApplyDeadTime:
     @settings(max_examples=100, deadline=None)
     def test_jump_table_is_the_binary_search(self, piece, steps, case):
         tags, dead = case
-        tags = np.asarray(tags, dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optics, "JUMP_PIECE", piece)
             mp.setattr(optics, "JUMP_STEPS", steps)
