@@ -218,16 +218,12 @@ def _dead_time_jumps(tags_ps: np.ndarray, dead_time_ps: int) -> np.ndarray:
     ``tags[i + k] - tags[i] < dead_time``.  The table is built
     ``JUMP_PIECE`` tags at a time.  A piece stops at the first step that no
     window gains at, and the windows still gaining after
-    ``JUMP_STEPS`` steps take their value from binary search.  So does a
-    whole piece whose windows hold more than ``JUMP_STEPS`` tags on average.
+    ``JUMP_STEPS`` steps take their value from binary search.
     """
     n = tags_ps.size
     jumps = np.arange(1, n + 1)
     for s in range(0, n, JUMP_PIECE):
         e = min(s + JUMP_PIECE, n)
-        if dead_time_ps * (e - 1 - s) > JUMP_STEPS * int(tags_ps[e - 1] - tags_ps[s]):
-            jumps[s:e] = np.searchsorted(tags_ps, tags_ps[s:e] + dead_time_ps, side="left")
-            continue
         for k in range(1, JUMP_STEPS + 1):
             hi = min(e, n - k)
             if hi <= s:
@@ -267,8 +263,8 @@ def apply_dead_time(tags_ps: np.ndarray, dead_time_ps: int) -> tuple[np.ndarray,
        mark the kept tags.
 
     The jump table costs O(n · w) for windows holding w tags, up to
-    ``JUMP_STEPS``; only windows past that cap, and pieces denser than it on
-    average, use an O(log n) binary search each.  The walks cost O(n).
+    ``JUMP_STEPS``; only windows past that cap use an O(log n) binary
+    search each.  The walks cost O(n).
     Besides the input, memory is the table (8 bytes a tag) and a keep mask
     (1 byte a tag) while walking, and the mask and the kept tags while
     gathering, as the table is freed first: about 1.14 times the input's

@@ -291,24 +291,17 @@ class TestApplyDeadTime:
     @given(veto_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_loop(self, case):
+        # also in 7-tag pieces with a 2-step cap, where the cases cross piece
+        # ends and hit the cap
         tags, dead = case
-        kept, vetoed = apply_dead_time(tags, dead)
         want, want_vetoed = _dead_time_oracle(tags, dead)
-        assert np.array_equal(kept, want)
-        assert vetoed == want_vetoed
-
-    @given(veto_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_the_loop_in_small_pieces(self, case):
-        # 7-tag pieces and a 2-step cap: the cases cross piece ends and hit the cap
-        tags, dead = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optics, "JUMP_PIECE", 7)
-            mp.setattr(optics, "JUMP_STEPS", 2)
-            kept, vetoed = apply_dead_time(tags, dead)
-        want, want_vetoed = _dead_time_oracle(tags, dead)
-        assert np.array_equal(kept, want)
-        assert vetoed == want_vetoed
+        for piece, steps in [(JUMP_PIECE, JUMP_STEPS), (7, 2)]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optics, "JUMP_PIECE", piece)
+                mp.setattr(optics, "JUMP_STEPS", steps)
+                kept, vetoed = apply_dead_time(tags, dead)
+            assert np.array_equal(kept, want)
+            assert vetoed == want_vetoed
 
     @pytest.mark.parametrize("piece, steps", [(JUMP_PIECE, JUMP_STEPS), (7, 2), (1, 1)])
     @given(case=veto_cases())
@@ -324,7 +317,8 @@ class TestApplyDeadTime:
     def test_full_size_pieces_match_the_loop(self):
         # gaps of 10 under a dead time of 25 put two tags in most windows, so
         # windows straddle every piece end; a burst of 20 equal tags straddles
-        # the second piece end, and the third piece is dense on average
+        # the second piece end, and nearly every window of the third piece holds
+        # more tags than the step cap
         n = 3 * JUMP_PIECE + 5
         gaps = np.full(n, 10, dtype=np.int64)
         gaps[2 * JUMP_PIECE - 10 : 2 * JUMP_PIECE + 10] = 0
