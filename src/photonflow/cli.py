@@ -58,7 +58,11 @@ EXIT_FLAGGED = 3
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):  # 1 MiB reads: no file-sized bytes object
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class _Artifacts:

@@ -17,12 +17,16 @@ _HEADER = struct.Struct("<4sHHQ")
 
 
 def write_tagstream(path: str | Path, stream: TagStream) -> None:
-    """Write ``stream`` as unsigned 64-bit tags; a negative tag raises ConfigError."""
+    """Write ``stream`` as unsigned 64-bit tags; a negative tag raises ConfigError.
+
+    Non-negative int64 and uint64 share their little-endian bytes, so the tags
+    are written as they are, with no stream-sized copy.
+    """
     if len(stream) and stream.tags[0] < 0:  # tags are sorted, so the first is the least
         raise ConfigError(f"{path}: negative tag {stream.tags[0]} cannot be stored unsigned")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TAGSTREAM_MAGIC, TAGSTREAM_VERSION, stream.channel_id, len(stream)))
-        fh.write(stream.tags.astype("<u8").tobytes())
+        stream.tags.astype("<i8", copy=False).tofile(fh)
 
 
 def read_tagstream(path: str | Path) -> TagStream:
@@ -45,8 +49,7 @@ def read_tagstream(path: str | Path) -> TagStream:
 def write_histogram_csv(path: str | Path, hist: CoincidenceHistogram) -> None:
     with open(path, "w") as fh:
         fh.write("bin_center_ps,counts\n")
-        for center, count in zip(hist.bin_centers(), hist.counts):
-            fh.write(f"{center:.1f},{count}\n")
+        fh.writelines(f"{c:.1f},{n}\n" for c, n in zip(hist.bin_centers().tolist(), hist.counts.tolist()))
 
 
 def read_histogram_csv(path: str | Path) -> CoincidenceHistogram:

@@ -103,6 +103,7 @@ from .source import (
 
 BLOCK_PULSES = 65536
 PATH_DELAY_PS = 1_000_000
+FOLD_PIECE = 1 << 16  # tags folded at once by fold_decay
 
 
 @dataclass(frozen=True)
@@ -659,14 +660,20 @@ def irf_pipeline(pipe: Pipeline) -> Pipeline:
 
 
 def fold_decay(stream: TagStream, period_ps: float, bin_width_ps: int) -> CoincidenceHistogram:
-    """Fold tags modulo the pulse period into a decay histogram."""
+    """Fold tags modulo the pulse period into a decay histogram.
+
+    Tags are folded ``FOLD_PIECE`` at a time, so the float temporaries stay
+    piece-sized whatever the stream's length.
+    """
     n_bins = int(math.ceil(period_ps / bin_width_ps))
     span = n_bins * bin_width_ps
-    t = stream.tags.astype(np.float64)
-    rel = t - np.rint(t / period_ps) * period_ps  # [-period/2, period/2)
-    idx = np.floor((rel + span / 2.0) / bin_width_ps).astype(np.int64)
-    idx = np.clip(idx, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for start in range(0, stream.tags.size, FOLD_PIECE):
+        t = stream.tags[start : start + FOLD_PIECE].astype(np.float64)
+        rel = t - np.rint(t / period_ps) * period_ps  # [-period/2, period/2)
+        idx = np.floor((rel + span / 2.0) / bin_width_ps).astype(np.int64)
+        idx = np.clip(idx, 0, n_bins - 1)
+        counts += np.bincount(idx, minlength=n_bins)
     return CoincidenceHistogram(
         bin_width_ps=bin_width_ps,
         offset_ps=-span / 2.0 + bin_width_ps / 2.0,

@@ -106,6 +106,33 @@ class TestCrossCorrelate:
         with pytest.raises(ConfigError):
             cross_correlate(good, bad, 10, 1)
 
+    @pytest.mark.parametrize("at", ["piece_end", "last_tag"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_unsorted_across_pieces_rejected(self, at, side):
+        # the check runs in SORT_PIECE-tag pieces: a step back between two of
+        # them, or onto the last tag, is caught only if the pieces overlap
+        tags = np.arange(2 * correlate.SORT_PIECE + 10) * 1000
+        good, bad = stream(tags), stream(tags)
+        i = correlate.SORT_PIECE if at == "piece_end" else tags.size - 1
+        bad.tags[i] = bad.tags[i - 1] - 1  # mutate behind the constructor's check
+        with pytest.raises(ConfigError):
+            cross_correlate(*((bad, good) if side == "a" else (good, bad)), 1000, 10)
+
+    def test_memory_below_half_a_stream(self):
+        # hom-like density, about 7 pairs per tag: a pass holds a chunk's
+        # pairs, not a stream-sized temporary such as np.diff of a stream
+        rng = np.random.default_rng(11)
+        n, max_delay = 1 << 20, 527_400
+        a, b = (stream(np.cumsum(rng.integers(0, 4 * max_delay // 7, n))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            h = cross_correlate(a, b, max_delay, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 6 * n < h.total() < 8 * n
+        assert peak < a.tags.nbytes / 2
+
     def test_binning_validated(self):
         with pytest.raises(ConfigError):
             cross_correlate(stream([0]), stream([1]), max_delay_ps=10, bin_width_ps=3)

@@ -1,6 +1,7 @@
 """Block engine: determinism, conservation, and closed-loop physics checks."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -25,6 +26,7 @@ from photonflow.core import (
     ConfigError,
     PulseTrainConfig,
     RunSeed,
+    TagStream,
     Wavelength,
     substream,
 )
@@ -684,8 +686,6 @@ class TestTwoSourceMixture:
         for seed in (501, 502):
             pipe = make_pipeline(seed=seed, n_pulses=2_000_000, p_emit=0.2)
             streams.append(run_hbt(pipe, BeamSplitter(), det, det).streams)
-        from photonflow.core import TagStream
-
         merged = [
             TagStream(ch, np.sort(np.concatenate([streams[0][ch].tags, streams[1][ch].tags])))
             for ch in (0, 1)
@@ -786,6 +786,29 @@ class TestVisibilityRoundTrip:
             PERIOD,
         )
         assert abs(vis.v_corr - truth) <= 0.02
+
+
+class TestFoldDecay:
+    def test_pieces_match_the_whole_stream(self):
+        # the one-array fold is the reference; the stream ends mid-piece
+        rng = np.random.default_rng(12)
+        tags = np.sort(rng.integers(0, 10**11, 2 * pipeline.FOLD_PIECE + 123))
+        t = tags.astype(np.float64)
+        n_bins = int(math.ceil(PERIOD / 8))
+        rel = t - np.rint(t / PERIOD) * PERIOD
+        idx = np.clip(np.floor((rel + n_bins * 8 / 2.0) / 8).astype(np.int64), 0, n_bins - 1)
+        got = fold_decay(TagStream(channel_id=0, tags=tags), PERIOD, 8)
+        assert np.array_equal(got.counts, np.bincount(idx, minlength=n_bins))
+
+    def test_memory_below_the_stream(self):
+        stream = TagStream(channel_id=0, tags=np.arange(0, 1 << 20) * 13_001)
+        tracemalloc.start()
+        try:
+            fold_decay(stream, PERIOD, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stream.tags.nbytes / 2
 
 
 class TestLifetimeThroughConversion:
