@@ -126,7 +126,8 @@ def _base_report(cfg: RunConfig, result: RunResult) -> dict:
 def _correlate(cfg: RunConfig, art: _Artifacts, result: RunResult, name: str):
     """Correlate a two-detector run's streams, write ``NAME.csv`` and integrate its peaks."""
     hist = cross_correlate(
-        result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps
+        result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps,
+        workers=cfg.workers,
     )
     art.write_csv(f"{name}.csv", io.write_histogram_csv, hist)
     return hist, integrate_peaks(hist, cfg.train.period_ps, cfg.analysis.peak_half_window_ps)

@@ -90,6 +90,17 @@ class PulseTrainConfig:
         return int(self.pulse_start_ps(self.n_pulses))
 
 
+SORT_PIECE = 1 << 16  # tags per sortedness check; consecutive pieces share one tag
+
+
+def require_sorted(tags: np.ndarray) -> None:
+    """Raise ``ConfigError`` unless ``tags`` is non-decreasing, without a stream-sized temporary."""
+    for start in range(0, tags.size - 1, SORT_PIECE):
+        piece = tags[start : start + SORT_PIECE + 1]
+        if np.any(piece[1:] < piece[:-1]):
+            raise ConfigError("tags must be monotonically non-decreasing")
+
+
 @dataclass(frozen=True)
 class TagStream:
     """Sorted detection timestamps (integer ps) for one detector channel."""
@@ -102,8 +113,7 @@ class TagStream:
         object.__setattr__(self, "tags", tags)
         if tags.ndim != 1:
             raise ConfigError("tags must be a 1-d array")
-        if tags.size > 1 and np.any(np.diff(tags) < 0):
-            raise ConfigError("tags must be monotonically non-decreasing")
+        require_sorted(tags)
 
     def __len__(self) -> int:
         return int(self.tags.size)

@@ -1,6 +1,7 @@
 """Core types: histograms, RNG substreams, time arithmetic, file formats."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from photonflow import io
 from photonflow.core import (
+    SORT_PIECE,
     CoincidenceHistogram,
     ConfigError,
     PulseTrainConfig,
@@ -112,6 +114,26 @@ class TestTagStream:
     def test_equal_times_allowed(self):
         stream = TagStream(channel_id=0, tags=np.array([3, 3, 7]))
         assert len(stream) == 3
+
+    @pytest.mark.parametrize("at", ["piece_end", "last_tag"])
+    def test_step_back_across_pieces_rejected(self, at):
+        # the check runs in SORT_PIECE-tag pieces that share one tag
+        tags = np.arange(2 * SORT_PIECE + 10) * 1000
+        i = SORT_PIECE if at == "piece_end" else tags.size - 1
+        tags[i] = tags[i - 1] - 1
+        with pytest.raises(ConfigError):
+            TagStream(channel_id=0, tags=tags)
+
+    def test_construction_memory_below_a_quarter_of_the_stream(self):
+        # no stream-sized temporary such as np.diff of the tags
+        tags = np.arange(1 << 20, dtype=np.int64) * 1000
+        tracemalloc.start()
+        try:
+            TagStream(channel_id=0, tags=tags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tags.nbytes / 4
 
     def test_binary_roundtrip(self, tmp_path):
         stream = TagStream(channel_id=3, tags=np.array([0, 17, 17, 2**50]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonflow import correlate
+from photonflow import core, correlate
 from photonflow.core import ConfigError, TagStream
 from photonflow.correlate import cross_correlate
 
@@ -56,11 +56,13 @@ class TestCrossCorrelate:
         a=st.lists(st.integers(0, 2000), min_size=1, max_size=80),
         b=st.lists(st.integers(0, 2000), min_size=1, max_size=80),
         bin_width=st.sampled_from([1, 5, 25]),
+        workers=st.integers(1, 4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force_property(self, a, b, bin_width):
+    def test_matches_brute_force_property(self, a, b, bin_width, workers):
+        # a stream A shorter than ``workers`` leaves some threads an empty range
         max_delay = bin_width * 40
-        got = cross_correlate(stream(a), stream(b), max_delay, bin_width)
+        got = cross_correlate(stream(a), stream(b), max_delay, bin_width, workers=workers)
         expected = brute_force(np.sort(np.asarray(a)), np.sort(np.asarray(b)), max_delay, bin_width)
         assert np.array_equal(got.counts, expected)
 
@@ -83,6 +85,10 @@ class TestCrossCorrelate:
         monkeypatch.setattr(correlate, "MAX_PAIRS", 3)
         h3 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=10**6)
         assert np.array_equal(h3.counts, h2.counts)
+        # split over threads, with chunk ends and pair cuts inside every thread's range
+        for workers in (2, 3):
+            h4 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=17, workers=workers)
+            assert np.array_equal(h4.counts, h2.counts)
 
     def test_memory_does_not_grow_with_the_window(self):
         # every tag of A sees every tag of B: one 2048-tag chunk holds
@@ -111,9 +117,9 @@ class TestCrossCorrelate:
     def test_unsorted_across_pieces_rejected(self, at, side):
         # the check runs in SORT_PIECE-tag pieces: a step back between two of
         # them, or onto the last tag, is caught only if the pieces overlap
-        tags = np.arange(2 * correlate.SORT_PIECE + 10) * 1000
+        tags = np.arange(2 * core.SORT_PIECE + 10) * 1000
         good, bad = stream(tags), stream(tags)
-        i = correlate.SORT_PIECE if at == "piece_end" else tags.size - 1
+        i = core.SORT_PIECE if at == "piece_end" else tags.size - 1
         bad.tags[i] = bad.tags[i - 1] - 1  # mutate behind the constructor's check
         with pytest.raises(ConfigError):
             cross_correlate(*((bad, good) if side == "a" else (good, bad)), 1000, 10)
@@ -124,14 +130,16 @@ class TestCrossCorrelate:
         rng = np.random.default_rng(11)
         n, max_delay = 1 << 20, 527_400
         a, b = (stream(np.cumsum(rng.integers(0, 4 * max_delay // 7, n))) for _ in range(2))
-        tracemalloc.start()
-        try:
-            h = cross_correlate(a, b, max_delay, 100)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 6 * n < h.total() < 8 * n
-        assert peak < a.tags.nbytes / 2
+        # on two threads at most one pass per thread is alive, about 5 MB
+        for workers, bound in ((1, a.tags.nbytes / 2), (2, a.tags.nbytes)):
+            tracemalloc.start()
+            try:
+                h = cross_correlate(a, b, max_delay, 100, workers=workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 6 * n < h.total() < 8 * n
+            assert peak < bound
 
     def test_binning_validated(self):
         with pytest.raises(ConfigError):

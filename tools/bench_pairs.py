@@ -10,8 +10,11 @@ once in each checkout, the parent first in even pairs and the change first in
 odd ones, so slow phases of a shared machine fall on both sides alike.  S is
 ``run_seconds`` from the change's BENCHMARK.json.  Every run is written to
 ``BENCH_<label>.json`` in CHANGE_DIR, and the median [q1, q3] of each
-end-to-end metric per side, with the change's wins out of the pairs, is
-printed.
+end-to-end metric per side is printed with the change's wins out of the
+pairs, whether that is a gain (at least 9 wins in 10 pairs and medians apart
+by more than the parent's interquartile range), whether the change's median
+is worse than the parent's by more than the metric's ``bound``, and the
+failed/attempted samples on each side.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import subprocess
 import sys
 from importlib.metadata import version
 from pathlib import Path
-from statistics import median, quantiles
+from statistics import quantiles
 
 PER_SAMPLE = "untraced run_s per sample (s):"
 
@@ -49,24 +52,47 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """q1, median and q3 (inclusive method; a single value is all three)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per end-to-end metric: parent -> change median [q1, q3] and the change's wins."""
+    """Per end-to-end metric: parent -> change median [q1, q3], the change's wins and two verdicts.
+
+    A gain needs the change to win at least 9 of every 10 pairs (ties count
+    for neither side) and its median to be better than the parent's by more
+    than the parent's interquartile range.  Worse-than-bound means the change's
+    median is worse than the parent's by more than the metric's relative
+    ``bound``.  A last line gives the failed/attempted samples on each side.
+    """
     rows = []
     for metric in metrics:
         name = metric["name"]
         both = [p for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         if not both:
             continue
-        sides = {side: [p[side]["metrics"][name] for p in both] for side in ("parent", "change")}
+        sides = {side: quartiles([p[side]["metrics"][name] for p in both]) for side in ("parent", "change")}
         sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name]) < 0 for p in both)
+        (p_q1, p_med, p_q3), c_med = sides["parent"], sides["change"][1]
+        worsening = sign * (c_med - p_med)  # negative when the change is better
+        gain = 10 * wins >= 9 * len(both) and -worsening > p_q3 - p_q1
+        bound = metric.get("bound")
+        worse = "no bound" if bound is None else "yes" if worsening > bound * abs(p_med) else "no"
 
-        def spread(values):
-            q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-            return f"{median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+        def spread(q):
+            return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
         rows.append(f"  {name:<14} {spread(sides['parent'])} -> {spread(sides['change'])}"
-                    f"  change better in {wins}/{len(both)}")
+                    f"  change better in {wins}/{len(both)}; gain: {'yes' if gain else 'no'};"
+                    f" worse than bound: {worse}")
+    failed = {side: (sum(p[side]["failed"] for p in pairs), sum(p[side]["attempted"] for p in pairs))
+              for side in ("parent", "change")}
+    rows.append("  samples failed/attempted: " + ", ".join(f"{side} {f}/{a}" for side, (f, a) in failed.items()))
     return rows
 
 
