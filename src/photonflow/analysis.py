@@ -26,7 +26,6 @@ class PeakIntegration:
     """Counts summed in windows around integer multiples of the pulse period."""
 
     peak_centers_ps: np.ndarray
-    half_window_ps: int
     areas: np.ndarray
 
     def area_at(self, delay_ps: float, rep_period_ps: float) -> tuple[int, int]:
@@ -57,7 +56,7 @@ def integrate_peaks(
     hi = np.searchsorted(centers, peak_centers + reach, side="right")
     cumulative = np.concatenate([[0], np.cumsum(h.counts)])
     areas = cumulative[hi] - cumulative[lo]
-    return PeakIntegration(peak_centers_ps=peak_centers, half_window_ps=half_window_ps, areas=areas)
+    return PeakIntegration(peak_centers_ps=peak_centers, areas=areas)
 
 
 @dataclass(frozen=True)

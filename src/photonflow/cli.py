@@ -194,7 +194,7 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
 
 def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
-    pipe, ifo = cfg.pipeline(), cfg.interferometer()
+    pipe = cfg.pipeline()
     polarizations = {
         "hom_co": (PolarizationConfig.CO,),
         "hom_cross": (PolarizationConfig.CROSS,),
@@ -202,7 +202,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     }[cfg.experiment]
 
     # one engine pass serves every polarization setting
-    paired = run_hom(pipe, ifo, polarizations, cfg.det1, cfg.det2, workers=cfg.workers)
+    paired = run_hom(pipe, cfg.ifo, polarizations, cfg.det1, cfg.det2, workers=cfg.workers)
     # the shared counts, each setting's tag counts, then its peak areas
     report = _base_report(cfg, paired)
     histograms: dict[str, object] = {}
@@ -219,7 +219,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     if cfg.experiment == "hom_paired":
         g2 = expected_source_g2(pipe)
         vis = estimate_visibility(
-            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, ifo, g2, cfg.train.period_ps
+            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, cfg.ifo, g2, cfg.train.period_ps
         )
         if vis.flagged:
             flag = "corrected value outside [0, 1.05]"
@@ -232,7 +232,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
                 "v_corr": vis.v_corr,
                 "v_corr_err": vis.v_corr_err,
                 "calib_g2": g2,
-                "calib_epsilon": ifo.epsilon,
+                "calib_epsilon": cfg.ifo.epsilon,
                 "flagged": int(vis.flagged),
             }
         )

@@ -6,8 +6,9 @@ and every physical quantity carries its unit in the key name so a config cannot
 be silently misread.  ``load_config`` resolves the file into one table,
 section -> key -> value, holding every key of every section the run uses
 (given or defaulted), the computed defaults and the seed/worker overrides.
-The config objects are built from that table by field name, and
-``photonflow run --dry-run`` prints it.
+The config objects, the interferometer among them, are built from that table
+by field name, and ``photonflow run --dry-run`` prints it.  The optics and the
+analysis windows are validated here too, before a run writes any output.
 """
 
 from __future__ import annotations
@@ -143,10 +144,7 @@ class RunConfig:
     emitter: EmitterConfig | None
     conversion: ConversionConfig | None
     bs: BeamSplitter
-    bs1: BeamSplitter
-    bs2: BeamSplitter
-    arm_delay_ps: int
-    classical_visibility: float
+    ifo: HomInterferometer
     det1: DetectorConfig
     det2: DetectorConfig
     analysis: AnalysisParams
@@ -161,14 +159,6 @@ class RunConfig:
             raise ConfigError("this experiment has no emitter section")
         return Pipeline(
             emitter=self.emitter, train=self.train, seed=self.seed, conversion=self.conversion
-        )
-
-    def interferometer(self) -> HomInterferometer:
-        return HomInterferometer(
-            bs_in=self.bs1,
-            bs_out=self.bs2,
-            arm_delay_ps=self.arm_delay_ps,
-            classical_visibility=self.classical_visibility,
         )
 
     def bounds_measurement(self) -> BoundsMeasurement | None:
@@ -310,20 +300,25 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
         analysis["max_delay_ps"] = bin_width * -(-(horizon + 2 * period) // bin_width)
     if analysis["max_delay_ps"] % analysis["bin_width_ps"] != 0:
         raise ConfigError(f"{path}: max_delay_ps must be a multiple of bin_width_ps")
+    # peaks are integrated after the run, so their windows are checked here
+    if run["experiment"] == "hbt" or run["experiment"].startswith("hom"):
+        if not 0 <= 2 * analysis["peak_half_window_ps"] < train.period_ps:
+            raise ConfigError(f"{path}: peak_half_window_ps must lie in [0, period / 2)")
+    if run["experiment"] == "hbt" and not abs(analysis["g2_reference_delay_ps"]) > train.period_ps / 2:
+        raise ConfigError(f"{path}: g2_reference_delay_ps must lie more than half a period from 0")
 
     optics = dict(optics)
-    splitters = {
-        name: BeamSplitter(optics.pop(f"{name}_r"), optics.pop(f"{name}_t"))
-        for name in ("bs", "bs1", "bs2")
-    }
+    bs, bs_in, bs_out = (
+        BeamSplitter(optics.pop(f"{name}_r"), optics.pop(f"{name}_t")) for name in ("bs", "bs1", "bs2")
+    )
     return RunConfig(
         **{key: value for key, value in run.items() if key != "seed"},
         seed=RunSeed(run["seed"]),
         train=train,
         emitter=emitter,
         conversion=conversion,
-        **splitters,
-        **optics,
+        bs=bs,
+        ifo=HomInterferometer(bs_in, bs_out, **optics),
         det1=det1,
         det2=det2,
         analysis=AnalysisParams(**analysis),

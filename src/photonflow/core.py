@@ -49,10 +49,6 @@ class Wavelength:
     def frequency_ghz(self) -> float:
         return C_NM_GHZ / self.nm
 
-    @classmethod
-    def from_frequency_ghz(cls, freq: float) -> "Wavelength":
-        return cls(C_NM_GHZ / freq)
-
 
 @dataclass(frozen=True)
 class PulseTrainConfig:

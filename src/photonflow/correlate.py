@@ -8,6 +8,7 @@ import numpy as np
 
 from .core import CoincidenceHistogram, ConfigError, TagStream, require_sorted
 
+CHUNK_TAGS = 1 << 14  # tags of stream A per pass
 MAX_PAIRS = 1 << 20  # pairs enumerated at once: two int64 arrays of 8 MB each
 
 
@@ -16,7 +17,6 @@ def cross_correlate(
     b: TagStream,
     max_delay_ps: int,
     bin_width_ps: int,
-    chunk_size: int = 1 << 14,
     workers: int = 1,
 ) -> CoincidenceHistogram:
     """Histogram of delays (t_b - t_a) over [-max_delay, +max_delay).
@@ -24,7 +24,7 @@ def cross_correlate(
     Both streams must be sorted.  A sliding window located with binary search
     visits each qualifying pair exactly once, so the cost is
     O(n log m + pairs) and the result is identical to brute-force enumeration.
-    Work proceeds in passes over ``chunk_size`` tags of stream A, split where
+    Work proceeds in passes over ``CHUNK_TAGS`` tags of stream A, split where
     their running pair count passes a multiple of ``MAX_PAIRS``.  A pass holds
     at most two int64 arrays of its pairs (16 bytes per pair, for at most
     ``MAX_PAIRS`` pairs plus those of one tag of A), a few int64 arrays of its
@@ -53,9 +53,9 @@ def cross_correlate(
     def count(i0: int, i1: int) -> np.ndarray:
         """Counts of the pairs whose A tag has an index in [i0, i1)."""
         counts = np.zeros(n_bins, dtype=np.int64)
-        for start in range(i0, i1, chunk_size):
+        for start in range(i0, i1, CHUNK_TAGS):
             # earliest B tag each A tag reaches
-            first = ta[start : min(start + chunk_size, i1)] - max_delay_ps
+            first = ta[start : min(start + CHUNK_TAGS, i1)] - max_delay_ps
             lo = np.searchsorted(tb, first, side="left")
             per = np.searchsorted(tb, first + 2 * max_delay_ps, side="left") - lo
             ends = np.cumsum(per)

@@ -5,8 +5,9 @@ photons can reach the two detectors: through the plain splitter (purity setup)
 or through the two arms of the delay-matched interferometer (the four path
 combinations of a consecutive-pulse photon pair).  These expressions give the
 central-peak ratio a source should show and the correction coefficients that
-the visibility estimator inverts.  Detector efficiencies cancel in all area
-ratios but are accepted for completeness.
+the visibility estimator inverts.  Splitter ratios and detector efficiencies
+scale both the central and the side areas of the splitter setup alike, so its
+ratio takes neither.
 """
 
 from __future__ import annotations
@@ -21,55 +22,25 @@ if TYPE_CHECKING:
     from .pipeline import Pipeline
 
 
-@dataclass(frozen=True)
-class HbtExpectation:
-    """Per-pulse click and coincidence probabilities in the splitter setup."""
-
-    central: float  # P(d1 and d2 click in the same pulse)
-    side: float  # P(d1 at pulse i, d2 at pulse i+k), k != 0, leading order
-    click1: float
-    click2: float
-
-    @property
-    def g2(self) -> float:
-        return self.central / self.side
-
-
-def hbt_expected(
-    p_emit: float,
-    p_multi: float,
-    r: float = 0.5,
-    t: float = 0.5,
-    surv_signal: float = 1.0,
-    surv_multi: float = 1.0,
-    eff1: float = 1.0,
-    eff2: float = 1.0,
-) -> HbtExpectation:
-    """Expected areas for a splitter with reflectance r (to detector 1).
+def splitter_g2(p_emit: float, p_multi: float, surv_signal: float, surv_multi: float) -> float:
+    """Central-to-side area ratio of the splitter setup, written out for a balanced splitter.
 
     ``surv_signal``/``surv_multi`` are the per-photon survival probabilities
     of any stage between the emitter and the splitter (e.g. conversion and
     filtering, which differ for the spectrally offset companion).
     """
-    if r + t > 1.0 + 1e-12:
-        raise ConfigError("splitter must have R + T <= 1")
     q2 = p_emit * p_multi  # joint probability of a signal+companion pair
-    a1, a2 = surv_signal * r * eff1, surv_signal * t * eff2
-    b1, b2 = surv_multi * r * eff1, surv_multi * t * eff2
-
-    central = q2 * (a1 * b2 + a2 * b1)
-    # expected tag counts per pulse (linear, so efficiencies cancel in ratios)
-    click1 = p_emit * a1 + q2 * b1
-    click2 = p_emit * a2 + q2 * b2
-    return HbtExpectation(central=central, side=click1 * click2, click1=click1, click2=click2)
+    a, b = surv_signal * 0.5, surv_multi * 0.5  # a signal's and a companion's chance of each port
+    clicks = p_emit * a + q2 * b  # expected tags per pulse at either detector
+    # central: signal and companion on different ports; side: one click on each
+    return q2 * (2 * a * b) / (clicks * clicks)
 
 
 def expected_source_g2(pipe: Pipeline) -> float:
     """Central-peak ratio this pipeline's source should show in a splitter setup.
 
     Used as the calibration input of the visibility correction; mirrors an
-    independently measured purity value.  The ratio does not depend on the
-    splitter, so a balanced one is assumed.
+    independently measured purity value.
     """
     surv_signal = surv_multi = 1.0
     if pipe.conversion is not None:
@@ -80,9 +51,7 @@ def expected_source_g2(pipe: Pipeline) -> float:
         )
     if pipe.emitter.p_multi == 0:
         return 0.0
-    return hbt_expected(
-        pipe.emitter.p_emit, pipe.emitter.p_multi, 0.5, 0.5, surv_signal, surv_multi
-    ).g2
+    return splitter_g2(pipe.emitter.p_emit, pipe.emitter.p_multi, surv_signal, surv_multi)
 
 
 @dataclass(frozen=True)

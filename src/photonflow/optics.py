@@ -182,9 +182,9 @@ def register_arrivals(
     arrivals_ps: np.ndarray,
     u_eff: np.ndarray,
     z_jitter: np.ndarray,
-    stats: DetectStats | None = None,
+    stats: DetectStats,
 ) -> np.ndarray:
-    """Efficiency thinning plus Gaussian IRF jitter; returns unsorted tag times.
+    """Efficiency thinning plus Gaussian IRF jitter; returns unsorted tag times, counted into ``stats``.
 
     Efficiency 1 keeps every arrival and reads no ``u_eff``; zero jitter reads
     no ``z_jitter``.
@@ -195,10 +195,9 @@ def register_arrivals(
         tags, z_jitter = arrivals_ps[mask], z_jitter[mask]
     if cfg.irf_sigma_ps > 0:
         tags = tags + np.rint(z_jitter * cfg.irf_sigma_ps).astype(np.int64)
-    if stats is not None:
-        stats.n_in += int(arrivals_ps.size)
-        stats.registered += int(tags.size)
-        stats.undetected += int(arrivals_ps.size - tags.size)
+    stats.n_in += int(arrivals_ps.size)
+    stats.registered += int(tags.size)
+    stats.undetected += int(arrivals_ps.size - tags.size)
     return tags
 
 

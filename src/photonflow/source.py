@@ -129,15 +129,13 @@ class EmissionBlock:
     The first ``n_signal`` entries are the signal photons, one per emitting
     pulse, and the rest the companions, each part in pulse order.  ``pulse``
     is the photon's offset from the range's first pulse and ``env_ps`` its
-    envelope start.  ``time_ps`` is quantized to the 1 ps recording grid;
-    ``time_exact_ps`` keeps the continuous sample for analyses of the
-    emission law itself.
+    envelope start.  ``time_ps`` is the emission time rounded to the 1 ps
+    recording grid.
     """
 
     n_signal: int
     pulse: np.ndarray
     time_ps: np.ndarray
-    time_exact_ps: np.ndarray
     env_ps: np.ndarray
     detuning_ghz: np.ndarray
 
@@ -213,7 +211,7 @@ def sample_emission(
         det[part] = _sample_cauchy(cfg.dephasing_linewidth_ghz, rows)
     det += wander_ghz[pulse] if np.ndim(wander_ghz) else wander_ghz
     det[k:] += cfg.multi_detuning_offset_ghz
-    return EmissionBlock(k, pulse, np.rint(exact).astype(np.int64), exact, env, det)
+    return EmissionBlock(k, pulse, np.rint(exact).astype(np.int64), env, det)
 
 
 def temporal_jitter_overlap(pulse_width_ps: float, tau_ps: float) -> float:

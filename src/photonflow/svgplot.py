@@ -21,7 +21,6 @@ class Series:
     y: list
     label: str = ""
     style: str = "line"  # line | points | dashed
-    color: str | None = None
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -66,7 +65,7 @@ def write_svg_plot(
     ylabel: str,
 ) -> None:
     series = [
-        Series(*_downsample(list(s.x), list(s.y)), label=s.label, style=s.style, color=s.color)
+        Series(*_downsample(list(s.x), list(s.y)), label=s.label, style=s.style)
         for s in series
         if len(s.x)
     ]
@@ -121,7 +120,7 @@ def write_svg_plot(
     )
 
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         pts = [(sx(xv), sy(yv)) for xv, yv in zip(s.x, s.y)]
         if s.style == "points":
             out.extend(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>' for px, py in pts)

@@ -13,16 +13,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from photonflow.core import CoincidenceHistogram, ConfigError
-from photonflow.enumeration import VisibilityModel, hbt_expected
+from photonflow.enumeration import VisibilityModel, splitter_g2
 
 
 def calibrate_p_multi(
-    target_g2: float,
-    p_emit: float,
-    r: float = 0.5,
-    t: float = 0.5,
-    surv_signal: float = 1.0,
-    surv_multi: float = 1.0,
+    target_g2: float, p_emit: float, surv_signal: float = 1.0, surv_multi: float = 1.0
 ) -> float:
     """Companion probability that yields the target central-peak ratio.
 
@@ -36,7 +31,7 @@ def calibrate_p_multi(
         raise ConfigError("target g2 must be in [0, 1)")
 
     def deficit(p_multi: float) -> float:
-        return hbt_expected(p_emit, p_multi, r, t, surv_signal, surv_multi).g2 - target_g2
+        return splitter_g2(p_emit, p_multi, surv_signal, surv_multi) - target_g2
 
     hi = min(1.0, p_emit)
     if deficit(hi) < 0:

@@ -188,6 +188,40 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def run_with(tmp_path, name, section, key, value):
+        """Exit code of the profile ``name`` run with ``[section] key = value``, into ``tmp_path/out``."""
+        text = re.sub(rf"(?m)^{key} = .*\n", "", cli_config_text(name))
+        path = write_config(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        return cli.main(["run", str(path), "--output", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("name", ["hom_930", "hbt_930"])
+    def test_interferometer_checked_at_load(self, tmp_path, capsys, name):
+        # the interferometer is built at load for every experiment, so a
+        # visibility above 1 stops the run before its output directory exists
+        assert self.run_with(tmp_path, name, "optics", "classical_visibility", 1.5) == cli.EXIT_CONFIG
+        assert "classical_visibility" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("hbt_930", "peak_half_window_ps", 8000),
+            ("hom_930", "peak_half_window_ps", 8000),
+            ("hbt_930", "peak_half_window_ps", -2000),
+            ("hbt_930", "g2_reference_delay_ps", 0),
+            ("hbt_930", "g2_reference_delay_ps", -6000),
+        ],
+    )
+    def test_analysis_windows_checked_at_load(self, tmp_path, capsys, name, key, value):
+        # peak windows wider than half the 13.7 ns period overlap, a negative
+        # one gives negative areas, and a g2 reference within half a period
+        # of 0 names the central peak: each stops the run before it
+        # simulates or writes anything
+        assert self.run_with(tmp_path, name, "analysis", key, value) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_and_workers_override(self, tmp_path):
         path = write_config(tmp_path, HBT_CONFIG, outdir=tmp_path / "out")
         cfg = load_config(path, seed_override=999, workers_override=4)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from photonflow import io
 from photonflow.core import (
+    C_NM_GHZ,
     SORT_PIECE,
     CoincidenceHistogram,
     ConfigError,
@@ -78,7 +79,7 @@ class TestWavelength:
     @settings(max_examples=100, deadline=None)
     def test_frequency_roundtrip_within_ppb(self, nm):
         wl = Wavelength(nm)
-        back = Wavelength.from_frequency_ghz(wl.frequency_ghz)
+        back = Wavelength(C_NM_GHZ / wl.frequency_ghz)
         assert abs(back.nm - nm) / nm < 1e-9
 
 

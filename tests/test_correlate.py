@@ -78,16 +78,19 @@ class TestCrossCorrelate:
         rng = np.random.default_rng(8)
         a = np.sort(rng.integers(0, 10**6, 5000))
         b = np.sort(rng.integers(0, 10**6, 5000))
-        h1 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=17)
-        h2 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=10**6)
+        monkeypatch.setattr(correlate, "CHUNK_TAGS", 17)
+        h1 = cross_correlate(stream(a), stream(b), 1000, 10)
+        monkeypatch.setattr(correlate, "CHUNK_TAGS", 10**6)
+        h2 = cross_correlate(stream(a), stream(b), 1000, 10)
         assert np.array_equal(h1.counts, h2.counts)
         # a cap below most tags' pair counts cuts the chunk into pieces, some of them empty
         monkeypatch.setattr(correlate, "MAX_PAIRS", 3)
-        h3 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=10**6)
+        h3 = cross_correlate(stream(a), stream(b), 1000, 10)
         assert np.array_equal(h3.counts, h2.counts)
+        monkeypatch.setattr(correlate, "CHUNK_TAGS", 17)
         # split over threads, with chunk ends and pair cuts inside every thread's range
         for workers in (2, 3):
-            h4 = cross_correlate(stream(a), stream(b), 1000, 10, chunk_size=17, workers=workers)
+            h4 = cross_correlate(stream(a), stream(b), 1000, 10, workers=workers)
             assert np.array_equal(h4.counts, h2.counts)
 
     def test_memory_does_not_grow_with_the_window(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from photonflow.config import load_config
 from photonflow.core import ConfigError
-from photonflow.enumeration import expected_source_g2, hbt_expected, visibility_model
+from photonflow.enumeration import expected_source_g2, splitter_g2, visibility_model
 
 from oracles import (
     calibrate_p_multi,
@@ -24,27 +24,30 @@ from oracles import (
 class TestHbtExpected:
     def test_first_order_relation(self):
         # central-to-side ratio is 2 p_multi / p_emit to first order
-        expected = hbt_expected(0.5, 0.012)
-        assert expected.g2 == pytest.approx(2 * 0.012 / 0.5, rel=0.05)
+        assert splitter_g2(0.5, 0.012, 1.0, 1.0) == pytest.approx(2 * 0.012 / 0.5, rel=0.05)
 
     def test_detector_efficiencies_cancel(self):
-        a = hbt_expected(0.4, 0.01, eff1=1.0, eff2=1.0)
-        b = hbt_expected(0.4, 0.01, eff1=0.3, eff2=0.9)
-        assert a.g2 == pytest.approx(b.g2, rel=1e-9)
+        # the areas of a splitter with reflectance r (to detector 1) and
+        # efficiencies eff1, eff2 give the balanced, ideal splitter's ratio
+        p_emit, p_multi, surv_signal, surv_multi = 0.4, 0.01, 0.9, 0.6
+        q2 = p_emit * p_multi
+        balanced = splitter_g2(p_emit, p_multi, surv_signal, surv_multi)
+        for r, t, eff1, eff2 in ((0.5, 0.5, 0.3, 0.9), (0.3, 0.6, 1.0, 1.0), (0.7, 0.2, 0.8, 0.5)):
+            a1, a2 = surv_signal * r * eff1, surv_signal * t * eff2
+            b1, b2 = surv_multi * r * eff1, surv_multi * t * eff2
+            central = q2 * (a1 * b2 + a2 * b1)
+            side = (p_emit * a1 + q2 * b1) * (p_emit * a2 + q2 * b2)
+            assert central / side == pytest.approx(balanced, rel=1e-12)
 
     def test_survival_asymmetry_enters(self):
-        balanced = hbt_expected(0.4, 0.01)
-        filtered = hbt_expected(0.4, 0.01, surv_signal=1.0, surv_multi=0.5)
-        assert filtered.g2 < balanced.g2
+        assert splitter_g2(0.4, 0.01, 1.0, 0.5) < splitter_g2(0.4, 0.01, 1.0, 1.0)
 
     def test_calibration_roundtrip(self):
         for target in (0.005, 0.02, 0.1):
             pm = calibrate_p_multi(target, 0.3)
-            assert hbt_expected(0.3, pm).g2 == pytest.approx(target, rel=1e-10)
+            assert splitter_g2(0.3, pm, 1.0, 1.0) == pytest.approx(target, rel=1e-10)
         pm = calibrate_p_multi(0.024, 0.25, surv_signal=0.417, surv_multi=0.383)
-        assert hbt_expected(0.25, pm, surv_signal=0.417, surv_multi=0.383).g2 == pytest.approx(
-            0.024, rel=1e-10
-        )
+        assert splitter_g2(0.25, pm, 0.417, 0.383) == pytest.approx(0.024, rel=1e-10)
 
     def test_unreachable_target(self):
         # a bright source cannot exceed the ratio 2 p_multi/(1 + p_multi)^2

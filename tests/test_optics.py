@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from photonflow import optics
 from photonflow.conversion import ConversionConfig, dfg_wavelength
-from photonflow.core import ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
+from photonflow.core import C_NM_GHZ, ConfigError, PulseTrainConfig, RunSeed, Wavelength, substream
 from photonflow.optics import (
     JUMP_PIECE,
     JUMP_STEPS,
@@ -85,7 +85,7 @@ def hom_pipeline(filter_center_offset_ghz):
     center = dfg_wavelength(emitter.wavelength, pump).frequency_ghz + filter_center_offset_ghz
     conversion = ConversionConfig(
         pump_wavelength=pump, pump_power_mw=327.0, eta_max=0.417, p_sat_mw=327.0,
-        filter_fwhm_ghz=2.0, filter_center=Wavelength.from_frequency_ghz(center), noise_rate_cps=5e6,
+        filter_fwhm_ghz=2.0, filter_center=Wavelength(C_NM_GHZ / center), noise_rate_cps=5e6,
     )
     return Pipeline(
         emitter=emitter,
@@ -232,7 +232,7 @@ class TestDetect:
         cfg = DetectorConfig(efficiency=1.0, irf_sigma_ps=sigma)
         u = rng.random(n)
         z = rng.standard_normal(n)
-        tags = register_arrivals(cfg, emit, u, z)
+        tags = register_arrivals(cfg, emit, u, z, DetectStats())
         added = tags.var() - photons_var
         assert abs(tags.mean() - emit.mean()) < 3 * sigma / math.sqrt(n)
         assert abs(added - sigma**2) < 0.05 * sigma**2

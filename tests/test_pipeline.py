@@ -31,7 +31,7 @@ from photonflow.core import (
     substream,
 )
 from photonflow.correlate import cross_correlate
-from photonflow.enumeration import hbt_expected, visibility_model
+from photonflow.enumeration import splitter_g2, visibility_model
 from photonflow.optics import BeamSplitter, DetectorConfig, HomInterferometer, PolarizationConfig
 from photonflow.pipeline import (
     Pipeline,
@@ -470,7 +470,7 @@ class TestDrawBudget:
 
     def test_hom_930_paired(self, monkeypatch):
         cfg, pipe = self.profile("hom_930.cfg")
-        run = partial(run_hom, pipe, cfg.interferometer(), PAIRED, cfg.det1, cfg.det2)
+        run = partial(run_hom, pipe, cfg.ifo, PAIRED, cfg.det1, cfg.det2)
         per_pulse = self.draws_per_pulse(monkeypatch, run)
         assert per_pulse <= 5.0  # 18 with one row per pulse
 
@@ -782,7 +782,7 @@ class TestVisibilityRoundTrip:
             integrate_peaks(hists[PolarizationConfig.CROSS], PERIOD, 2000),
             500_000,
             ifo,
-            hbt_expected(p_emit, p_multi).g2,
+            splitter_g2(p_emit, p_multi, 1.0, 1.0),
             PERIOD,
         )
         assert abs(vis.v_corr - truth) <= 0.02
