@@ -56,6 +56,9 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FLAGGED = 3
 
+# the saturation plot's ideal band spans this fraction below the loss budget's transmission
+IDEAL_BAND_FRACTION = 0.05
+
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -126,7 +129,7 @@ def _base_report(cfg: RunConfig, result: RunResult) -> dict:
 def _correlate(cfg: RunConfig, art: _Artifacts, result: RunResult, name: str):
     """Correlate a two-detector run's streams, write ``NAME.csv`` and integrate its peaks."""
     hist = cross_correlate(
-        result.streams[0], result.streams[1], cfg.analysis.max_delay_ps, cfg.analysis.bin_width_ps,
+        result.streams[0], result.streams[1], cfg.analysis.window_ps, cfg.analysis.bin_width_ps,
         workers=cfg.workers,
     )
     art.write_csv(f"{name}.csv", io.write_histogram_csv, hist)
@@ -195,13 +198,9 @@ def _run_hbt(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
 def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     pipe = cfg.pipeline()
-    polarizations = {
-        "hom_co": (PolarizationConfig.CO,),
-        "hom_cross": (PolarizationConfig.CROSS,),
-        "hom_paired": (PolarizationConfig.CO, PolarizationConfig.CROSS),
-    }[cfg.experiment]
+    polarizations = (PolarizationConfig.CO, PolarizationConfig.CROSS)
 
-    # one engine pass serves every polarization setting
+    # one engine pass serves both polarization settings
     paired = run_hom(pipe, cfg.ifo, polarizations, cfg.det1, cfg.det2, workers=cfg.workers)
     # the shared counts, each setting's tag counts, then its peak areas
     report = _base_report(cfg, paired)
@@ -215,52 +214,38 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
         report[f"central_area_{tag}"], _ = setting_peaks.area_at(0.0, cfg.train.period_ps)
         report[f"norm_area_{tag}"], _ = setting_peaks.area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
 
-    flag = ""
-    if cfg.experiment == "hom_paired":
-        g2 = expected_source_g2(pipe)
-        vis = estimate_visibility(
-            peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, cfg.ifo, g2, cfg.train.period_ps
-        )
-        if vis.flagged:
-            flag = "corrected value outside [0, 1.05]"
-        report.update(
-            {
-                "a_par": vis.a_par,
-                "a_perp": vis.a_perp,
-                "v_raw": vis.v_raw,
-                "v_raw_err": vis.v_raw_err,
-                "v_corr": vis.v_corr,
-                "v_corr_err": vis.v_corr_err,
-                "calib_g2": g2,
-                "calib_epsilon": cfg.ifo.epsilon,
-                "flagged": int(vis.flagged),
-            }
-        )
-        if art.svg:
-            co, cross = histograms["co"], histograms["cross"]
-            centers = co.bin_centers()
-            window = np.abs(centers) <= 3.2 * cfg.train.period_ps
-            write_svg_plot(
-                art.path("hom_central.svg"),
-                [
-                    Series(centers[window].tolist(), cross.counts[window].tolist(), "cross-polarized", "line"),
-                    Series(centers[window].tolist(), co.counts[window].tolist(), "co-polarized", "line"),
-                ],
-                title="Central interference peaks",
-                xlabel="delay (ps)",
-                ylabel="counts",
-            )
-    elif art.svg:
-        tag = polarizations[0].value
-        hist = histograms[tag]
+    g2 = expected_source_g2(pipe)
+    vis = estimate_visibility(
+        peaks["co"], peaks["cross"], cfg.analysis.norm_delay_ps, cfg.ifo, g2, cfg.train.period_ps
+    )
+    report.update(
+        {
+            "a_par": vis.a_par,
+            "a_perp": vis.a_perp,
+            "v_raw": vis.v_raw,
+            "v_raw_err": vis.v_raw_err,
+            "v_corr": vis.v_corr,
+            "v_corr_err": vis.v_corr_err,
+            "calib_g2": g2,
+            "calib_epsilon": cfg.ifo.epsilon,
+            "flagged": int(vis.flagged),
+        }
+    )
+    if art.svg:
+        co, cross = histograms["co"], histograms["cross"]
+        centers = co.bin_centers()
+        window = np.abs(centers) <= 3.2 * cfg.train.period_ps
         write_svg_plot(
-            art.path(f"correlation_{tag}.svg"),
-            [Series(hist.bin_centers().tolist(), hist.counts.tolist(), tag, "line")],
-            title="Coincidence histogram (interferometer)",
+            art.path("hom_central.svg"),
+            [
+                Series(centers[window].tolist(), cross.counts[window].tolist(), "cross-polarized", "line"),
+                Series(centers[window].tolist(), co.counts[window].tolist(), "co-polarized", "line"),
+            ],
+            title="Central interference peaks",
             xlabel="delay (ps)",
             ylabel="counts",
         )
-    return report, flag
+    return report, "corrected value outside [0, 1.05]" if vis.flagged else ""
 
 
 def _run_rate(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
@@ -299,7 +284,6 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     )
     if art.svg:
         ideal = conv.loss_budget.transmission()
-        band = scan["ideal_band_fraction"]
         grid = np.linspace(powers[0], powers[-1], 200)
         fit_curve = saturation_curve(grid, fit.eta_max, fit.p_sat_mw)
         write_svg_plot(
@@ -308,7 +292,7 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
                 Series(powers.tolist(), eta_meas.tolist(), "measured", "points"),
                 Series(grid.tolist(), fit_curve.tolist(), "fit", "dashed"),
                 Series([powers[0], powers[-1]], [ideal, ideal], "ideal upper", "line"),
-                Series([powers[0], powers[-1]], [ideal * (1 - band)] * 2, "ideal lower", "line"),
+                Series([powers[0], powers[-1]], [ideal * (1 - IDEAL_BAND_FRACTION)] * 2, "ideal lower", "line"),
             ],
             title="Conversion efficiency vs pump power",
             xlabel="pump power (mW)",
@@ -340,8 +324,6 @@ def _run_saturation(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 _RUNNERS = {
     "lifetime": _run_lifetime,
     "hbt": _run_hbt,
-    "hom_co": _run_hom,
-    "hom_cross": _run_hom,
     "hom_paired": _run_hom,
     "rate": _run_rate,
     "saturation_scan": _run_saturation,

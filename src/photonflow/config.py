@@ -9,14 +9,22 @@ section -> key -> value, holding every key of every section the run uses
 The config objects, the interferometer among them, are built from that table
 by field name, and ``photonflow run --dry-run`` prints it.  The optics and the
 analysis windows are validated here too, before a run writes any output.
+
+``_EXPERIMENTS`` gives each experiment the sections its file must give and the
+``[analysis]`` delays it reads peaks at.  The correlation histogram's window is
+worked out from those delays, so it reaches every one of them; each of them
+must lie more than half a period from 0, and peak windows must be narrower
+than half a period.  Every float must be finite.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .conversion import BoundsMeasurement, ConversionConfig, LossBudget
 from .core import ConfigError, PulseTrainConfig, RunSeed, Wavelength
@@ -86,7 +94,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "detector2": _DETECTOR,
     "analysis": {
         "bin_width_ps": (int, 100),
-        "max_delay_ps": (int, None),
         "peak_half_window_ps": (int, 2000),
         "norm_delay_ps": (int, 500_000),
         "g2_reference_delay_ps": (int, None),
@@ -97,7 +104,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "p_min_mw": (float, 20.0),
         "p_max_mw": (float, 500.0),
         "noise_fraction": (float, 0.01),
-        "ideal_band_fraction": (float, 0.05),
         "meas_p_in_before_lens_mw": (float, None),
         "meas_p_out_after_lens_mw": (float, None),
         "meas_lens_loss": (float, None),
@@ -107,17 +113,20 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# experiment -> the sections its file must give besides [run]
-_REQUIRED_SECTIONS = {
-    "lifetime": ("emitter", "detector1"),
-    "hbt": ("emitter", "detector1", "detector2"),
-    "hom_co": ("emitter", "detector1", "detector2"),
-    "hom_cross": ("emitter", "detector1", "detector2"),
-    "hom_paired": ("emitter", "detector1", "detector2"),
-    "rate": ("emitter", "conversion", "detector1"),
-    "saturation_scan": ("conversion", "saturation_scan"),
+
+class _Experiment(NamedTuple):
+    sections: tuple[str, ...]  # the sections its file must give besides [run]
+    delays: tuple[str, ...] = ()  # the [analysis] delays it reads a correlation peak at besides 0
+
+
+_EXPERIMENTS = {
+    "lifetime": _Experiment(("emitter", "detector1")),
+    "hbt": _Experiment(("emitter", "detector1", "detector2"), ("g2_reference_delay_ps",)),
+    "hom_paired": _Experiment(("emitter", "detector1", "detector2"), ("norm_delay_ps",)),
+    "rate": _Experiment(("emitter", "conversion", "detector1")),
+    "saturation_scan": _Experiment(("conversion", "saturation_scan")),
 }
-EXPERIMENTS = tuple(_REQUIRED_SECTIONS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 # sections resolved from their defaults when the file leaves them out
 _DEFAULTED = ("pulse_train", "optics", "analysis")
@@ -126,11 +135,11 @@ _DEFAULTED = ("pulse_train", "optics", "analysis")
 @dataclass
 class AnalysisParams:
     bin_width_ps: int
-    max_delay_ps: int
     peak_half_window_ps: int
     norm_delay_ps: int
     g2_reference_delay_ps: int
     lifetime_bin_width_ps: int
+    window_ps: int  # worked out at load: the correlation histogram spans [-window_ps, window_ps)
 
 
 @dataclass
@@ -196,9 +205,12 @@ def _coerce(section: str, key: str, raw: str, conv, path: str):
                 if not value.is_integer():
                     raise
                 return int(value)
-        return conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a valid {conv.__name__}") from exc
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _resolve(path: Path, text: str) -> dict[str, dict]:
@@ -232,7 +244,7 @@ def _resolve(path: Path, text: str) -> dict[str, dict]:
     experiment = table["run"]["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"{path}: unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    used = {*given, *_DEFAULTED, *_REQUIRED_SECTIONS[experiment]}
+    used = {*given, *_DEFAULTED, *_EXPERIMENTS[experiment].sections}
     table.update((name, section(name)) for name in _SCHEMA if name in used and name != "run")
     return table
 
@@ -290,22 +302,17 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
     if analysis["g2_reference_delay_ps"] is None:
         blinking = emitter.blinking_enabled if emitter else False
         analysis["g2_reference_delay_ps"] = 40_000_000 if blinking else period
-    if analysis["max_delay_ps"] is None:
-        horizon = max(
-            analysis["g2_reference_delay_ps"] if run["experiment"] == "hbt" else 0,
-            analysis["norm_delay_ps"] if run["experiment"].startswith("hom") else 0,
-            4 * period,
-        )
-        bin_width = analysis["bin_width_ps"]
-        analysis["max_delay_ps"] = bin_width * -(-(horizon + 2 * period) // bin_width)
-    if analysis["max_delay_ps"] % analysis["bin_width_ps"] != 0:
-        raise ConfigError(f"{path}: max_delay_ps must be a multiple of bin_width_ps")
     # peaks are integrated after the run, so their windows are checked here
-    if run["experiment"] == "hbt" or run["experiment"].startswith("hom"):
-        if not 0 <= 2 * analysis["peak_half_window_ps"] < train.period_ps:
-            raise ConfigError(f"{path}: peak_half_window_ps must lie in [0, period / 2)")
-    if run["experiment"] == "hbt" and not abs(analysis["g2_reference_delay_ps"]) > train.period_ps / 2:
-        raise ConfigError(f"{path}: g2_reference_delay_ps must lie more than half a period from 0")
+    delays = _EXPERIMENTS[run["experiment"]].delays
+    if delays and not 0 <= 2 * analysis["peak_half_window_ps"] < train.period_ps:
+        raise ConfigError(f"{path}: peak_half_window_ps must lie in [0, period / 2)")
+    for key in delays:
+        if not abs(analysis[key]) > train.period_ps / 2:
+            raise ConfigError(f"{path}: [analysis] {key} must lie more than half a period from 0")
+    # the window: two periods beyond the farthest peak read (at least four periods out), in whole bins
+    horizon = max([4 * period] + [abs(analysis[key]) for key in delays])
+    bin_width = analysis["bin_width_ps"]
+    window = bin_width * -(-(horizon + 2 * period) // bin_width)
 
     optics = dict(optics)
     bs, bs_in, bs_out = (
@@ -321,7 +328,7 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
         ifo=HomInterferometer(bs_in, bs_out, **optics),
         det1=det1,
         det2=det2,
-        analysis=AnalysisParams(**analysis),
+        analysis=AnalysisParams(**analysis, window_ps=window),
         resolved=table,
         source_text=text,
     )

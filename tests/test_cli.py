@@ -211,15 +211,51 @@ class TestConfigValidation:
             ("hbt_930", "peak_half_window_ps", -2000),
             ("hbt_930", "g2_reference_delay_ps", 0),
             ("hbt_930", "g2_reference_delay_ps", -6000),
+            ("hom_930", "norm_delay_ps", 0),
+            ("hom_930", "norm_delay_ps", 6000),
         ],
     )
     def test_analysis_windows_checked_at_load(self, tmp_path, capsys, name, key, value):
         # peak windows wider than half the 13.7 ns period overlap, a negative
-        # one gives negative areas, and a g2 reference within half a period
-        # of 0 names the central peak: each stops the run before it
-        # simulates or writes anything
+        # one gives negative areas, and a g2 reference or HOM normalization
+        # delay within half a period of 0 names the central peak: each stops
+        # the run before it simulates or writes anything
         assert self.run_with(tmp_path, name, "analysis", key, value) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_window_reaches_a_negative_reference_delay(self, tmp_path, capsys):
+        # the correlation window is worked out over |delay|, so a reference
+        # peak seven periods before the central one lies inside it
+        assert self.run_with(tmp_path, "hbt_930", "analysis", "g2_reference_delay_ps", -95890) == cli.EXIT_OK
+        report = io.read_report(tmp_path / "out" / "report.txt")
+        assert report["reference_delay_ps"] == -95890
+
+    @pytest.mark.parametrize(
+        "name, section, key",
+        [("hom_930", "analysis", "max_delay_ps"), ("saturation", "saturation_scan", "ideal_band_fraction")],
+    )
+    def test_retired_keys_rejected(self, tmp_path, capsys, name, section, key):
+        # the window is worked out from the delays each experiment reads, and
+        # the plot's ideal band is fixed: neither is a key any more
+        assert self.run_with(tmp_path, name, section, key, 100000) == cli.EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("detector1", "dark_rate_cps", "nan"),
+            ("detector1", "dark_rate_cps", "inf"),
+            ("detector1", "irf_sigma_ps", "nan"),
+            ("emitter", "lifetime_tau_ps", "inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, section, key, value):
+        # nan and inf pass float(); each would run without dark counts or
+        # jitter, or fail late, so each stops the run at load
+        assert self.run_with(tmp_path, "hbt_930", section, key, value) == cli.EXIT_CONFIG
+        assert f"{key} = {value!r} is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_workers_override(self, tmp_path):
@@ -280,7 +316,7 @@ class TestRunArtifacts:
         svg = (outdir / "correlation.svg").read_text()
         assert svg.startswith("<svg") and "<!-- data" in svg
 
-    @pytest.mark.parametrize("name", ["lifetime_930", "hbt_930", "rate_1550", "hom_930_co", "hom_930"])
+    @pytest.mark.parametrize("name", ["lifetime_930", "hbt_930", "rate_1550", "hom_930"])
     def test_report_counts_are_tag_file_lengths(self, tmp_path, capsys, name):
         # every tag file's count is reported under its name, the IRF run's too
         config = tmp_path / "run.cfg"
@@ -478,8 +514,6 @@ class TestProfiles:
         assert cfg.experiment in (
             "lifetime",
             "hbt",
-            "hom_co",
-            "hom_cross",
             "hom_paired",
             "rate",
             "saturation_scan",

@@ -107,8 +107,7 @@ def test_paired_hom_digest(workers):
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 
-# shipped profile (or hom_930 rewritten to one polarization) -> artifact -> sha256,
-# each run at n_pulses = 100000 through `photonflow run`
+# shipped profile -> artifact -> sha256, each run at n_pulses = 100000 through `photonflow run`
 CLI_GOLDEN = {
     "hbt_1550": {
         "correlation.csv": "4943b1b1ce5274b067b40e1c367c9e39d7545293c37a40cd0ee8c06157f27514",
@@ -169,31 +168,13 @@ CLI_GOLDEN = {
         "saturation.csv": "8a1d9cce4da2d2257e5b21c6ad1dd1341553fade7e6a88e6d7a2621da05bc48e",
         "saturation.svg": "07ad36bbd36d49ea1bd8ebd6e8804eab0c181e81419b7a169b9c97b58e31c6e4",
     },
-    "hom_930_co": {
-        "correlation_co.csv": "dca4b9d3a3e4b66808846f0e1aeb7b269ff7470d8f65931d0ee90162b2de28d3",
-        "correlation_co.svg": "82f18ec477ec056a29d25fa625a8da5729aff1c51f5f098ddff413585973271b",
-        "report.txt": "673adb36d21d9d1ad6c6adbc21ecfe363ee07af12d5aa384312d2bdd29617496",
-        "tags_co_ch0.pftg": "8f317a9867b3ebbf763744c84ca5925f1877da5c8b4bb3ce53bcd61fe3025f45",
-        "tags_co_ch1.pftg": "a510a0eed69cb1c3012b8557afda42f3c84c976e299e38b4d1fe45911749bf3f",
-    },
-    "hom_930_cross": {
-        "correlation_cross.csv": "d72104cfaaa8794985ac9170a295fb97b884652e321ff94e94275134d95b5f7f",
-        "correlation_cross.svg": "b5899799bf2af3d62c5a1d3f43a54e86fb6006de331e7b844273e2c7a5759b74",
-        "report.txt": "00b16e99ba823b439693e2df775c70aefc7336d537454baef82fbce8fb3d6f2b",
-        "tags_cross_ch0.pftg": "02a7d222b9f00a3b9150676ff4e900a8c30b6c81854d8895432d27445a347401",
-        "tags_cross_ch1.pftg": "aa86ddf2e0dfb4520686ebd4e4807e9c12c23734df2a31923355680a26736f9b",
-    },
 }
 
 
 
 def cli_config_text(name):
-    """The profile's text with n_pulses cut to 100000; hom_930_<pol> runs one polarization."""
-    stem, _, setting = name.partition("_930_")
-    text = (PROFILES / f"{stem}_930.cfg" if setting else PROFILES / f"{name}.cfg").read_text()
-    if setting:
-        assert "experiment = hom_paired" in text
-        text = text.replace("experiment = hom_paired", f"experiment = hom_{setting}")
+    """The profile's text with n_pulses cut to 100000."""
+    text = (PROFILES / f"{name}.cfg").read_text()
     return re.sub(r"(?m)^n_pulses = .*$", "n_pulses = 100000", text)
 
 

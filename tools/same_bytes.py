@@ -4,8 +4,7 @@
     python3 tools/same_bytes.py --workers-only DIR [--pulses N]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
-``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` rewritten as ``hom_co`` and
-as ``hom_cross``, ``hom_930`` with unbalanced splitters
+``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` with unbalanced splitters
 (``hom_930_unbalanced``), ``hbt_1550`` rewritten with conversion noise and many
 dark counts (``hbt_1550_noisy``), ``hbt_930`` rewritten with a blinking
 emitter and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), and
@@ -52,13 +51,9 @@ UNBALANCED_OPTICS = {"bs1_r": 0.45, "bs1_t": 0.55, "bs2_r": 0.53, "bs2_t": 0.47}
 
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
-    """Name -> config text of every profile, plus the single-setting halves of hom_930, an unbalanced
-    hom_930, a noisy hbt_1550, a blinking hbt_930 and a blinking lifetime_930."""
+    """Name -> config text of every profile, plus an unbalanced hom_930, a noisy hbt_1550, a blinking
+    hbt_930 and a blinking lifetime_930."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
-    for experiment in ("hom_co", "hom_cross"):
-        texts[f"hom_930_{experiment}"] = re.sub(
-            r"(?m)^experiment\s*=.*$", f"experiment = {experiment}", texts["hom_930"]
-        )
     unbalanced = texts["hom_930"]
     for key, value in UNBALANCED_OPTICS.items():
         unbalanced = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value:g}", unbalanced)
