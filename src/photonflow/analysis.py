@@ -309,6 +309,10 @@ class VisibilityResult:
     v_raw_err: float
     v_corr_err: float
     flagged: bool
+    central_area_co: int
+    norm_area_co: int
+    central_area_cross: int
+    norm_area_cross: int
 
 
 def estimate_visibility(
@@ -373,4 +377,8 @@ def estimate_visibility(
         v_raw_err=v_raw_err,
         v_corr_err=v_corr_err,
         flagged=flagged,
+        central_area_co=c_par,
+        norm_area_co=n_par,
+        central_area_cross=c_perp,
+        norm_area_cross=n_perp,
     )

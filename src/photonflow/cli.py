@@ -117,7 +117,7 @@ def _base_report(cfg: RunConfig, result: RunResult) -> dict:
     return {
         "experiment": cfg.experiment,
         "seed": cfg.seed.master_seed,
-        "n_pulses": cfg.n_pulses,
+        "n_pulses": cfg.train.n_pulses,
         "emitted_signal": st.emitted_signal,
         "emitted_multi": st.emitted_multi,
         "conversion_lost": st.conversion_lost,
@@ -202,7 +202,7 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
 
     # one engine pass serves both polarization settings
     paired = run_hom(pipe, cfg.ifo, polarizations, cfg.det1, cfg.det2, workers=cfg.workers)
-    # the shared counts, each setting's tag counts, then its peak areas
+    # the shared counts and each setting's tag counts; the peak areas come with the visibility
     report = _base_report(cfg, paired)
     histograms: dict[str, object] = {}
     peaks: dict[str, object] = {}
@@ -210,9 +210,6 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
         tag = pol.value
         report.update(art.streams(result, f"tags_{tag}"))
         histograms[tag], peaks[tag] = _correlate(cfg, art, result, f"correlation_{tag}")
-    for tag, setting_peaks in peaks.items():
-        report[f"central_area_{tag}"], _ = setting_peaks.area_at(0.0, cfg.train.period_ps)
-        report[f"norm_area_{tag}"], _ = setting_peaks.area_at(cfg.analysis.norm_delay_ps, cfg.train.period_ps)
 
     g2 = expected_source_g2(pipe)
     vis = estimate_visibility(
@@ -220,6 +217,10 @@ def _run_hom(cfg: RunConfig, art: _Artifacts) -> tuple[dict, str]:
     )
     report.update(
         {
+            "central_area_co": vis.central_area_co,
+            "norm_area_co": vis.norm_area_co,
+            "central_area_cross": vis.central_area_cross,
+            "norm_area_cross": vis.norm_area_cross,
             "a_par": vis.a_par,
             "a_perp": vis.a_perp,
             "v_raw": vis.v_raw,

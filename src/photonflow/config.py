@@ -145,7 +145,6 @@ class AnalysisParams:
 @dataclass
 class RunConfig:
     experiment: str
-    n_pulses: int
     seed: RunSeed
     workers: int
     output_dir: str
@@ -159,6 +158,11 @@ class RunConfig:
     analysis: AnalysisParams
     resolved: dict  # section -> key -> value, the table every field above was built from
     source_text: str
+
+    @property
+    def n_pulses(self) -> int:
+        """The pulse count, which ``train`` holds; ``perfbench`` reads it here."""
+        return self.train.n_pulses
 
     def config_sha256(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
@@ -262,8 +266,6 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
         run["workers"] = workers_override
     if run["workers"] < 1:
         raise ConfigError(f"{path}: workers must be >= 1")
-    if run["n_pulses"] < 1:
-        raise ConfigError(f"{path}: n_pulses must be >= 1")
     for key in ("bin_width_ps", "lifetime_bin_width_ps"):
         if analysis[key] < 1:
             raise ConfigError(f"{path}: [analysis] {key} must be >= 1")
@@ -319,8 +321,10 @@ def load_config(path: str | Path, seed_override: int | None = None, workers_over
         BeamSplitter(optics.pop(f"{name}_r"), optics.pop(f"{name}_t")) for name in ("bs", "bs1", "bs2")
     )
     return RunConfig(
-        **{key: value for key, value in run.items() if key != "seed"},
+        experiment=run["experiment"],
         seed=RunSeed(run["seed"]),
+        workers=run["workers"],
+        output_dir=run["output_dir"],
         train=train,
         emitter=emitter,
         conversion=conversion,

@@ -65,8 +65,8 @@ class PulseTrainConfig:
             raise ConfigError("pulse_width_ps must be non-negative")
         if self.pulse_width_ps >= self.period_ps:
             raise ConfigError("pulse_width_ps must be shorter than the period")
-        if self.n_pulses < 0:
-            raise ConfigError("n_pulses must be non-negative")
+        if self.n_pulses < 1:
+            raise ConfigError("n_pulses must be >= 1")
 
     @property
     def period_ps(self) -> float:

@@ -52,22 +52,6 @@ def write_histogram_csv(path: str | Path, hist: CoincidenceHistogram) -> None:
         fh.writelines(f"{c:.1f},{n}\n" for c, n in zip(hist.bin_centers().tolist(), hist.counts.tolist()))
 
 
-def read_histogram_csv(path: str | Path) -> CoincidenceHistogram:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] < 2:
-        raise ConfigError(f"{path}: need at least two bins")
-    centers, counts = data[:, 0], data[:, 1]
-    widths = np.diff(centers)
-    width = widths[0]
-    if not np.allclose(widths, width):
-        raise ConfigError(f"{path}: bin centers are not equally spaced")
-    return CoincidenceHistogram(
-        bin_width_ps=int(round(width)),
-        offset_ps=float(centers[0]),
-        counts=np.rint(counts).astype(np.int64),
-    )
-
-
 def write_report(path: str | Path, items: dict) -> None:
     """Flat ``key = value`` text report."""
     with open(path, "w") as fh:

@@ -3,24 +3,20 @@
 Pulses are processed in fixed-size blocks.  Every random decision is drawn
 from a substream keyed by (master seed, owning chunk, stage), and a block
 reads only its own chunk's substreams.  No decision whose outcome is certain
-draws anything.  The emission decision is drawn for every pulse unless a
-steady emitter has ``p_emit`` = 1; every other draw is made only for photons
-that exist, in compacted order.  The emission stream holds one row per
-emitting pulse (envelope, exponential, [dephasing], [companion decision]),
-then one row per companion (envelope, exponential, [dephasing]); a
-dephasing column is drawn only for a nonzero linewidth and a companion
-decision only for ``p_multi`` > 0.  The conversion, route, detection and
-jitter streams hold one entry or row per emitted photon, signal photons
-first; detection uniforms are drawn only if some detector's efficiency is
-below 1, and jitter normals only if some detector has IRF jitter.  A signal
-photon's rows are keyed by its emitter rank (the pulse's position among the
-chunk's emitting pulses).  Interferometer photon
-pairs can straddle a block edge, so a block keeps back the photons at its
-edge pulses that could meet a neighbour's photon; once every block is done,
-one merge step pairs them with the same rule.  A realization is therefore
-fixed by the seed, the configuration and ``BLOCK_PULSES``: the worker count
-never changes a bit of it, while another block size keys the draws by other
-chunks and gives another realization of the same physics.
+draws anything.  The emission stream's layout is ``source.emission_draws``'s;
+every draw after the emission decision is made only for photons that
+exist, in compacted order.  The conversion, route, detection and jitter
+streams hold one entry or row per emitted photon, signal photons first;
+detection uniforms are drawn only if some detector's efficiency is below 1,
+and jitter normals only if some detector has IRF jitter.  A signal photon's
+rows are keyed by its emitter rank (the pulse's position among the chunk's
+emitting pulses).  Interferometer photon pairs can straddle a block edge, so
+a block keeps back the photons at its edge pulses that could meet a
+neighbour's photon; once every block is done, one merge step pairs them with
+the same rule.  A realization is therefore fixed by the seed, the
+configuration and ``BLOCK_PULSES``: the worker count never changes a bit of
+it, while another block size keys the draws by other chunks and gives another
+realization of the same physics.
 
 All three topologies run through one block driver.  It emits the block's
 photons as one table, signal photons then companions, and routes every
@@ -93,12 +89,9 @@ from .source import (
     BlinkTable,
     EmissionBlock,
     EmitterConfig,
-    companion_draws,
     diffusion_offsets_ghz,
-    emitting,
-    has_companion,
+    emission_draws,
     sample_emission,
-    signal_draws,
 )
 
 BLOCK_PULSES = 65536
@@ -181,31 +174,11 @@ class RunResult:
 # chunk-keyed draws
 
 def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) -> EmissionBlock:
-    """Emission of the chunk of pulses [i0, i0 + n).
-
-    The chunk's emission stream holds one uniform per pulse, which a steady
-    emitter with ``p_emit`` = 1 does not draw, then one row per emitting
-    pulse (envelope, exponential, [dephasing], [companion decision]), then
-    one row per companion (envelope, exponential, [dephasing]), each table
-    in pulse order.  The dephasing column is drawn for a nonzero linewidth
-    and the companion decision for ``p_multi`` > 0.  A block with k emitting
-    pulses and m companions draws n + 4k + 3m uniforms when every decision is
-    uncertain, and 2k when none is.
-    """
-    emitter, rng = pipe.emitter, substream(pipe.seed, i0, STAGE_EMIT)
-    if blink is None:
-        bright = np.ones(n, dtype=bool)
-    else:
-        bright = blink.bright_at(pipe.train.pulse_start_ps(i0 + np.arange(n)).astype(np.float64))
-    emits = emitting(emitter, rng, bright)
-    signal_rows = rng.random((int(np.count_nonzero(emits)), signal_draws(emitter)))
-    companions = int(np.count_nonzero(has_companion(emitter, signal_rows)))
-    companion_rows = rng.random((companions, companion_draws(emitter)))
-    wander = 0.0
-    if emitter.spectral_diffusion_sigma_ghz > 0:
-        dblocks = (i0 + np.arange(n)) // emitter.diffusion_block_pulses
-        unique, inverse = np.unique(dblocks, return_inverse=True)
-        wander = diffusion_offsets_ghz(emitter, pipe.seed, unique)[inverse]
+    """Emission of the chunk of pulses [i0, i0 + n), drawn from its emission stream (``emission_draws``)."""
+    emitter, pulses, rng = pipe.emitter, i0 + np.arange(n), substream(pipe.seed, i0, STAGE_EMIT)
+    bright = np.ones(n, dtype=bool) if blink is None else blink.bright_at(pipe.train.pulse_start_ps(pulses))
+    emits, signal_rows, companion_rows = emission_draws(emitter, rng, bright)
+    wander = diffusion_offsets_ghz(emitter, pipe.seed, pulses)
     return sample_emission(emitter, pipe.train, i0, emits, wander, signal_rows, companion_rows)
 
 
@@ -556,11 +529,8 @@ def _run_blocks(block_fn, pipe: Pipeline, detectors, workers: int, settings=None
     ``_merge_edges`` pairs or registers the kept-back photons of all blocks
     in pulse order.
     """
-    n_pulses = pipe.train.n_pulses
-    if n_pulses <= 0:
-        raise ConfigError("n_pulses must be positive")
     blink = _build_blink_table(pipe)
-    ranges = _block_ranges(n_pulses)
+    ranges = _block_ranges(pipe.train.n_pulses)
     channels = tuple(detectors) * (1 if settings is None else len(settings[1]))
     total = RunStats(channels=tuple(DetectStats() for _ in channels))
     folds = [_TagFold() for _ in channels]

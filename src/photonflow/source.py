@@ -107,19 +107,8 @@ def _sample_exponential(tau_ps: float, u: np.ndarray) -> np.ndarray:
 
 
 # columns of a photon's row: envelope start, exponential delay, then the
-# dephasing uniform, which a zero linewidth does not draw; an emitting pulse's
-# row ends with the companion decision, which p_multi = 0 does not draw
+# dephasing uniform when the linewidth is nonzero
 _U_W, _U_EXP, _U_CAU = range(3)
-
-
-def companion_draws(cfg: EmitterConfig) -> int:
-    """Uniforms in a companion's row: its photon's columns."""
-    return 3 if cfg.dephasing_linewidth_ghz > 0 else 2
-
-
-def signal_draws(cfg: EmitterConfig) -> int:
-    """Uniforms in an emitting pulse's row: its signal photon's columns, then the companion decision."""
-    return companion_draws(cfg) + (cfg.p_multi > 0)
 
 
 @dataclass
@@ -140,38 +129,50 @@ class EmissionBlock:
     detuning_ghz: np.ndarray
 
 
-def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, block_indices: np.ndarray) -> np.ndarray:
-    """Slow-wander detuning for the given diffusion-block indices.
+def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, pulses: np.ndarray):
+    """Slow-wander detuning of the run's pulses ``pulses``, or 0.0 for all of them without spectral diffusion.
 
-    Each diffusion block draws its offset from its own substream, so any
+    Pulses are grouped into diffusion blocks of ``diffusion_block_pulses``,
+    and each diffusion block draws its offset from its own substream, so any
     engine block can evaluate it without sequential state.
     """
-    out = np.empty(len(block_indices))
-    for i, bidx in enumerate(block_indices):
-        rng = substream(seed, int(bidx), STAGE_DIFFUSION)
-        out[i] = rng.normal(0.0, cfg.spectral_diffusion_sigma_ghz)
-    return out
+    if cfg.spectral_diffusion_sigma_ghz == 0:
+        return 0.0
+    blocks, inverse = np.unique(np.asarray(pulses) // cfg.diffusion_block_pulses, return_inverse=True)
+    sigma = cfg.spectral_diffusion_sigma_ghz
+    return np.array([substream(seed, int(b), STAGE_DIFFUSION).normal(0.0, sigma) for b in blocks])[inverse]
 
 
-def emitting(cfg: EmitterConfig, rng: np.random.Generator, bright: np.ndarray) -> np.ndarray:
-    """Which pulses emit a signal photon, from the blinking state and one uniform per pulse.
-
-    ``bright`` holds the state of every pulse.  A steady emitter with
-    ``p_emit`` = 1 emits at every pulse, so it draws no uniform.
-    """
-    if cfg.p_emit >= 1 and not cfg.blinking_enabled:
-        return bright
-    return bright & (rng.random(bright.size) < cfg.p_emit)
-
-
-def has_companion(cfg: EmitterConfig, signal_rows: np.ndarray) -> np.ndarray:
-    """Which emitting pulses add a companion photon, from the last column of their rows.
-
-    With ``p_multi`` = 0 none does, and the rows hold no decision column.
-    """
+def _has_companion(cfg: EmitterConfig, signal_rows: np.ndarray) -> np.ndarray:
     if cfg.p_multi == 0:
         return np.zeros(signal_rows.shape[0], dtype=bool)
     return signal_rows[:, -1] < cfg.p_multi
+
+
+def emission_draws(cfg: EmitterConfig, rng: np.random.Generator, bright: np.ndarray):
+    """The emission stream of one chunk, read from the start of its generator ``rng``.
+
+    ``bright`` holds the blinking state of each of the chunk's pulses.  The
+    stream holds one uniform per pulse, the emission decision, then one row
+    per emitting pulse (envelope, exponential, [dephasing], [companion
+    decision]), then one row per companion (envelope, exponential,
+    [dephasing]), each table in pulse order.  A decision whose outcome is
+    certain draws nothing: a steady emitter with ``p_emit`` = 1 draws no
+    emission uniform, a zero linewidth no dephasing column and ``p_multi`` =
+    0 no companion decision.  A chunk of n pulses with k emitting pulses and
+    m companions thus draws n + 4k + 3m uniforms when every decision is
+    uncertain, and 2k when none is.
+
+    Returns the emitting-pulse mask, the signal rows and the companion rows.
+    """
+    if cfg.p_emit >= 1 and not cfg.blinking_enabled:
+        emits = bright
+    else:
+        emits = bright & (rng.random(bright.size) < cfg.p_emit)
+    photon_columns = 3 if cfg.dephasing_linewidth_ghz > 0 else 2
+    signal_rows = rng.random((int(np.count_nonzero(emits)), photon_columns + (cfg.p_multi > 0)))
+    companions = int(np.count_nonzero(_has_companion(cfg, signal_rows)))
+    return emits, signal_rows, rng.random((companions, photon_columns))
 
 
 def sample_emission(
@@ -183,26 +184,16 @@ def sample_emission(
     signal_rows: np.ndarray,
     companion_rows: np.ndarray,
 ) -> EmissionBlock:
-    """Turn the emitting pulses' uniform rows into one photon table.
+    """Turn the emission draws of the range starting at ``first_pulse`` into one photon table.
 
-    ``emits`` marks the emitting pulses of the range starting at
-    ``first_pulse`` (see ``emitting``).  ``signal_rows`` has one row of
-    ``signal_draws(cfg)`` columns per emitting pulse, in pulse order: the
-    signal photon's envelope start, exponential delay and [dephasing], then
-    the [companion decision].  ``companion_rows`` has one row of
-    ``companion_draws(cfg)`` columns, the same photon columns for the
-    companion, per emitting pulse that ``has_companion``, in pulse order.
-    ``wander_ghz`` is the slow detuning per pulse of the range, or one value
-    for all of it.  A companion sits ``multi_detuning_offset_ghz`` off line.
+    ``emits``, ``signal_rows`` and ``companion_rows`` are as
+    ``emission_draws`` returns them.  ``wander_ghz`` is the slow detuning
+    per pulse of the range, or one value for all of it.  A companion sits
+    ``multi_detuning_offset_ghz`` off line.
     """
-    if signal_rows.shape[1:] != (signal_draws(cfg),) or companion_rows.shape[1:] != (companion_draws(cfg),):
-        raise ValueError(f"rows need {signal_draws(cfg)} and {companion_draws(cfg)} columns")
     emitters = np.flatnonzero(emits)
-    multi = np.flatnonzero(has_companion(cfg, signal_rows))
-    if companion_rows.shape[0] != multi.size:
-        raise ValueError(f"{multi.size} companions need as many companion rows, got {companion_rows.shape[0]}")
     k = emitters.size
-    pulse = np.concatenate([emitters, emitters[multi]])
+    pulse = np.concatenate([emitters, emitters[_has_companion(cfg, signal_rows)]])
     env = train.pulse_start_ps(first_pulse + pulse).astype(np.float64)
     exact, det = np.empty(pulse.size), np.empty(pulse.size)
     for rows, part in ((signal_rows, slice(None, k)), (companion_rows, slice(k, None))):

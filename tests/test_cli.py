@@ -177,7 +177,7 @@ class TestConfigValidation:
         assert cli.main(["run", str(path), "--dry-run"]) == cli.EXIT_OK
         assert f"run.seed = {seed}" in capsys.readouterr().out.splitlines()
         body = HBT_CONFIG.replace("n_pulses = 40000", "n_pulses = 4e4")
-        assert load_config(write_config(tmp_path, body, outdir=tmp_path / "out")).n_pulses == 40000
+        assert load_config(write_config(tmp_path, body, outdir=tmp_path / "out")).train.n_pulses == 40000
 
     @pytest.mark.parametrize("n_points", [-1, 0, 3])
     def test_saturation_scan_needs_four_points(self, tmp_path, capsys, n_points):

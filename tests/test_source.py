@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from photonflow.core import PulseTrainConfig, RunSeed, Wavelength, substream
+from photonflow.core import STAGE_DIFFUSION, PulseTrainConfig, RunSeed, Wavelength, substream
+from photonflow.pipeline import BLOCK_PULSES
 from photonflow.source import (
     BlinkTable,
     EmitterConfig,
-    companion_draws,
-    emitting,
+    diffusion_offsets_ghz,
+    emission_draws,
     expected_pair_overlap,
-    has_companion,
     sample_emission,
-    signal_draws,
     temporal_jitter_overlap,
 )
 
@@ -35,18 +34,11 @@ def emitter(**kwargs):
 
 
 def emission_arrays(cfg, pulse_train, seed=11):
-    """Vectorized emission for the whole train: the emission decisions, one row per emitter and per companion."""
-    rng = substream(RunSeed(seed), 0, 0)
-    n = pulse_train.n_pulses
-    emits = emitting(cfg, rng, np.ones(n, dtype=bool))
-    wander = (
-        rng.normal(0.0, cfg.spectral_diffusion_sigma_ghz, n)
-        if cfg.spectral_diffusion_sigma_ghz
-        else np.zeros(n)
+    """Vectorized emission for the whole train of a steady emitter with no spectral diffusion."""
+    emits, signal_rows, companion_rows = emission_draws(
+        cfg, substream(RunSeed(seed), 0, 0), np.ones(pulse_train.n_pulses, dtype=bool)
     )
-    signal_rows = rng.random((int(emits.sum()), signal_draws(cfg)))
-    companion_rows = rng.random((int(has_companion(cfg, signal_rows).sum()), companion_draws(cfg)))
-    return sample_emission(cfg, pulse_train, 0, emits, wander, signal_rows, companion_rows)
+    return sample_emission(cfg, pulse_train, 0, emits, 0.0, signal_rows, companion_rows)
 
 
 class TestEmission:
@@ -112,6 +104,31 @@ class TestEmission:
         assert np.all(block.time_ps >= tr.pulse_start_ps(block.pulse))
 
 
+class TestSpectralDiffusion:
+    def test_one_offset_per_diffusion_block_whichever_engine_block_asks(self):
+        # pulses on both sides of an engine-block edge that falls inside a
+        # diffusion block, and of the diffusion-block edges around it
+        cfg = emitter(spectral_diffusion_sigma_ghz=0.3)
+        size, seed = cfg.diffusion_block_pulses, RunSeed(4)
+        edge = BLOCK_PULSES
+        assert edge % size
+        lo, hi = edge // size * size - 50, (edge // size + 1) * size + 50
+        pulses = np.arange(lo, hi)
+        whole = diffusion_offsets_ghz(cfg, seed, pulses)
+        early, late = pulses[pulses < edge], pulses[pulses >= edge]
+        by_engine_block = [diffusion_offsets_ghz(cfg, seed, part) for part in (early, late)]
+        np.testing.assert_array_equal(np.concatenate(by_engine_block), whole)
+        blocks = pulses // size
+        assert np.unique(blocks).size == 3
+        for b in np.unique(blocks):
+            expected = substream(seed, int(b), STAGE_DIFFUSION).normal(0.0, 0.3)
+            assert np.all(whole[blocks == b] == expected)
+        assert np.unique(whole).size == 3
+
+    def test_no_diffusion_is_no_wander(self):
+        assert diffusion_offsets_ghz(emitter(), RunSeed(4), np.arange(10)) == 0.0
+
+
 class TestPairwiseOverlap:
     def test_pure_wavepackets_give_unity(self):
         cfg = emitter()
@@ -164,10 +181,9 @@ class TestBlinking:
         tr = train(10)
         dark = BlinkTable(initial_bright=False, switch_times_ps=np.empty(0))
         bright = dark.bright_at(tr.pulse_start_ps(np.arange(tr.n_pulses)))
-        emits = emitting(cfg, substream(RunSeed(5), 0, 0), bright)
-        assert not emits.any()
-        no_rows = np.empty((0, signal_draws(cfg))), np.empty((0, companion_draws(cfg)))
-        block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), *no_rows)
+        emits, signal_rows, companion_rows = emission_draws(cfg, substream(RunSeed(5), 0, 0), bright)
+        assert not emits.any() and signal_rows.shape[0] == companion_rows.shape[0] == 0
+        block = sample_emission(cfg, tr, 0, emits, np.zeros(tr.n_pulses), signal_rows, companion_rows)
         assert block.n_signal == 0 and block.pulse.size == 0
 
     def test_dwell_times_exponential(self):

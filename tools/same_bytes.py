@@ -5,7 +5,8 @@
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Every
 ``profiles/*.cfg`` of CHANGE_DIR, plus ``hom_930`` with unbalanced splitters
-(``hom_930_unbalanced``), ``hbt_1550`` rewritten with conversion noise and many
+(``hom_930_unbalanced``), ``hom_930`` with spectral diffusion
+(``hom_930_diffusion``), ``hbt_1550`` rewritten with conversion noise and many
 dark counts (``hbt_1550_noisy``), ``hbt_930`` rewritten with a blinking
 emitter and no ``g2_reference_delay_ps`` (``hbt_930_blinking``), and
 ``lifetime_930`` with a blinking emitter (``lifetime_930_blinking``), runs through
@@ -48,16 +49,22 @@ BLINK_RATE_PER_US = 0.5
 # every shipped HOM profile is balanced, so none tells the input splitter from
 # the output splitter; these ratios do, in the engine and in the estimator
 UNBALANCED_OPTICS = {"bs1_r": 0.45, "bs1_t": 0.55, "bs2_r": 0.53, "bs2_t": 0.47}
+# no shipped profile has spectral diffusion; its default 1000-pulse diffusion
+# blocks straddle the 65536-pulse engine blocks, and a wander of the order of
+# the 0.59 GHz natural linewidth changes the overlap of pairs across their edges
+DIFFUSION_SIGMA_GHZ = 0.5
 
 
 def configs(change: Path, pulses: int | None) -> dict[str, str]:
-    """Name -> config text of every profile, plus an unbalanced hom_930, a noisy hbt_1550, a blinking
-    hbt_930 and a blinking lifetime_930."""
+    """Name -> config text of every profile, plus an unbalanced and a diffusing hom_930, a noisy hbt_1550,
+    a blinking hbt_930 and a blinking lifetime_930."""
     texts = {path.stem: path.read_text() for path in sorted((change / "profiles").glob("*.cfg"))}
     unbalanced = texts["hom_930"]
     for key, value in UNBALANCED_OPTICS.items():
         unbalanced = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value:g}", unbalanced)
     texts["hom_930_unbalanced"] = unbalanced
+    diffusion = f"[emitter]\nspectral_diffusion_sigma_ghz = {DIFFUSION_SIGMA_GHZ:g}\n"
+    texts["hom_930_diffusion"] = texts["hom_930"].replace("[emitter]\n", diffusion)
     noisy = re.sub(r"(?m)^dark_rate_cps\s*=.*$", f"dark_rate_cps = {NOISY_DARK_CPS:g}", texts["hbt_1550"])
     noisy = noisy.replace("[conversion]\n", f"[conversion]\nnoise_rate_cps = {NOISY_NOISE_CPS:g}\n")
     texts["hbt_1550_noisy"] = noisy
