@@ -175,10 +175,10 @@ class RunResult:
 
 def _emission_rows(pipe: Pipeline, i0: int, n: int, blink: BlinkTable | None) -> EmissionBlock:
     """Emission of the chunk of pulses [i0, i0 + n), drawn from its emission stream (``emission_draws``)."""
-    emitter, pulses, rng = pipe.emitter, i0 + np.arange(n), substream(pipe.seed, i0, STAGE_EMIT)
-    bright = np.ones(n, dtype=bool) if blink is None else blink.bright_at(pipe.train.pulse_start_ps(pulses))
+    emitter, rng = pipe.emitter, substream(pipe.seed, i0, STAGE_EMIT)
+    bright = np.ones(n, dtype=bool) if blink is None else blink.bright_at(pipe.train.pulse_start_ps(i0 + np.arange(n)))
     emits, signal_rows, companion_rows = emission_draws(emitter, rng, bright)
-    wander = diffusion_offsets_ghz(emitter, pipe.seed, pulses)
+    wander = diffusion_offsets_ghz(emitter, pipe.seed, i0, n)
     return sample_emission(emitter, pipe.train, i0, emits, wander, signal_rows, companion_rows)
 
 

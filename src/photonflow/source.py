@@ -129,17 +129,18 @@ class EmissionBlock:
     detuning_ghz: np.ndarray
 
 
-def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, pulses: np.ndarray):
-    """Slow-wander detuning of the run's pulses ``pulses``, or 0.0 for all of them without spectral diffusion.
+def diffusion_offsets_ghz(cfg: EmitterConfig, seed: RunSeed, first_pulse: int, n: int):
+    """Slow-wander detuning of each pulse of [first_pulse, first_pulse + n), or 0.0 for all without diffusion.
 
     Pulses are grouped into diffusion blocks of ``diffusion_block_pulses``,
     and each diffusion block draws its offset from its own substream, so any
-    engine block can evaluate it without sequential state.
+    engine block can evaluate it without sequential state.  Without
+    diffusion no pulse index is built.
     """
-    if cfg.spectral_diffusion_sigma_ghz == 0:
-        return 0.0
-    blocks, inverse = np.unique(np.asarray(pulses) // cfg.diffusion_block_pulses, return_inverse=True)
     sigma = cfg.spectral_diffusion_sigma_ghz
+    if sigma == 0:
+        return 0.0
+    blocks, inverse = np.unique((first_pulse + np.arange(n)) // cfg.diffusion_block_pulses, return_inverse=True)
     return np.array([substream(seed, int(b), STAGE_DIFFUSION).normal(0.0, sigma) for b in blocks])[inverse]
 
 

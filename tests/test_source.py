@@ -114,10 +114,9 @@ class TestSpectralDiffusion:
         assert edge % size
         lo, hi = edge // size * size - 50, (edge // size + 1) * size + 50
         pulses = np.arange(lo, hi)
-        whole = diffusion_offsets_ghz(cfg, seed, pulses)
-        early, late = pulses[pulses < edge], pulses[pulses >= edge]
-        by_engine_block = [diffusion_offsets_ghz(cfg, seed, part) for part in (early, late)]
-        np.testing.assert_array_equal(np.concatenate(by_engine_block), whole)
+        whole = diffusion_offsets_ghz(cfg, seed, lo, hi - lo)
+        early, late = diffusion_offsets_ghz(cfg, seed, lo, edge - lo), diffusion_offsets_ghz(cfg, seed, edge, hi - edge)
+        np.testing.assert_array_equal(np.concatenate([early, late]), whole)
         blocks = pulses // size
         assert np.unique(blocks).size == 3
         for b in np.unique(blocks):
@@ -126,7 +125,7 @@ class TestSpectralDiffusion:
         assert np.unique(whole).size == 3
 
     def test_no_diffusion_is_no_wander(self):
-        assert diffusion_offsets_ghz(emitter(), RunSeed(4), np.arange(10)) == 0.0
+        assert diffusion_offsets_ghz(emitter(), RunSeed(4), 0, 10) == 0.0
 
 
 class TestPairwiseOverlap:
